@@ -13,6 +13,7 @@ from .lacore import (
     dense_sym_eig,
     factorize,
     lanczos_extremal,
+    nested_dissection,
     read_matrix_market,
     spmv,
     write_matrix_market,

@@ -141,7 +141,8 @@ class AssembledSystem:
 
     Edge-indexed objects use the conducting-first partition of the eliminated
     incidence set; face-indexed objects use mesh face ids.  K is kept in the
-    factored form C^T M_nu C; X = C^T Upsilon by construction.
+    factored form C^T M_nu C; X = C^T Upsilon by construction.  ``edge_xyz``
+    (edge midpoints, same edge order) is None for inputs without a mesh.
     """
 
     M11: object           # csr, n1 x n1, SPD
@@ -155,6 +156,7 @@ class AssembledSystem:
     n2: int
     m: int
     M: object = field(default=None, repr=False)
+    edge_xyz: np.ndarray | None = field(default=None, repr=False)  # (n1+n2) x 3
 
     @property
     def X1(self):
@@ -306,6 +308,11 @@ def assemble_upsilon(mesh: Mesh, inc: IncidenceSet, windings):
     return ups
 
 
+def edge_midpoints(mesh: Mesh, inc: IncidenceSet):
+    """Midpoints of the incidence set's edges, in its conducting-first order."""
+    return mesh.nodes[mesh.edges[inc.edge_order]].mean(axis=1)
+
+
 def build_system(mesh: Mesh, inc: IncidenceSet, material: MaterialSpec,
                  windings) -> AssembledSystem:
     """Assemble all system blocks; K and X are kept in factored form.
@@ -350,4 +357,5 @@ def build_system(mesh: Mesh, inc: IncidenceSet, material: MaterialSpec,
         n2=n2,
         m=m,
         M=M,
+        edge_xyz=edge_midpoints(mesh, inc),
     )

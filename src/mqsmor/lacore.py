@@ -3,8 +3,10 @@
 Sparse matrices are scipy CSR in canonical form (duplicates summed, indices
 sorted); coordinate triplets appear only at construction and IO boundaries.
 Factorization is unsymmetric-capable sparse LU with partial pivoting and a
-fill-reducing ordering (the bordered saddle-point systems downstream are
-symmetric indefinite, so Cholesky is not an option).
+fill-reducing ordering: COLAMD per matrix, or a caller-supplied symmetric
+ordering such as ``nested_dissection`` shared by matrices of one pattern
+(the bordered saddle-point systems downstream are symmetric indefinite, so
+Cholesky is not an option).
 """
 
 from __future__ import annotations
@@ -44,36 +46,60 @@ def spmv(a, v):
 
 
 class Factorization:
-    """Sparse LU of a square matrix, with singular pivots rejected up front."""
+    """Sparse LU of a square matrix, with singular pivots rejected up front.
 
-    def __init__(self, lu, shape, dtype):
+    When built with a symmetric permutation ``perm`` the LU is of
+    ``S[perm][:, perm]``; ``solve`` permutes the right-hand side and
+    un-permutes the solution, so callers always see ``S x = b``.
+    """
+
+    def __init__(self, lu, shape, dtype, perm=None):
         self._lu = lu
         self.shape = shape
         self.dtype = dtype
+        self.perm = perm
+        self._iperm = None if perm is None else np.argsort(perm)
+
+    def _lu_solve(self, b):
+        if self.perm is None:
+            return self._lu.solve(b)
+        return self._lu.solve(np.ascontiguousarray(b[self.perm]))[self._iperm]
 
     def solve(self, b):
         b = np.asarray(b)
         if b.shape[0] != self.shape[0]:
             raise ValueError(f"dimension mismatch: matrix is {self.shape}, rhs has {b.shape[0]}")
         if np.iscomplexobj(b) and self.dtype == np.float64:
-            return (self._lu.solve(np.ascontiguousarray(b.real))
-                    + 1j * self._lu.solve(np.ascontiguousarray(b.imag)))
-        return self._lu.solve(np.asarray(b, dtype=self.dtype))
+            return (self._lu_solve(np.ascontiguousarray(b.real))
+                    + 1j * self._lu_solve(np.ascontiguousarray(b.imag)))
+        return self._lu_solve(np.asarray(b, dtype=self.dtype))
 
 
-def factorize(s, pivot_rtol=1e-13):
+def factorize(s, pivot_rtol=1e-13, perm=None):
     """LU-factorize a square sparse matrix (real or complex).
 
-    Partial pivoting with COLAMD ordering.  A pivot smaller than
-    ``pivot_rtol`` times the largest pivot raises SingularMatrixError naming
-    the pivot index.
+    Partial pivoting throughout.  Without ``perm`` SuperLU picks a COLAMD
+    column ordering for this matrix; with ``perm`` (a permutation of
+    ``range(n)``, e.g. from ``nested_dissection``) the symmetric permutation
+    ``S[perm][:, perm]`` is factored in that natural order instead, so one
+    ordering can serve every matrix of a shared sparsity pattern.  A pivot
+    smaller than ``pivot_rtol`` times the largest pivot raises
+    SingularMatrixError naming the pivot index.
     """
     if s.shape[0] != s.shape[1]:
         raise ValueError(f"matrix must be square, got {s.shape}")
     dtype = np.complex128 if np.iscomplexobj(s) else np.float64
     a = sp.csc_matrix(s, dtype=dtype)
+    options = {}
+    if perm is not None:
+        perm = np.asarray(perm, dtype=np.int64)
+        if perm.shape != (s.shape[0],) or not np.array_equal(np.sort(perm),
+                                                             np.arange(s.shape[0])):
+            raise ValueError("perm must be a permutation of range(n)")
+        a = a[perm][:, perm].tocsc()
+        options["permc_spec"] = "NATURAL"
     try:
-        lu = spla.splu(a)
+        lu = spla.splu(a, **options)
     except RuntimeError as exc:
         if "singular" in str(exc).lower():
             raise SingularMatrixError(f"singular matrix: {exc}") from exc
@@ -83,7 +109,76 @@ def factorize(s, pivot_rtol=1e-13):
     if d.size and (dmax == 0.0 or d.min() <= pivot_rtol * dmax):
         k = int(np.argmin(d)) if dmax > 0 else 0
         raise SingularMatrixError(f"singular matrix at pivot index {k}")
-    return Factorization(lu, s.shape, dtype)
+    return Factorization(lu, s.shape, dtype, perm)
+
+
+# leaf size of the nested-dissection recursion
+_ND_LEAF = 32
+
+
+def nested_dissection(pattern, xyz, last=()):
+    """Fill-reducing symmetric ordering by recursive coordinate bisection.
+
+    ``pattern`` is a square sparse matrix whose (symmetrized) nonzero
+    structure is the graph of the unknowns; ``xyz`` holds one point per
+    unknown (rows listed in ``last`` are ignored).  Each part is split at the
+    median of its widest coordinate axis; the smaller of the two boundary
+    sets (vertices with a neighbour across the cut) becomes the separator.
+    The order is: left part, right part, separator, recursively, with parts
+    of at most 32 unknowns kept whole in ascending index order.  The
+    ``last`` indices, unknowns coupled to too much of the graph to be
+    separated (such as winding currents), go at the very end in the given
+    order.  Deterministic: the split is by value at the median, and every
+    part keeps ascending index order.
+    """
+    n = pattern.shape[0]
+    if pattern.shape[1] != n:
+        raise ValueError(f"pattern must be square, got {pattern.shape}")
+    xyz = np.asarray(xyz, dtype=float)
+    if xyz.shape[0] != n:
+        raise ValueError(f"need one point per unknown: {xyz.shape[0]} != {n}")
+    last = np.asarray(last, dtype=np.int64).ravel()
+    if last.size and (last.min() < 0 or last.max() >= n
+                      or np.unique(last).size != last.size):
+        raise ValueError("last indices must be distinct and in range(n)")
+    inner = np.ones(n, dtype=bool)
+    inner[last] = False
+    a = sp.csr_matrix(pattern)
+    graph = (abs(a) + abs(a.T)).tocsr()
+    idx = np.flatnonzero(inner)
+    graph = graph[idx][:, idx].tocsr()
+    out = []
+    _dissect(idx, graph, xyz[idx], out)
+    out.append(last)
+    return np.concatenate(out)
+
+
+def _dissect(idx, graph, pts, out):
+    """Append the nested-dissection order of the unknowns ``idx`` to ``out``.
+
+    ``graph`` and ``pts`` are restricted to ``idx`` (local numbering).
+    """
+    span = np.ptp(pts, axis=0) if idx.size > _ND_LEAF else np.zeros(1)
+    if not span.max() > 0:
+        # small part, or coincident points that no plane can split
+        out.append(idx)
+        return
+    key = pts[:, int(np.argmax(span))]
+    med = np.median(key)
+    left = key < med
+    if not left.any():
+        left = key <= med
+    lo, hi = np.flatnonzero(left), np.flatnonzero(~left)
+    cross = graph[lo][:, hi]
+    b_lo = cross.getnnz(axis=1) > 0
+    b_hi = cross.getnnz(axis=0) > 0
+    if b_lo.sum() <= b_hi.sum():
+        sep, lo = lo[b_lo], lo[~b_lo]
+    else:
+        sep, hi = hi[b_hi], hi[~b_hi]
+    for part in (lo, hi):
+        _dissect(idx[part], graph[part][:, part], pts[part], out)
+    out.append(idx[sep])
 
 
 def dense_sym_eig(a, sym_rtol=1e-12):

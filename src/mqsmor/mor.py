@@ -22,7 +22,7 @@ import scipy.linalg
 from scipy.special import ellipj, ellipk, ellipkm1
 
 from .lacore import dense_sym_eig
-from .ops import OperatorContext, SpectralBounds
+from .ops import OperatorContext
 
 
 @dataclass
@@ -89,10 +89,6 @@ def wachspress_shifts(a, b, eps, method="wachspress"):
         raise ValueError(f"unknown shift method {method!r}")
     rho = adi_rational_max(shifts, a, b)
     return ShiftSet(np.sort(shifts), method, rho, (a, b))
-
-
-def shifts_from_bounds(bounds: SpectralBounds, eps, method="wachspress"):
-    return wachspress_shifts(bounds.a, bounds.b, eps, method=method)
 
 
 @dataclass

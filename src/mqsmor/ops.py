@@ -12,6 +12,12 @@ which is factored once), and shifted systems (tau E_r + A_r) z = w are
 solved through the bordered saddle-point system of dimension n + m + k2 in
 the original edge coordinates, so the Yhat fill never enters a factorization.
 Complex shifts reuse the same structure over complex scalars.
+
+Every shifted bordered matrix tau Mb + Kb shares one sparsity pattern, so a
+single nested-dissection ordering, computed once per context from the edge
+midpoints (gauge multipliers sit at the centroid of their Y_C2 support, the
+winding currents are ordered last), serves every real and complex shift.
+Systems without mesh coordinates fall back to SuperLU's COLAMD per shift.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .lacore import factorize, lanczos_extremal
+from .lacore import factorize, lanczos_extremal, nested_dissection
 from .regularize import RegularizedSystem
 
 
@@ -82,10 +88,25 @@ class OperatorContext:
             mb = [row[:3] for row in mb[:3]]
         self._lemma3_K = sp.bmat(kb, format="csc")
         self._lemma3_M = sp.bmat(mb, format="csc")
+        self._order = None
+        if rsys.edge_xyz is not None:
+            self._order = nested_dissection(
+                self._lemma3_K + self._lemma3_M, self._bordered_points(),
+                last=np.arange(n1 + n2, n1 + n2 + m))
         self._shift_cache = OrderedDict()
         self._shift_cache_size = shift_cache_size
         self.B_r = rsys.B_r()
         self._counts = None
+
+    def _bordered_points(self):
+        """One point per unknown of the bordered matrix: edge midpoints,
+        NaN for the winding currents, and the centroid of the Y_C2 column
+        support for each gauge multiplier."""
+        r = self.rsys
+        support = (abs(r.Y) > 0).astype(np.float64).tocsc()
+        counts = np.asarray(support.sum(axis=0)).ravel()
+        centroids = (support.T @ r.edge_xyz[r.n1:]) / np.maximum(counts, 1)[:, None]
+        return np.vstack([r.edge_xyz, np.full((r.m, 3), np.nan), centroids])
 
     # -- basic applies ----------------------------------------------------
 
@@ -164,7 +185,7 @@ class OperatorContext:
         tau = complex(shift) if is_complex else float(np.real(shift))
         mat = (self._lemma3_K + tau * self._lemma3_M).tocsc()
         try:
-            fact = factorize(mat)
+            fact = factorize(mat, perm=self._order)
         except Exception as exc:
             raise RuntimeError(f"singular bordered matrix at shift {shift}") from exc
         entry = (mat, fact)
@@ -173,7 +194,7 @@ class OperatorContext:
             self._shift_cache.popitem(last=False)
         return entry
 
-    def _shifted_solve_raw(self, shift, w, mat, fact):
+    def _shifted_solve_raw(self, w, mat, fact):
         r = self.rsys
         w1, w2 = r.split(w)
         q2 = r.Yhat @ self._yty_solve(w2)
@@ -197,13 +218,13 @@ class OperatorContext:
         r = self.rsys
         mat, fact = self._shift_factorization(shift)
         w = np.asarray(w)
-        z = self._shifted_solve_raw(shift, w, mat, fact)
+        z = self._shifted_solve_raw(w, mat, fact)
         wn = np.linalg.norm(w)
         for _ in range(max(self.refine, 1) + 1):
             resid = w - (shift * r.apply_Er(z) + r.apply_Ar(z))
             if np.linalg.norm(resid) <= 1e-13 * wn:
                 break
-            z = z + self._shifted_solve_raw(shift, resid, mat, fact)
+            z = z + self._shifted_solve_raw(resid, mat, fact)
         return z
 
     # -- spectral bounds ---------------------------------------------------

@@ -24,7 +24,7 @@ from .analysis import (
     transfer_eval_full,
     transfer_eval_reduced,
 )
-from .assembly import AssembledSystem, build_system
+from .assembly import AssembledSystem, build_system, edge_midpoints
 from .config import RunConfig
 from .lacore import read_matrix_market, write_matrix_market
 from .mesh import build_incidence, eliminate_boundary, generate_mesh, read_mesh, write_mesh
@@ -93,6 +93,7 @@ class PipelineState:
                 C2=read_matrix_market(os.path.join(d, "C2.mtx")),
                 R=self.config.material.R,
                 n1=int(dims["n1"]), n2=int(dims["n2"]), m=int(dims["m"]),
+                edge_xyz=edge_midpoints(self.mesh(), self.incidence()),
             )
 
         return self._get(
@@ -152,8 +153,18 @@ class PipelineState:
         ctx = self.ctx()
         bounds = ctx.spectral_bounds(maxit=cfg["mor.lanczos_maxit"],
                                      tol=cfg["mor.lanczos_tol"])
+        if not bounds.converged:
+            raise RuntimeError(
+                f"Lanczos spectral bounds did not converge in {bounds.iterations} "
+                f"iterations (a={bounds.a:.6e}, b={bounds.b:.6e}); "
+                "no certified model")
         shifts = wachspress_shifts(bounds.a, bounds.b, cfg["mor.eps_shift"])
         zc = lr_adi(ctx, shifts, tol=cfg["mor.tol_adi"], maxit=cfg["mor.maxit_adi"])
+        if zc.status != "converged":
+            raise RuntimeError(
+                f"LR-ADI ended with status {zc.status!r} after {zc.iterations} "
+                f"steps, last residual {zc.history[-1]:.3e} > tol "
+                f"{cfg['mor.tol_adi']:.3e}; no certified model")
         self._cache["zc"] = zc
         self._cache["shifts"] = shifts
         ell = cfg["mor.order"] or None
@@ -309,7 +320,6 @@ def _stage_regularize(state):
     d = "regularize"
     write_matrix_market(state.path(d, "Y_C2.mtx"), bases.Y_C2)
     write_matrix_market(state.path(d, "Yhat_C2.mtx"), bases.Yhat_C2)
-    write_matrix_market(state.path(d, "K22hat.mtx"), rsys.K22hat, symmetric=True)
     write_matrix_market(state.path(d, "X2hat.mtx"), sp.csr_matrix(rsys.X2hat))
     _write_kv(state.path(d, "bases.txt"), [
         ("k2", bases.k2), ("provenance", bases.provenance),
@@ -324,7 +334,7 @@ def _stage_regularize(state):
         raise RuntimeError("theorem 1 check failed; see regularize/theorem1.txt")
     state.manifest.add_dims(k2=bases.k2, n_r=rsys.n_r)
     state.manifest.artifacts += [f"{d}/{n}" for n in (
-        "Y_C2.mtx", "Yhat_C2.mtx", "K22hat.mtx", "X2hat.mtx", "bases.txt",
+        "Y_C2.mtx", "Yhat_C2.mtx", "X2hat.mtx", "bases.txt",
         "theorem1.txt")]
 
 

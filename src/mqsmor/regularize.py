@@ -324,7 +324,7 @@ class RegularizedSystem:
     K11: object = field(repr=False, default=None)     # csr n1 x n1
     K21hat: object = field(repr=False, default=None)  # csr (n2-k2) x n1
     K22hat: object = field(repr=False, default=None)  # csr (n2-k2) x (n2-k2)
-    G2: object = field(repr=False, default=None)      # optional graph data
+    edge_xyz: np.ndarray = field(repr=False, default=None)  # (n1+n2) x 3 midpoints
     n1: int = 0
     n2: int = 0
     k2: int = 0
@@ -363,9 +363,6 @@ class RegularizedSystem:
         rinv = self.Rinv
         return np.vstack([self.X1 @ rinv, self.X2hat @ rinv])
 
-    def apply_Br(self, u):
-        return self.B_r() @ np.atleast_1d(u)
-
 
 def build_regularized(system, bases: KernelBases) -> RegularizedSystem:
     """Assemble the regularized operator bundle from system + kernel bases.
@@ -402,6 +399,7 @@ def build_regularized(system, bases: KernelBases) -> RegularizedSystem:
         K11=(system.C1.T @ (system.Mnu @ system.C1)).tocsr(),
         K21hat=(p2.T @ (system.Mnu @ system.C1)).tocsr(),
         K22hat=(p2.T @ mnu_p2).tocsr(),
+        edge_xyz=system.edge_xyz,
         n1=system.n1,
         n2=system.n2,
         k2=bases.k2,

@@ -88,6 +88,19 @@ def test_stage_resumability_and_roundtrip(tmp_path):
     assert (y != state2.bases().Y_C2).nnz == 0
     rep = (out / "regularize" / "theorem1.txt").read_text()
     assert "pass = True" in rep
+    # the resumed system recomputes the edge midpoints from the mesh
+    assert np.array_equal(state2.system().edge_xyz, state.system().edge_xyz)
+    assert not (out / "regularize" / "K22hat.mtx").exists()
+
+
+def test_cli_refuses_unconverged_adi_factor(tmp_path, capsys):
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("mor.maxit_adi = 4\n")
+    out = tmp_path / "run"
+    assert main(["reduce", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "'maxit'" in err and "last residual" in err
+    assert not (out / "reduce" / "reduced.txt").exists()
 
 
 def test_manifest_golden_dimensions(tmp_path):

@@ -9,6 +9,7 @@ from mqsmor.lacore import (
     dense_sym_eig,
     factorize,
     lanczos_extremal,
+    nested_dissection,
     read_matrix_market,
     spmv,
     write_matrix_market,
@@ -82,6 +83,98 @@ def test_factorize_random_spd_residual():
         b = rng.standard_normal(n)
         x = f.solve(b)
         assert np.linalg.norm(s @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def _random_nonsymmetric(n, rng, dtype=float):
+    a = sp.random(n, n, density=0.05, random_state=rng.integers(1 << 31), dtype=float)
+    if dtype is complex:
+        a = a + 1j * sp.random(n, n, density=0.05,
+                               random_state=rng.integers(1 << 31), dtype=float)
+    return (a + sp.identity(n) * 4.0).tocsr()
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_factorize_perm_matches_unpermuted(dtype):
+    rng = np.random.default_rng(6)
+    n = 120
+    s = _random_nonsymmetric(n, rng, dtype)
+    perm = rng.permutation(n)
+    plain, permuted = factorize(s), factorize(s, perm=perm)
+    b = rng.standard_normal((n, 3)).astype(dtype)
+    if dtype is complex:
+        b = b + 1j * rng.standard_normal((n, 3))
+    x0, x1 = plain.solve(b), permuted.solve(b)
+    assert np.linalg.norm(x1 - x0) <= 1e-12 * np.linalg.norm(x0)
+    assert np.linalg.norm(s @ x1 - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_factorize_perm_complex_rhs_on_real_factor():
+    rng = np.random.default_rng(7)
+    n = 90
+    s = _random_nonsymmetric(n, rng)
+    perm = rng.permutation(n)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    x0 = factorize(s).solve(b)
+    x1 = factorize(s, perm=perm).solve(b)
+    assert np.iscomplexobj(x1)
+    assert np.linalg.norm(x1 - x0) <= 1e-12 * np.linalg.norm(x0)
+
+
+def test_factorize_perm_singular_raises():
+    s = sp.csr_matrix(np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]))
+    with pytest.raises(SingularMatrixError, match="singular matrix"):
+        factorize(s, perm=np.array([2, 0, 1]))
+
+
+def test_factorize_rejects_non_permutation():
+    with pytest.raises(ValueError, match="permutation"):
+        factorize(sp.identity(3, format="csr"), perm=np.array([0, 0, 1]))
+
+
+def _grid_graph(nx, ny):
+    """5-point Laplacian on an nx-by-ny grid, node id = i + nx*j, plus one
+    extra node coupled to every grid node (id nx*ny, no coordinates)."""
+    ids = np.arange(nx * ny).reshape(ny, nx)
+    rows = [ids[:, :-1].ravel(), ids[:-1, :].ravel()]
+    cols = [ids[:, 1:].ravel(), ids[1:, :].ravel()]
+    r, c = np.concatenate(rows), np.concatenate(cols)
+    n = nx * ny + 1
+    hub = np.full(nx * ny, nx * ny)
+    r, c = np.concatenate([r, c, hub, ids.ravel()]), np.concatenate([c, r, ids.ravel(), hub])
+    a = csr_from_coo(r, c, -np.ones(r.size), (n, n)) + 4.0 * sp.identity(n, format="csr")
+    jj, ii = np.divmod(np.arange(nx * ny), nx)
+    xyz = np.column_stack([ii, jj, np.zeros(nx * ny)]).astype(float)
+    return a.tocsr(), np.vstack([xyz, np.full((1, 3), np.nan)])
+
+
+def test_nested_dissection_permutation_and_last():
+    a, xyz = _grid_graph(16, 8)
+    order = nested_dissection(a, xyz, last=[128])
+    assert np.array_equal(np.sort(order), np.arange(129))
+    assert order[-1] == 128
+    assert np.array_equal(nested_dissection(a, xyz, last=[128]), order)
+    for bad in ([-1], [128, 128], [129]):
+        with pytest.raises(ValueError, match="last"):
+            nested_dissection(a, xyz, last=bad)
+
+
+def test_nested_dissection_top_split_decouples_halves():
+    a, xyz = _grid_graph(16, 8)
+    order = nested_dissection(a, xyz, last=[128])
+    # widest axis is x, median 7.5: left is x <= 7, right x >= 8; both
+    # boundary columns have 8 nodes, the left one (x = 7) is the separator
+    x = xyz[:, 0]
+    n_left, n_right = int(np.sum(x <= 6)), int(np.sum(x >= 8))
+    left, right = order[:n_left], order[n_left:n_left + n_right]
+    sep = order[n_left + n_right:-1]
+    assert np.all(x[left] <= 6) and np.all(x[right] >= 8) and np.all(x[sep] == 7)
+    assert a[left][:, right].nnz == 0
+
+
+def test_nested_dissection_small_graph_is_one_leaf():
+    a, xyz = _grid_graph(4, 4)
+    order = nested_dissection(a, xyz, last=[16])
+    assert np.array_equal(order, np.arange(17))
 
 
 def test_dense_sym_eig_diagonal():
