@@ -17,21 +17,20 @@ from .mor import ReducedModel
 from .ops import OperatorContext
 
 
-def transfer_full(ctx: OperatorContext, omega: float):
-    """H(i omega) of the regularized system; the omega = 0 limit is R^{-1}."""
+def transfer_full(ctx: OperatorContext, s):
+    """H(s) of the regularized system at complex s; H(0) = R^{-1}."""
     rinv = ctx.rsys.Rinv
-    if omega == 0:
+    s = complex(s)
+    if s == 0:
         return rinv.astype(complex)
-    s = 1j * float(omega)
     zb = ctx.shifted_solve(-s, ctx.B_r)       # solves (-s E + A) z = B
     return s * (ctx.B_r.T @ zb) + rinv
 
 
-def transfer_reduced(model: ReducedModel, omega: float):
-    """H~(i omega) = C (i omega I - A)^{-1} B of the reduced model."""
-    s = 1j * float(omega)
+def transfer_reduced(model: ReducedModel, s):
+    """H~(s) = C (s I - A)^{-1} B of the reduced model at complex s."""
     ell = model.A.shape[0]
-    x = np.linalg.solve(s * np.eye(ell) - model.A, model.B.astype(complex))
+    x = np.linalg.solve(complex(s) * np.eye(ell) - model.A, model.B.astype(complex))
     return model.C @ x
 
 
@@ -51,8 +50,8 @@ class FrequencyResponse:
 
 def frequency_response(ctx, model, omegas) -> FrequencyResponse:
     omegas = np.asarray(omegas, dtype=float)
-    hf = np.array([transfer_full(ctx, w) for w in omegas])
-    hr = np.array([transfer_reduced(model, w) for w in omegas])
+    hf = np.array([transfer_full(ctx, 1j * w) for w in omegas])
+    hr = np.array([transfer_reduced(model, 1j * w) for w in omegas])
     err = np.array([np.linalg.norm(a - b, 2) for a, b in zip(hf, hr)])
     return FrequencyResponse(omegas, hf, hr, err)
 
@@ -160,20 +159,3 @@ def passivity_scan(h_eval, n_samples=50, seed=7, re_range=(1e-3, 1e4), im_max=1e
         "pass": bool(margins.min() >= -1e-10),
     }
 
-
-def transfer_eval_full(ctx):
-    """Callable s -> H(s) for the full model at general complex s, Re(s) > 0."""
-    def h(s):
-        s = complex(s)
-        zb = ctx.shifted_solve(-s, ctx.B_r)
-        return s * (ctx.B_r.T @ zb) + ctx.rsys.Rinv
-    return h
-
-
-def transfer_eval_reduced(model):
-    def h(s):
-        s = complex(s)
-        ell = model.A.shape[0]
-        x = np.linalg.solve(s * np.eye(ell) - model.A, model.B.astype(complex))
-        return model.C @ x
-    return h

@@ -1,23 +1,22 @@
 """Structure-exploiting operator algebra for the regularized MQS pencil.
 
-Everything here works matrix-free on the factored forms: products with the
-reflexive-inverse combination E_r^- A_r are evaluated by the 7-step scheme
-(one M11 solve, the explicit block inverse of Yhat_sigma^T E_r Yhat_sigma,
-and one solve with the shift-independent bordered matrix
+The regularized state is (x1, z2), where z2 = x2[cotree] holds the cotree
+values of an edge vector x2 in im(Yhat) = ker(Y_C2^T).  As Yhat[cotree] = I,
+every solve runs in edge coordinates: a right-hand side w2 becomes the edge
+vector with w2 on the cotree rows and zeros elsewhere (Yhat^T maps it back
+to w2), and a solution x2 maps to z2 = x2[cotree].
 
-    [ -Yhat^T K22 Yhat   Yhat^T X2 ]
-    [   X2^T Yhat            0     ],
+Two matrices are factored once per context: M11 and the Lemma-2 saddle
+matrix [[-K22, X2, Y_C2], [X2^T, 0, 0], [Y_C2^T, 0, 0]], which give the
+projector Pi_inf and the reflexive-inverse product E_r^- A_r.  Shifted
+systems (tau E_r + A_r) z = w, real or complex, are solved through the
+Lemma-3 bordered matrix tau Mb + Kb of dimension n1 + n2 + m + k2.
 
-which is factored once), and shifted systems (tau E_r + A_r) z = w are
-solved through the bordered saddle-point system of dimension n + m + k2 in
-the original edge coordinates, so the Yhat fill never enters a factorization.
-Complex shifts reuse the same structure over complex scalars.
-
-Every shifted bordered matrix tau Mb + Kb shares one sparsity pattern, so a
-single nested-dissection ordering, computed once per context from the edge
-midpoints (gauge multipliers sit at the centroid of their Y_C2 support, the
-winding currents are ordered last), serves every real and complex shift.
-Systems without mesh coordinates fall back to SuperLU's COLAMD per shift.
+All shifted bordered matrices share one sparsity pattern, so one
+nested-dissection ordering, computed per context from the edge midpoints
+(gauge multipliers at the centroid of their Y_C2 support, winding currents
+last), serves every shift; its restriction to the unknowns after x1 orders
+the Lemma-2 matrix.  Systems without mesh coordinates use SuperLU's COLAMD.
 """
 
 from __future__ import annotations
@@ -30,6 +29,10 @@ import scipy.sparse as sp
 
 from .lacore import factorize, lanczos_extremal, nested_dissection
 from .regularize import RegularizedSystem
+
+LU_REFINE_STEPS = 1       # iterative refinement after each M11 / Lemma-2 solve
+SHIFT_REFINE_STEPS = 2    # refinement on the true shifted residual
+SHIFT_CACHE_SIZE = 3      # shifted LUs kept per context
 
 
 @dataclass
@@ -49,33 +52,25 @@ class SpectralBounds:
 class OperatorContext:
     """Factorization cache and matrix-free products for one regularized system."""
 
-    def __init__(self, rsys: RegularizedSystem, refine=1, shift_cache_size=3):
+    def __init__(self, rsys: RegularizedSystem):
         self.rsys = rsys
-        self.refine = refine
-        n1, n2r, m = rsys.n1, rsys.n2r, rsys.m
+        n1, n2, k2, m = rsys.n1, rsys.n2, rsys.k2, rsys.m
         self.m11_fact = factorize(rsys.M11) if n1 else None
-        x2hat_sp = sp.csr_matrix(rsys.X2hat)
-        self._lemma2_mat = sp.bmat(
-            [[-rsys.K22hat, x2hat_sp], [x2hat_sp.T, None]], format="csc"
-        )
-        self._lemma2_fact = factorize(self._lemma2_mat)
-        yty = (rsys.Yhat.T @ rsys.Yhat).tocsc()
-        self._yty_mat = yty
-        self._yty_fact = factorize(yty)
+        mnu_c1 = rsys.Mnu @ rsys.C1
         mnu_c2 = rsys.Mnu @ rsys.C2
-        self._K12 = (rsys.C1.T @ mnu_c2).tocsr()
-        self._K22 = (rsys.C2.T @ mnu_c2).tocsr()
+        k11 = (rsys.C1.T @ mnu_c1).tocsr()
+        k12 = (rsys.C1.T @ mnu_c2).tocsr()
+        k22 = (rsys.C2.T @ mnu_c2).tocsr()
         # shift-independent split of the Lemma-3 bordered matrix:
         # mat(tau) = tau * Mb + Kb
         x1 = sp.csr_matrix(rsys.X1)
-        rmat = sp.csr_matrix(rsys.R)
-        n1, n2, k2 = rsys.n1, rsys.n2, rsys.k2
         y_blk = rsys.Y if k2 else None
+        yt_blk = rsys.Y.T if k2 else None
         kb = [
-            [-rsys.K11, -self._K12, x1, None],
-            [-self._K12.T, -self._K22, rsys.X2, y_blk],
-            [None, None, -rmat, None],
-            [None, rsys.Y.T if k2 else None, None, None],
+            [-k11, -k12, x1, None],
+            [-k12.T, -k22, rsys.X2, y_blk],
+            [None, None, -sp.csr_matrix(rsys.R), None],
+            [None, yt_blk, None, None],
         ]
         mb = [
             [rsys.M11, None, None, None],
@@ -83,18 +78,27 @@ class OperatorContext:
             [x1.T, rsys.X2.T, sp.csr_matrix((m, m)), None],
             [None, None, None, sp.csr_matrix((k2, k2))],
         ]
+        lemma2 = [
+            [-k22, rsys.X2, y_blk],
+            [rsys.X2.T, None, None],
+            [yt_blk, None, None],
+        ]
         if k2 == 0:
             kb = [row[:3] for row in kb[:3]]
             mb = [row[:3] for row in mb[:3]]
+            lemma2 = [row[:2] for row in lemma2[:2]]
         self._lemma3_K = sp.bmat(kb, format="csc")
         self._lemma3_M = sp.bmat(mb, format="csc")
         self._order = None
+        lemma2_order = None
         if rsys.edge_xyz is not None:
             self._order = nested_dissection(
                 self._lemma3_K + self._lemma3_M, self._bordered_points(),
                 last=np.arange(n1 + n2, n1 + n2 + m))
+            lemma2_order = self._order[self._order >= n1] - n1
+        self._lemma2_mat = sp.bmat(lemma2, format="csc")
+        self._lemma2_fact = factorize(self._lemma2_mat, perm=lemma2_order)
         self._shift_cache = OrderedDict()
-        self._shift_cache_size = shift_cache_size
         self.B_r = rsys.B_r()
         self._counts = None
 
@@ -118,18 +122,26 @@ class OperatorContext:
 
     def _solve_refined(self, mat, fact, rhs):
         sol = fact.solve(rhs)
-        for _ in range(self.refine):
+        for _ in range(LU_REFINE_STEPS):
             sol = sol + fact.solve(rhs - mat @ sol)
         return sol
 
     def _m11_solve(self, b):
         return self._solve_refined(self.rsys.M11, self.m11_fact, b)
 
-    def _lemma2_solve(self, rhs):
-        return self._solve_refined(self._lemma2_mat, self._lemma2_fact, rhs)
+    def _to_edges(self, w2):
+        """Edge vector q2 with Yhat^T q2 = w2: w2 on the cotree rows."""
+        r = self.rsys
+        q2 = np.zeros((r.n2,) + w2.shape[1:], dtype=w2.dtype)
+        q2[r.cotree] = w2
+        return q2
 
-    def _yty_solve(self, b):
-        return self._solve_refined(self._yty_mat, self._yty_fact, b)
+    def _lemma2_solve(self, w2):
+        """z2 of the Lemma-2 saddle system with right-hand side (w2, 0, 0)."""
+        r = self.rsys
+        tail = (r.m + r.k2,) + w2.shape[1:]
+        rhs = np.concatenate([self._to_edges(w2), np.zeros(tail, dtype=w2.dtype)])
+        return self._solve_refined(self._lemma2_mat, self._lemma2_fact, rhs)[r.cotree]
 
     # -- projector and reflexive-inverse products --------------------------
 
@@ -137,33 +149,24 @@ class OperatorContext:
         """Pi_inf v: spectral projector onto the infinite-eigenvalue subspace.
 
         z = Y_s (Y_s^T A_r Y_s)^{-1} Y_s^T (A_r v) has the form (0, z2) with
-        z2 from the shift-independent bordered system.
+        z2 from the shift-independent Lemma-2 system.
         """
-        v = np.asarray(v)
-        w = self.rsys.apply_Ar(v)
-        n1, n2r, m = self.rsys.n1, self.rsys.n2r, self.rsys.m
-        tail_shape = (m,) + w.shape[1:]
-        rhs = np.concatenate([w[n1:], np.zeros(tail_shape, dtype=w.dtype)])
-        z2 = self._lemma2_solve(rhs)[:n2r]
+        w = self.rsys.apply_Ar(np.asarray(v))
+        n1 = self.rsys.n1
+        z2 = self._lemma2_solve(w[n1:])
         return np.concatenate([np.zeros((n1,) + w.shape[1:], dtype=z2.dtype), z2])
 
     def apply_EinvA(self, v):
-        """E_r^- A_r v for v in the Pi-invariant subspace (7-step scheme)."""
+        """E_r^- A_r v for v in the Pi-invariant subspace: one M11 solve and
+        the explicit block inverse of Yhat_sigma^T E_r Yhat_sigma give w, and
+        the result is (I - Pi_inf) w."""
         r = self.rsys
-        v = np.asarray(v)
-        v1, v2 = r.split(v)
-        vhat1 = -(r.K11 @ v1) - (r.K21hat.T @ v2)
-        vhat2 = -(r.K21hat @ v1) - (r.K22hat @ v2)
+        vhat1, vhat2 = r.split(r.apply_Ar(np.asarray(v)))
         what2 = r.Z.T @ vhat2
         w1 = self._m11_solve(vhat1 - r.X1 @ what2)
         w2 = -r.Z @ (r.X1.T @ w1 - r.R @ what2)
-        rhs_top = -(r.K21hat @ w1) - (r.K22hat @ w2)
-        tail_shape = (r.m,) + rhs_top.shape[1:]
-        z2 = self._lemma2_solve(
-            np.concatenate([rhs_top, np.zeros(tail_shape, dtype=rhs_top.dtype)])
-        )
-        z2 = z2[: r.n2r]
-        return np.concatenate([w1, w2 - z2])
+        w = np.concatenate([w1, w2])
+        return w - self.apply_Pi_inf(w)
 
     def apply_EinvB(self):
         """E_r^- B_r = (I - Pi_inf) [0; Z], an n_r x m matrix."""
@@ -190,22 +193,17 @@ class OperatorContext:
             raise RuntimeError(f"singular bordered matrix at shift {shift}") from exc
         entry = (mat, fact)
         self._shift_cache[shift] = entry
-        if len(self._shift_cache) > self._shift_cache_size:
+        if len(self._shift_cache) > SHIFT_CACHE_SIZE:
             self._shift_cache.popitem(last=False)
         return entry
 
-    def _shifted_solve_raw(self, w, mat, fact):
+    def _shifted_solve_raw(self, w, fact):
         r = self.rsys
         w1, w2 = r.split(w)
-        q2 = r.Yhat @ self._yty_solve(w2)
         tail = (r.m + r.k2,) + w.shape[1:]
-        rhs = np.concatenate([w1, q2, np.zeros(tail)])
-        if np.iscomplexobj(mat) and not np.iscomplexobj(rhs):
-            rhs = rhs.astype(np.complex128)
+        rhs = np.concatenate([w1, self._to_edges(w2), np.zeros(tail, dtype=w.dtype)])
         sol = fact.solve(rhs)
-        z1 = sol[: r.n1]
-        z2 = self._yty_solve(r.Yhat.T @ sol[r.n1: r.n1 + r.n2])
-        return np.concatenate([z1, z2])
+        return np.concatenate([sol[: r.n1], sol[r.n1 + r.cotree]])
 
     def shifted_solve(self, shift, w):
         """(tau E_r + A_r)^{-1} w via the bordered system in edge coordinates.
@@ -216,15 +214,15 @@ class OperatorContext:
         true shifted residual in the reduced coordinates.
         """
         r = self.rsys
-        mat, fact = self._shift_factorization(shift)
+        _, fact = self._shift_factorization(shift)
         w = np.asarray(w)
-        z = self._shifted_solve_raw(w, mat, fact)
+        z = self._shifted_solve_raw(w, fact)
         wn = np.linalg.norm(w)
-        for _ in range(max(self.refine, 1) + 1):
+        for _ in range(SHIFT_REFINE_STEPS):
             resid = w - (shift * r.apply_Er(z) + r.apply_Ar(z))
             if np.linalg.norm(resid) <= 1e-13 * wn:
                 break
-            z = z + self._shifted_solve_raw(resid, mat, fact)
+            z = z + self._shifted_solve_raw(resid, fact)
         return z
 
     # -- spectral bounds ---------------------------------------------------

@@ -112,13 +112,9 @@ def _dense_er(rsys):
 
 
 def _dense_ar(rsys):
-    n1, n2r = rsys.n1, rsys.n2r
-    a = np.zeros((n1 + n2r, n1 + n2r))
-    a[:n1, :n1] = rsys.K11.toarray()
-    a[n1:, :n1] = rsys.K21hat.toarray()
-    a[:n1, n1:] = a[n1:, :n1].T
-    a[n1:, n1:] = rsys.K22hat.toarray()
-    return -a
+    """A_r = -F_nu M_nu F_nu^T with F_nu = [C1^T; Yhat^T C2^T]."""
+    f_nu = sp.vstack([rsys.C1.T, rsys.P2.T]).tocsr()
+    return -(f_nu @ rsys.Mnu @ f_nu.T).toarray()
 
 
 def build_dense_oracle(ctx: OperatorContext, cap=3000, brute_cap=800,
@@ -202,9 +198,8 @@ def _build_desk(rsys, e, a, b_r, seed):
         raise RuntimeError("desk oracle: no finite-eigenvalue block")
 
     # dense LU of the Y_sigma Gram saddle system (independent factorization)
-    k22h = rsys.K22hat.toarray()
     saddle = np.zeros((n2r + m, n2r + m))
-    saddle[:n2r, :n2r] = -k22h
+    saddle[:n2r, :n2r] = a[n1:, n1:]
     saddle[:n2r, n2r:] = rsys.X2hat
     saddle[n2r:, :n2r] = rsys.X2hat.T
     ysig_lu = scipy.linalg.lu_factor(saddle)

@@ -10,6 +10,7 @@ is exempt because it records wall-clock timings.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 
@@ -21,8 +22,8 @@ from .analysis import (
     frequency_response,
     passivity_scan,
     simulate_compare,
-    transfer_eval_full,
-    transfer_eval_reduced,
+    transfer_full,
+    transfer_reduced,
 )
 from .assembly import AssembledSystem, build_system, edge_midpoints
 from .config import RunConfig
@@ -325,8 +326,8 @@ def _stage_regularize(state):
         ("k2", bases.k2), ("provenance", bases.provenance),
         ("n_r", rsys.n_r),
     ])
-    report = theorem1_check(state.system(), bases,
-                            dense_intersection=rsys.n_r <= state.config["oracle.dense_cap"])
+    # the dense kernel-intersection count belongs to verify
+    report = theorem1_check(state.system(), bases, dense_intersection=False)
     with open(state.path(d, "theorem1.txt"), "w") as f:
         for k, v in report.items():
             f.write(f"{k} = {v}\n")
@@ -439,12 +440,12 @@ def _stage_verify(state):
     th4 = np.linalg.norm(t1 - t2) / max(np.linalg.norm(t2), 1e-300)
     ok &= record("theorem4_gramian_identity", th4 <= 1e-8, f"rel={th4:.2e}")
 
-    scan_full = passivity_scan(transfer_eval_full(ctx),
+    scan_full = passivity_scan(functools.partial(transfer_full, ctx),
                                n_samples=cfg["analysis.passivity_samples"],
                                seed=state.seed)
     ok &= record("theorem3_passivity_full", scan_full["pass"],
                  f"margin={scan_full['min_margin_rel']:.2e}")
-    scan_red = passivity_scan(transfer_eval_reduced(model),
+    scan_red = passivity_scan(functools.partial(transfer_reduced, model),
                               n_samples=cfg["analysis.passivity_samples"],
                               seed=state.seed)
     ok &= record("reduced_passivity", scan_red["pass"],

@@ -14,6 +14,11 @@ exactly by graph algorithms on the incidence complex:
 All products C2 @ Y_C2 and (G2 Z1)^T @ Yhat_C2 vanish exactly in integer
 arithmetic.  A rank-revealing dense fallback exists for inputs without
 incidence structure; its provenance is recorded.
+
+The regularized state is (x1, z2) with x2 = Yhat z2.  Each fundamental
+cycle has a +1 on its own cotree edge and no other cotree entry, so
+Yhat[S, :] = I for the cotree rows S (the tree-cotree gauge) and the
+coordinates of an edge vector x2 in im(Yhat) = ker(Y_C2^T) are x2[S].
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .lacore import csr_from_coo, factorize
+from .lacore import csr_from_coo
 from .mesh import IncidenceSet
 
 
@@ -227,7 +232,7 @@ def kernel_incidence(a):
     if _column_structure(sp.csc_matrix(a.T))[0]:
         return _potential_kernel(a), "graph"
     ns = scipy.linalg.null_space(a.toarray())
-    return sp.csr_matrix(ns), "sparse-factor fallback"
+    return sp.csr_matrix(ns), "dense-svd"
 
 
 @dataclass
@@ -261,7 +266,7 @@ def kernel_bases(inc: IncidenceSet, n1: int | None = None) -> KernelBases:
         raise RuntimeError(
             f"kernel dimensions inconsistent: k2={k2} plus {yhat.shape[1]} != n2={n2}"
         )
-    prov = "graph" if prov1 == prov2 == "graph" else "sparse-factor fallback"
+    prov = "graph" if prov1 == prov2 == "graph" else "dense-svd"
     return KernelBases(Y_C2=y, Yhat_C2=yhat, k2=k2, provenance=prov)
 
 
@@ -303,9 +308,10 @@ def _independent_columns(m):
 class RegularizedSystem:
     """Operator bundle for E_r = F_s M_s F_s^T, A_r = -F_n M_n F_n^T, B_r.
 
-    Holds the sparse ingredient blocks and the cached products that the
-    structure-exploiting solvers need (Yhat^T K22 Yhat, Yhat^T X2, C2 Yhat).
-    E_r and A_r are applied factor by factor and never formed as matrices.
+    The state is (x1, z2) with the conducting edge values x1 and the
+    cotree values z2 = x2[cotree] of an edge vector x2 = Yhat z2.  E_r and
+    A_r are applied factor by factor (through Yhat^T X2 and C2 Yhat) and
+    never formed as matrices.
     """
 
     M11: object            # csr n1 x n1 SPD
@@ -314,16 +320,14 @@ class RegularizedSystem:
     C2: object             # csr n_f x n2
     Upsilon: object        # csr n_f x m
     R: np.ndarray          # m x m SPD
-    Yhat: object           # csr n2 x (n2 - k2)
+    Yhat: object           # csr n2 x (n2 - k2), Yhat[cotree] = I
     Y: object              # csr n2 x k2
+    cotree: np.ndarray     # (n2 - k2,) row of Yhat holding column j's only +1
     X1: np.ndarray         # n1 x m dense
     X2: object             # csr n2 x m
     X2hat: np.ndarray      # (n2 - k2) x m dense, Yhat^T X2
     Z: np.ndarray          # (n2 - k2) x m dense
     P2: object = field(repr=False, default=None)      # csr n_f x (n2-k2), C2 Yhat
-    K11: object = field(repr=False, default=None)     # csr n1 x n1
-    K21hat: object = field(repr=False, default=None)  # csr (n2-k2) x n1
-    K22hat: object = field(repr=False, default=None)  # csr (n2-k2) x (n2-k2)
     edge_xyz: np.ndarray = field(repr=False, default=None)  # (n1+n2) x 3 midpoints
     n1: int = 0
     n2: int = 0
@@ -364,13 +368,34 @@ class RegularizedSystem:
         return np.vstack([self.X1 @ rinv, self.X2hat @ rinv])
 
 
+def _cotree_rows(yhat):
+    """Rows S with yhat[S, :] = I: for each column, the first row whose only
+    nonzero is a +1 in that column.  Raises ValueError when a column has
+    none."""
+    yc = sp.csr_matrix(yhat)
+    yc.eliminate_zeros()
+    single = np.flatnonzero(np.diff(yc.indptr) == 1)
+    unit = single[yc.data[yc.indptr[single]] == 1]
+    cols, first = np.unique(yc.indices[yc.indptr[unit]], return_index=True)
+    rows = np.full(yc.shape[1], -1, dtype=np.int64)
+    rows[cols] = unit[first]
+    if np.any(rows < 0):
+        raise ValueError(
+            f"Yhat has no identity row for {int(np.sum(rows < 0))} of its "
+            f"{yc.shape[1]} columns; cotree coordinates need Yhat[S, :] = I"
+        )
+    return rows
+
+
 def build_regularized(system, bases: KernelBases) -> RegularizedSystem:
     """Assemble the regularized operator bundle from system + kernel bases.
 
     Raises when Yhat^T X2 is column-rank deficient, which signals a broken
-    winding/mesh configuration (the input matrix would not have full rank).
+    winding/mesh configuration (the input matrix would not have full rank),
+    and when Yhat has no cotree row subset with Yhat[S, :] = I.
     """
     yhat = bases.Yhat_C2.astype(np.float64).tocsr()
+    cotree = _cotree_rows(yhat)
     y = bases.Y_C2.astype(np.float64).tocsr()
     p2 = (system.C2 @ yhat).tocsr()
     x2hat = np.asarray((yhat.T @ system.X2).todense())
@@ -381,7 +406,6 @@ def build_regularized(system, bases: KernelBases) -> RegularizedSystem:
             "Yhat^T X2 is rank deficient: winding/mesh configuration is broken"
         )
     z = x2hat @ np.linalg.inv(gram)
-    mnu_p2 = system.Mnu @ p2
     return RegularizedSystem(
         M11=system.M11,
         Mnu=system.Mnu,
@@ -391,14 +415,12 @@ def build_regularized(system, bases: KernelBases) -> RegularizedSystem:
         R=system.R,
         Yhat=yhat,
         Y=y,
+        cotree=cotree,
         X1=np.asarray(system.X1.todense()),
         X2=system.X2,
         X2hat=x2hat,
         Z=z,
         P2=p2,
-        K11=(system.C1.T @ (system.Mnu @ system.C1)).tocsr(),
-        K21hat=(p2.T @ (system.Mnu @ system.C1)).tocsr(),
-        K22hat=(p2.T @ mnu_p2).tocsr(),
         edge_xyz=system.edge_xyz,
         n1=system.n1,
         n2=system.n2,

@@ -6,6 +6,7 @@ shared through the session fixture; criterion 10 executes the full pipeline
 end to end on the default configuration.
 """
 
+import functools
 import time
 
 import numpy as np
@@ -16,8 +17,8 @@ from conftest import make_toy_system
 from mqsmor.analysis import (
     frequency_response,
     passivity_scan,
-    transfer_eval_full,
-    transfer_eval_reduced,
+    transfer_full,
+    transfer_reduced,
 )
 from mqsmor.config import default_config
 from mqsmor.mor import ShiftSet, balanced_truncate, lr_adi
@@ -149,7 +150,7 @@ def test_criterion_07_balanced_truncation_structure(desk):
     gc = scipy.linalg.solve_continuous_lyapunov(model.A, -model.B @ model.B.T)
     go = scipy.linalg.solve_continuous_lyapunov(model.A.T, -model.C.T @ model.C)
     bal = max(np.linalg.norm(gc - lam1), np.linalg.norm(go - lam1)) / np.linalg.norm(lam1)
-    scan = passivity_scan(transfer_eval_reduced(model), n_samples=50, seed=13)
+    scan = passivity_scan(functools.partial(transfer_reduced, model), n_samples=50, seed=13)
     ok = exact_ct and spd_ok and bal <= 1e-6 and scan["min_margin_rel"] >= -1e-10
     _report(7, ok, (f"C=B^T exact; -A SPD; reduced Gramians = Lambda1 rel {bal:.1e}; "
                     f"passivity margin {scan['min_margin_rel']:.1e} (50 samples)"))
@@ -170,7 +171,7 @@ def test_criterion_08_error_bound_vs_hinf(desk):
 
 
 def test_criterion_09_full_model_passivity(desk):
-    scan = passivity_scan(transfer_eval_full(desk.ctx), n_samples=50, seed=17)
+    scan = passivity_scan(functools.partial(transfer_full, desk.ctx), n_samples=50, seed=17)
     ok = scan["min_margin_rel"] >= -1e-10
     _report(9, ok, f"min eig margin {scan['min_margin_rel']:.3e} over 50 samples")
 

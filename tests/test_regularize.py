@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import make_toy_system
+from conftest import make_synthetic_system, make_toy_system
 from mqsmor.assembly import AssembledSystem
 from mqsmor.lacore import SingularMatrixError, factorize
 from mqsmor.mesh import GeometrySpec, build_incidence, eliminate_boundary, generate_mesh, gradient_incidence
@@ -79,7 +79,7 @@ def test_kernel_incidence_fallback():
     a = rng.standard_normal((3, 5))
     a[2] = a[0] + a[1]
     ns, prov = kernel_incidence(sp.csr_matrix(a))
-    assert prov == "sparse-factor fallback"
+    assert prov == "dense-svd"
     assert ns.shape[1] == 5 - np.linalg.matrix_rank(a)
     assert np.abs((a @ ns.toarray())).max() < 1e-12
 
@@ -159,6 +159,28 @@ def toy_with_kernel():
     y = _csr(np.array([[1.0], [-1.0]]))
     yh = _csr(np.array([[1.0], [1.0]]))
     return sysm, KernelBases(Y_C2=y, Yhat_C2=yh, k2=1, provenance="graph")
+
+
+@pytest.mark.parametrize("case", ["toy", "synthetic", "toy_with_kernel", "desk"])
+def test_cotree_rows_are_identity(case, request):
+    if case == "desk":
+        desk = request.getfixturevalue("desk")
+        rsys = desk.rsys
+    else:
+        make = {"toy": make_toy_system, "synthetic": make_synthetic_system,
+                "toy_with_kernel": toy_with_kernel}[case]
+        rsys = build_regularized(*make())
+    assert rsys.cotree.shape == (rsys.n2r,)
+    sub = rsys.Yhat[rsys.cotree].toarray()
+    assert np.array_equal(sub, np.eye(rsys.n2r))
+
+
+def test_build_regularized_needs_identity_rows():
+    sysm, bases = toy_with_kernel()
+    yh = _csr(np.array([[1.0], [1.0]]) / np.sqrt(2.0))
+    bad = KernelBases(Y_C2=bases.Y_C2, Yhat_C2=yh, k2=1, provenance="dense-svd")
+    with pytest.raises(ValueError, match="identity row"):
+        build_regularized(sysm, bad)
 
 
 def test_theorem1_toy_with_kernel():
