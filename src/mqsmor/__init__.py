@@ -12,6 +12,7 @@ from .lacore import (
     SingularMatrixError,
     dense_sym_eig,
     factorize,
+    is_positive_definite,
     lanczos_extremal,
     nested_dissection,
     read_matrix_market,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .lacore import csr_from_coo
+from .lacore import csr_from_coo, is_positive_definite
 from .mesh import AIR, COIL, IRON, IncidenceSet, Mesh, tet_volumes
 
 # degree-2 rule: 4 points, barycentric (a,b,b,b) permutations, weight 1/4
@@ -317,8 +317,8 @@ def build_system(mesh: Mesh, inc: IncidenceSet, material: MaterialSpec,
                  windings) -> AssembledSystem:
     """Assemble all system blocks; K and X are kept in factored form.
 
-    The conducting block M11 must be positive definite (checked by Cholesky);
-    a failure signals a broken conducting-edge partition.
+    The conducting block M11 must be positive definite (checked by a sparse
+    symmetric-mode LU); a failure signals a broken conducting-edge partition.
     """
     if not inc.eliminated:
         raise ValueError("build_system expects the boundary-eliminated complex")
@@ -336,10 +336,8 @@ def build_system(mesh: Mesh, inc: IncidenceSet, material: MaterialSpec,
     if off_block:
         raise ValueError("conductivity mass has entries outside the conducting block")
     M11 = M[:n1, :n1].tocsr()
-    try:
-        np.linalg.cholesky(M11.toarray())
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("M11 is not positive definite") from exc
+    if not is_positive_definite(M11):
+        raise ValueError("M11 is not positive definite")
 
     Mnu = assemble_face_mass(mesh, inc, material.nu_by_region())
     Upsilon = assemble_upsilon(mesh, inc, windings)

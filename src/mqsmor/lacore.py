@@ -112,6 +112,27 @@ def factorize(s, pivot_rtol=1e-13, perm=None):
     return Factorization(lu, s.shape, dtype, perm)
 
 
+def is_positive_definite(s):
+    """True when the sparse symmetric matrix ``s`` is positive definite.
+
+    SuperLU factors ``s`` in symmetric mode with diagonal pivots preferred
+    (minimum degree on A^T + A, pivot threshold 0).  For symmetric ``s`` an
+    LU with only diagonal pivots is an LDL^T, so ``s`` is positive definite
+    exactly when no off-diagonal pivot was taken (perm_r == perm_c) and every
+    diagonal entry of U is positive.  A singular ``s`` gives False.
+    """
+    try:
+        lu = spla.splu(sp.csc_matrix(s, dtype=np.float64),
+                       permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        if "singular" in str(exc).lower():
+            return False
+        raise
+    return bool(np.array_equal(lu.perm_r, lu.perm_c)
+                and np.all(lu.U.diagonal() > 0))
+
+
 # leaf size of the nested-dissection recursion
 _ND_LEAF = 32
 

@@ -17,6 +17,11 @@ nested-dissection ordering, computed per context from the edge midpoints
 (gauge multipliers at the centroid of their Y_C2 support, winding currents
 last), serves every shift; its restriction to the unknowns after x1 orders
 the Lemma-2 matrix.  Systems without mesh coordinates use SuperLU's COLAMD.
+
+The quasi-Weierstrass counts n_s, n_0, n_inf come from the incidence
+complex (n_0 = N - k2 with N interior nodes) and cost nothing; dense
+eigenvalue work is left to hand-built inputs without a node count and to
+the verification oracle.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .regularize import RegularizedSystem
 LU_REFINE_STEPS = 1       # iterative refinement after each M11 / Lemma-2 solve
 SHIFT_REFINE_STEPS = 2    # refinement on the true shifted residual
 SHIFT_CACHE_SIZE = 3      # shifted LUs kept per context
+DENSE_COUNT_CAP = 8000    # largest n_r for the dense rank count
 
 
 @dataclass
@@ -253,20 +259,42 @@ class OperatorContext:
 
     # -- dimension bookkeeping ----------------------------------------------
 
-    def dimension_counts(self, dense_cap=8000):
+    def dimension_counts(self):
         """Counts (n_s, n_0, n_inf) of the quasi-Weierstrass splitting.
 
-        n_inf = n2 - k2 - m is structural; n_0 = n_r - rank(F_nu) is found by
-        a dense eigendecomposition of F_nu F_nu^T at desk scale, with a gap
-        check guarding the rank threshold.
+        n_inf = n2 - k2 - m is structural.  When the system records its
+        number N of interior nodes (a boundary-eliminated box complex, where
+        ker C = im G0), the rest follows from topology: n_0 = N - k2 and
+        n_s = n1 - N + k2 + m.  Hand-built inputs without a node count find
+        n_0 = n_r - rank(F_nu) by a dense eigendecomposition of F_nu F_nu^T,
+        with a gap check guarding the rank threshold; only that path is
+        limited, to n_r <= DENSE_COUNT_CAP.  ``source`` says which path ran.
         """
         if self._counts is not None:
             return self._counts
         r = self.rsys
         n_r = r.n_r
-        if n_r > dense_cap:
-            raise ValueError(f"n_r = {n_r} exceeds the dense cap {dense_cap}")
         n_inf = r.n2r - r.m
+        if r.n_nodes is not None:
+            source = "topology"
+            n0 = r.n_nodes - r.k2
+        else:
+            source = "dense"
+            n0 = self._dense_kernel_dim()
+        n_s = n_r - n0 - n_inf
+        if min(n0, n_s) < 0:
+            raise ValueError(f"negative dimension count: n0 = {n0}, n_s = {n_s}")
+        self._counts = {
+            "n_r": n_r, "n1": r.n1, "n2": r.n2, "k2": r.k2, "m": r.m,
+            "n_inf": n_inf, "n0": n0, "n_s": n_s, "source": source,
+        }
+        return self._counts
+
+    def _dense_kernel_dim(self):
+        """n_r - rank(F_nu) from the eigenvalues of F_nu F_nu^T."""
+        r = self.rsys
+        if r.n_r > DENSE_COUNT_CAP:
+            raise ValueError(f"n_r = {r.n_r} exceeds the dense cap {DENSE_COUNT_CAP}")
         gram = sp.bmat(
             [
                 [r.C1.T @ r.C1, r.C1.T @ r.P2],
@@ -278,10 +306,4 @@ class OperatorContext:
         nz = int(np.sum(w <= 1e-8 * wmax))
         if nz and not (w[nz - 1] <= 1e-10 * wmax and w[nz] >= 1e-6 * wmax):
             raise RuntimeError("rank threshold for F_nu is ambiguous")
-        n0 = nz
-        n_s = n_r - n0 - n_inf
-        self._counts = {
-            "n_r": n_r, "n1": r.n1, "n2": r.n2, "k2": r.k2, "m": r.m,
-            "n_inf": n_inf, "n0": n0, "n_s": n_s,
-        }
-        return self._counts
+        return nz

@@ -3,14 +3,21 @@
 Stages: mesh, assemble, regularize, reduce, freqresp, simulate, verify, all.
 Each stage writes its artifacts under the output directory; prerequisites
 are read back from disk when present and recomputed in memory otherwise, so
-stages are resumable.  All numeric artifacts (Matrix Market, CSV, mesh text)
-are byte-identical across runs with the same config and seed; the manifest
-is exempt because it records wall-clock timings.
+stages are resumable.  Each stage's key-value file (``incidence.txt``,
+``system.txt``, ``bases.txt``, ``reduced.txt``) is stamped with the tool
+version and a hash of the config keys that stage depends on; a resumed stage
+loads its artifacts only when the stamp matches, and rebuilds them otherwise.
+All numeric artifacts (Matrix Market, CSV, mesh text) are byte-identical
+across runs with the same config and seed; the manifest is exempt because
+it records wall-clock timings.  A call on a run directory whose manifest has
+the same tool version, seed and config echo keeps that manifest's
+dimensions, timings and artifacts, its own values winning.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import os
 import time
 
@@ -36,6 +43,22 @@ from .regularize import KernelBases, build_regularized, kernel_bases, theorem1_c
 
 STAGES = ("mesh", "assemble", "regularize", "reduce", "freqresp", "simulate", "verify")
 
+# config key prefixes that the artifacts of each stage depend on
+_STAGE_CONFIG_KEYS = {
+    "mesh": ("geometry.",),
+    "assemble": ("geometry.", "material.", "winding."),
+    "regularize": ("geometry.",),
+    "reduce": ("geometry.", "material.", "winding.", "mor."),
+}
+
+
+def _config_hash(config: RunConfig, stage):
+    """Hash of the config values that ``stage``'s artifacts depend on."""
+    prefixes = _STAGE_CONFIG_KEYS[stage]
+    text = "\n".join(f"{k} = {config.values[k]!r}" for k in sorted(config.values)
+                     if k.startswith(prefixes))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
 
 class PipelineState:
     """Lazy holder of pipeline objects with disk-backed prerequisites."""
@@ -52,6 +75,20 @@ class PipelineState:
         os.makedirs(os.path.dirname(p), exist_ok=True)
         return p
 
+    def stamp(self, stage):
+        """Key-value lines that tie a stage's artifacts to this tool and config."""
+        return [("tool_version", __version__),
+                ("config_hash", _config_hash(self.config, stage))]
+
+    def _read_stamped(self, stage, name):
+        """The key-value file ``<out>/<stage>/<name>`` when it carries the
+        stage's stamp; None when it is missing, unstamped or stale."""
+        path = os.path.join(self.out, stage, name)
+        if not os.path.exists(path):
+            return None
+        info = _read_kv(path)
+        return info if dict(self.stamp(stage)).items() <= info.items() else None
+
     def _get(self, key, loader, builder):
         if key in self._cache:
             return self._cache[key]
@@ -66,12 +103,13 @@ class PipelineState:
         return obj
 
     def mesh(self):
-        return self._get(
-            "mesh",
-            lambda: read_mesh(os.path.join(self.out, "mesh", "mesh.txt"),
-                              spec=self.config.geometry),
-            lambda: generate_mesh(self.config.geometry),
-        )
+        def load():
+            if self._read_stamped("mesh", "incidence.txt") is None:
+                return None
+            return read_mesh(os.path.join(self.out, "mesh", "mesh.txt"),
+                             spec=self.config.geometry)
+
+        return self._get("mesh", load, lambda: generate_mesh(self.config.geometry))
 
     def incidence(self):
         if "inc" not in self._cache:
@@ -82,9 +120,9 @@ class PipelineState:
     def system(self):
         def load():
             d = os.path.join(self.out, "assemble")
-            if not os.path.exists(os.path.join(d, "system.txt")):
+            dims = self._read_stamped("assemble", "system.txt")
+            if dims is None:
                 return None
-            dims = _read_kv(os.path.join(d, "system.txt"))
             return AssembledSystem(
                 M11=read_matrix_market(os.path.join(d, "M11.mtx")),
                 Mnu=read_matrix_market(os.path.join(d, "Mnu.mtx")),
@@ -106,14 +144,15 @@ class PipelineState:
     def bases(self):
         def load():
             d = os.path.join(self.out, "regularize")
-            if not os.path.exists(os.path.join(d, "bases.txt")):
+            info = self._read_stamped("regularize", "bases.txt")
+            if info is None:
                 return None
-            info = _read_kv(os.path.join(d, "bases.txt"))
             return KernelBases(
                 Y_C2=read_matrix_market(os.path.join(d, "Y_C2.mtx")),
                 Yhat_C2=read_matrix_market(os.path.join(d, "Yhat_C2.mtx")),
                 k2=int(info["k2"]),
                 provenance=info["provenance"],
+                n_nodes=int(info["n_nodes"]),
             )
 
         return self._get("bases", load, lambda: kernel_bases(self.incidence()))
@@ -131,9 +170,9 @@ class PipelineState:
     def model(self):
         def load():
             d = os.path.join(self.out, "reduce")
-            if not os.path.exists(os.path.join(d, "reduced.txt")):
+            info = self._read_stamped("reduce", "reduced.txt")
+            if info is None:
                 return None
-            info = _read_kv(os.path.join(d, "reduced.txt"))
             a = np.asarray(read_matrix_market(os.path.join(d, "reduced_A.mtx")))
             b = np.asarray(read_matrix_market(os.path.join(d, "reduced_B.mtx")))
             c = np.asarray(read_matrix_market(os.path.join(d, "reduced_C.mtx")))
@@ -181,13 +220,18 @@ class PipelineState:
 
 
 class RunManifest:
-    """Config echo, derived dimensions, timings and artifact list."""
+    """Config echo, derived dimensions, timings and artifact list.
+
+    ``counts_source`` records whether n_s, n0 and n_inf came from the
+    incidence topology or from dense algebra.
+    """
 
     def __init__(self, config, out_dir, seed):
         self.config = config
         self.out = out_dir
         self.seed = seed
         self.dimensions = {}
+        self.counts_source = None
         self.timings = []
         self.artifacts = []
 
@@ -201,16 +245,43 @@ class RunManifest:
         if {"n_r", "n_s", "n0", "n_inf"} <= d.keys():
             assert d["n_s"] + d["n0"] + d["n_inf"] == d["n_r"], "count identity violated"
 
+    def _header(self):
+        return ([("tool_version", __version__), ("seed", str(self.seed))]
+                + [(f"config.{k}", str(self.config.values[k]))
+                   for k in sorted(self.config.values)])
+
+    def _merge_previous(self, path):
+        """Fold in an existing manifest of the same run (same tool version,
+        seed and config echo); this call's values win."""
+        if not os.path.exists(path):
+            return
+        with open(path) as f:
+            entries = [(k.strip(), v.strip())
+                       for k, sep, v in (ln.partition("=") for ln in f) if sep]
+        header = [(k, v) for k, v in entries
+                  if k in ("tool_version", "seed") or k.startswith("config.")]
+        if header != self._header():
+            return
+        dims = {k[4:]: int(v) for k, v in entries if k.startswith("dim.")}
+        self.dimensions = {**dims, **self.dimensions}
+        times = {k[5:]: float(v) for k, v in entries if k.startswith("time.")}
+        self.timings = list({**times, **dict(self.timings)}.items())
+        old = [v for k, v in entries if k == "artifact"]
+        self.artifacts = old + [a for a in self.artifacts if a not in old]
+        if self.counts_source is None:
+            self.counts_source = dict(entries).get("counts_source")
+
     def write(self):
-        self.check_identities()
         path = os.path.join(self.out, "manifest.txt")
+        self._merge_previous(path)
+        self.check_identities()
         with open(path, "w") as f:
-            f.write(f"tool_version = {__version__}\n")
-            f.write(f"seed = {self.seed}\n")
-            for key in sorted(self.config.values):
-                f.write(f"config.{key} = {self.config.values[key]}\n")
+            for key, val in self._header():
+                f.write(f"{key} = {val}\n")
             for key in sorted(self.dimensions):
                 f.write(f"dim.{key} = {self.dimensions[key]}\n")
+            if self.counts_source is not None:
+                f.write(f"counts_source = {self.counts_source}\n")
             for stage, dt in self.timings:
                 f.write(f"time.{stage} = {dt:.3f}\n")
             for art in self.artifacts:
@@ -276,7 +347,7 @@ def _stage_mesh(state):
     write_matrix_market(state.path("mesh", "G0.mtx"), inc.G0)
     cg = inc.C @ inc.G0
     cg.eliminate_zeros()
-    _write_kv(state.path("mesh", "incidence.txt"), [
+    _write_kv(state.path("mesh", "incidence.txt"), state.stamp("mesh") + [
         ("n_edges_interior", inc.edge_order.shape[0]),
         ("n_nodes_interior", inc.node_order.shape[0]),
         ("n1", inc.n1),
@@ -303,7 +374,7 @@ def _stage_assemble(state):
     write_matrix_market(state.path(d, "C1.mtx"), sysm.C1)
     write_matrix_market(state.path(d, "C2.mtx"), sysm.C2)
     mat = state.config.material
-    _write_kv(state.path(d, "system.txt"), [
+    _write_kv(state.path(d, "system.txt"), state.stamp("assemble") + [
         ("n1", sysm.n1), ("n2", sysm.n2), ("m", sysm.m),
         ("n_f", sysm.Mnu.shape[0]),
         ("sigma1", float(mat.sigma1)),
@@ -322,9 +393,9 @@ def _stage_regularize(state):
     write_matrix_market(state.path(d, "Y_C2.mtx"), bases.Y_C2)
     write_matrix_market(state.path(d, "Yhat_C2.mtx"), bases.Yhat_C2)
     write_matrix_market(state.path(d, "X2hat.mtx"), sp.csr_matrix(rsys.X2hat))
-    _write_kv(state.path(d, "bases.txt"), [
+    _write_kv(state.path(d, "bases.txt"), state.stamp("regularize") + [
         ("k2", bases.k2), ("provenance", bases.provenance),
-        ("n_r", rsys.n_r),
+        ("n_nodes", bases.n_nodes), ("n_r", rsys.n_r),
     ])
     # the dense kernel-intersection count belongs to verify
     report = theorem1_check(state.system(), bases, dense_intersection=False)
@@ -351,14 +422,12 @@ def _stage_reduce(state):
     write_matrix_market(state.path(d, "reduced_A.mtx"), model.A)
     write_matrix_market(state.path(d, "reduced_B.mtx"), model.B)
     write_matrix_market(state.path(d, "reduced_C.mtx"), model.C)
-    _write_kv(state.path(d, "reduced.txt"), [
+    _write_kv(state.path(d, "reduced.txt"), state.stamp("reduce") + [
         ("ell", model.ell), ("m", model.m), ("n_s", model.n_s),
         ("error_bound", float(model.error_bound)),
         ("hinf_error", float(model.hinf_error)),
     ])
-    counts = state.ctx().dimension_counts(state.config["oracle.dense_cap"])
-    state.manifest.add_dims(n_s=counts["n_s"], n0=counts["n0"],
-                            n_inf=counts["n_inf"], n_r=counts["n_r"])
+    _record_counts(state, state.ctx().dimension_counts())
     state.manifest.artifacts += [f"{d}/{n}" for n in (
         "residual_history.csv", "hankel.csv", "reduced_A.mtx", "reduced_B.mtx",
         "reduced_C.mtx", "reduced.txt")]
@@ -409,7 +478,8 @@ def _stage_verify(state):
     ok &= record("theorem1_common_kernel", rep1["pass"], f"k2={rep1['k2']}")
 
     oracle = build_dense_oracle(ctx, cap=cfg["oracle.dense_cap"], seed=state.seed)
-    counts = ctx.dimension_counts(cfg["oracle.dense_cap"])
+    # the oracle's dense counts against the pipeline's (topological) ones
+    counts = ctx.dimension_counts()
     lam = oracle.finite_eigenvalues()
     scale = np.abs(lam).max()
     real_ok = np.abs(lam.imag).max() <= 1e-8 * scale
@@ -417,7 +487,8 @@ def _stage_verify(state):
     counts_ok = (oracle.n_s == counts["n_s"] and oracle.n_0 == counts["n0"]
                  and oracle.n_inf == counts["n_inf"])
     ok &= record("theorem2_spectrum", bool(real_ok and nonpos_ok and counts_ok),
-                 f"n_s={oracle.n_s} n0={oracle.n_0} n_inf={oracle.n_inf}")
+                 f"n_s={oracle.n_s} n0={oracle.n_0} n_inf={oracle.n_inf} "
+                 f"counts_source={counts['source']}")
 
     rinv = ctx.rsys.Rinv
     gram = ctx.B_r.T @ ctx.apply_EinvB()
@@ -456,10 +527,15 @@ def _stage_verify(state):
     with open(state.path("verify", "verify.txt"), "w") as f:
         f.write("\n".join(lines) + "\n")
     state.manifest.artifacts.append("verify/verify.txt")
-    state.manifest.add_dims(n_s=counts["n_s"], n0=counts["n0"],
-                            n_inf=counts["n_inf"], n_r=counts["n_r"])
+    _record_counts(state, counts)
     if not ok:
         raise RuntimeError("verification failed:\n" + "\n".join(lines))
+
+
+def _record_counts(state, counts):
+    state.manifest.add_dims(n_s=counts["n_s"], n0=counts["n0"],
+                            n_inf=counts["n_inf"], n_r=counts["n_r"])
+    state.manifest.counts_source = counts["source"]
 
 
 _STAGE_FUNCS = {

@@ -237,12 +237,18 @@ def kernel_incidence(a):
 
 @dataclass
 class KernelBases:
-    """Exact bases of ker(C2) and im(C2^T) with recorded provenance."""
+    """Exact bases of ker(C2) and im(C2^T) with recorded provenance.
+
+    ``n_nodes`` is the number N of interior nodes (columns of G0) when the
+    bases come from a boundary-eliminated box complex, where ker C = im G0;
+    it is None for hand-built inputs without incidence data.
+    """
 
     Y_C2: object
     Yhat_C2: object
     k2: int
     provenance: str
+    n_nodes: int | None = None
 
 
 def kernel_bases(inc: IncidenceSet, n1: int | None = None) -> KernelBases:
@@ -267,7 +273,8 @@ def kernel_bases(inc: IncidenceSet, n1: int | None = None) -> KernelBases:
             f"kernel dimensions inconsistent: k2={k2} plus {yhat.shape[1]} != n2={n2}"
         )
     prov = "graph" if prov1 == prov2 == "graph" else "dense-svd"
-    return KernelBases(Y_C2=y, Yhat_C2=yhat, k2=k2, provenance=prov)
+    return KernelBases(Y_C2=y, Yhat_C2=yhat, k2=k2, provenance=prov,
+                       n_nodes=g.shape[1])
 
 
 def _independent_columns(m):
@@ -329,6 +336,7 @@ class RegularizedSystem:
     Z: np.ndarray          # (n2 - k2) x m dense
     P2: object = field(repr=False, default=None)      # csr n_f x (n2-k2), C2 Yhat
     edge_xyz: np.ndarray = field(repr=False, default=None)  # (n1+n2) x 3 midpoints
+    n_nodes: int | None = None   # interior nodes N of the box complex, if known
     n1: int = 0
     n2: int = 0
     k2: int = 0
@@ -422,6 +430,7 @@ def build_regularized(system, bases: KernelBases) -> RegularizedSystem:
         Z=z,
         P2=p2,
         edge_xyz=system.edge_xyz,
+        n_nodes=bases.n_nodes,
         n1=system.n1,
         n2=system.n2,
         k2=bases.k2,

@@ -17,6 +17,7 @@ from mqsmor.assembly import (
     element_edge_mass,
     element_face_mass,
 )
+from mqsmor.lacore import is_positive_definite
 from mqsmor.mesh import AIR, COIL, IRON, GeometrySpec, build_incidence, eliminate_boundary, generate_mesh
 
 
@@ -221,3 +222,31 @@ def test_edge_mass_conducting_block_spd(desk):
     m11 = desk.system.M11.toarray()
     np.linalg.cholesky(m11)   # raises if not SPD
     assert desk.system.M.nnz == desk.system.M11.nnz
+    assert is_positive_definite(desk.system.M11)
+
+
+def _doctored_edge_mass(doctor):
+    """assemble_edge_mass with ``doctor`` applied to the conducting block."""
+    def assemble(mesh, inc, sigma_by_region):
+        m = assemble_edge_mass(mesh, inc, sigma_by_region).tolil()
+        doctor(m)
+        return m.tocsr()
+    return assemble
+
+
+def _negate_diagonal(m):
+    m[5, 5] = -m[5, 5]
+
+
+def _zero_row_and_column(m):
+    m[5, :] = 0.0
+    m[:, 5] = 0.0
+
+
+@pytest.mark.parametrize("doctor", [_negate_diagonal, _zero_row_and_column],
+                         ids=["indefinite", "singular"])
+def test_build_system_rejects_m11_not_positive_definite(desk, monkeypatch, doctor):
+    import mqsmor.assembly as assembly
+    monkeypatch.setattr(assembly, "assemble_edge_mass", _doctored_edge_mass(doctor))
+    with pytest.raises(ValueError, match="M11 is not positive definite"):
+        build_system(desk.mesh, desk.inc, desk.config.material, desk.config.winding)

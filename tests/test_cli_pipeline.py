@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from mqsmor.assembly import build_system
 from mqsmor.cli import main
 from mqsmor.config import ConfigError, RunConfig, default_config, parse_config
 from mqsmor.lacore import read_matrix_market
@@ -91,6 +92,67 @@ def test_stage_resumability_and_roundtrip(tmp_path):
     # the resumed system recomputes the edge midpoints from the mesh
     assert np.array_equal(state2.system().edge_xyz, state.system().edge_xyz)
     assert not (out / "regularize" / "K22hat.mtx").exists()
+
+
+def test_resume_rebuilds_artifacts_of_another_config(tmp_path):
+    out = tmp_path / "run"
+    run_pipeline(default_config(), "assemble", out_dir=str(out))
+    cfg = RunConfig({"material.sigma1": 2e6})
+    state = run_pipeline(cfg, "regularize", out_dir=str(out))
+    fresh = build_system(state.mesh(), state.incidence(), cfg.material, cfg.winding)
+    resumed = state.system().M11
+    assert (resumed != fresh.M11).nnz == 0
+    stale = read_matrix_market(out / "assemble" / "M11.mtx")
+    assert resumed.max() == pytest.approx(2.0 * stale.max(), rel=1e-12)
+    # a manifest of another config is replaced, not merged
+    assert "time.assemble" not in (out / "manifest.txt").read_text()
+
+
+def test_resume_rebuilds_unstamped_artifacts(tmp_path):
+    out = tmp_path / "run"
+    run_pipeline(RunConfig({"material.sigma1": 2e6}), "assemble", out_dir=str(out))
+    kv = out / "assemble" / "system.txt"
+    kv.write_text("".join(line for line in kv.read_text().splitlines(True)
+                          if not line.startswith("config_hash")))
+    state = run_pipeline(default_config(), "mesh", out_dir=str(out))
+    fresh = build_system(state.mesh(), state.incidence(),
+                         state.config.material, state.config.winding)
+    assert (state.system().M11 != fresh.M11).nnz == 0
+
+
+@pytest.fixture(scope="module")
+def capped_reduce(tmp_path_factory):
+    """``mqsmor reduce`` on the desk (n_r = 3952) with oracle.dense_cap = 1000."""
+    root = tmp_path_factory.mktemp("capped")
+    cfg = root / "capped.cfg"
+    cfg.write_text("oracle.dense_cap = 1000\nanalysis.steps = 5\n")
+    out = root / "run"
+    code = main(["reduce", "--config", str(cfg), "--out", str(out)])
+    return cfg, out, code, (out / "manifest.txt").read_text()
+
+
+def test_reduce_counts_from_topology_above_dense_cap(capped_reduce):
+    _, _, code, manifest = capped_reduce
+    assert code == 0
+    assert "counts_source = topology" in manifest
+    for line in ("dim.n_s = 466", "dim.n0 = 127", "dim.n_inf = 3359", "dim.n_r = 3952"):
+        assert line in manifest
+
+
+def test_manifest_keeps_dimensions_of_resumed_run(capped_reduce):
+    cfg, out, _, _ = capped_reduce
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    manifest = (out / "manifest.txt").read_text()
+    for line in ("dim.n_s = 466", "dim.n0 = 127", "dim.n_inf = 3359",
+                 "counts_source = topology", "time.reduce = ", "time.simulate = ",
+                 "artifact = reduce/reduced.txt", "artifact = simulate/simulation.csv"):
+        assert line in manifest
+
+
+def test_verify_enforces_dense_cap(capped_reduce, capsys):
+    cfg, out, _, _ = capped_reduce
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "dense oracle cap exceeded" in capsys.readouterr().err
 
 
 def test_cli_refuses_unconverged_adi_factor(tmp_path, capsys):

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from mqsmor.assembly import MaterialSpec, WindingSpec, build_system
 from mqsmor.lacore import factorize, lanczos_extremal
-from mqsmor.ops import SpectralBounds
+from mqsmor.mesh import AIR, IRON, GeometrySpec, Mesh, build_incidence, eliminate_boundary, generate_mesh
+from mqsmor.ops import OperatorContext, SpectralBounds
+from mqsmor.oracle import build_dense_oracle
+from mqsmor.regularize import build_regularized, kernel_bases
 
 
 def dense_operator(rsys):
@@ -189,6 +194,60 @@ def test_desk_quasi_weierstrass_counts(desk):
     assert counts["n_s"] + counts["n0"] + counts["n_inf"] == r.n_r
     assert (oracle.n_s, oracle.n_0, oracle.n_inf) == (
         counts["n_s"], counts["n0"], counts["n_inf"])
+
+
+def _dense_kernel_dim(rsys):
+    """n_r - rank(F_nu) from eigvalsh of F_nu F_nu^T, with a clear gap."""
+    f = sp.hstack([rsys.C1, rsys.P2]).toarray()
+    w = np.linalg.eigvalsh(f.T @ f)
+    n0 = int(np.sum(w <= 1e-8 * w[-1]))
+    assert n0 == 0 or w[n0 - 1] <= 1e-10 * w[-1]
+    assert n0 == w.size or w[n0] >= 1e-6 * w[-1]
+    return n0
+
+
+def _random_iron_box(resolution, seed):
+    """A unit box whose tets are iron with probability 1/4, so the conducting
+    edges form grounded and floating components around untouched nodes."""
+    base = generate_mesh(GeometrySpec(c1=0.5, c2=0.5, c3=0.5, resolution=resolution))
+    rng = np.random.default_rng(seed)
+    regions = np.where(rng.random(base.tets.shape[0]) < 0.25, IRON, AIR).astype(np.int8)
+    mesh = Mesh(nodes=base.nodes, tets=base.tets, regions=regions)
+    inc = eliminate_boundary(build_incidence(mesh), mesh)
+    material = MaterialSpec(sigma1=1.0, nu_iron=1.0, nu_air=2.0, R=[[1.0]])
+    winding = WindingSpec(turns=10.0, cross_section=1.0, r3=0.25, r4=0.5,
+                          z3=-0.25, z4=0.25)
+    system = build_system(mesh, inc, material, winding)
+    return build_regularized(system, kernel_bases(inc))
+
+
+@pytest.mark.parametrize("resolution", [4, 5, 6, 7])
+def test_topological_counts_match_dense_rank(resolution):
+    rsys = _random_iron_box(resolution, seed=resolution)
+    assert rsys.n1 > 0 and rsys.n_nodes == (resolution - 1) ** 3
+    counts = OperatorContext(rsys).dimension_counts()
+    n0 = _dense_kernel_dim(rsys)
+    assert counts["source"] == "topology"
+    assert n0 > 0
+    assert (counts["n0"], counts["n_s"], counts["n_inf"]) == (
+        n0, rsys.n_r - n0 - (rsys.n2r - rsys.m), rsys.n2r - rsys.m)
+
+
+def test_desk_topological_counts_match_dense_rank(desk):
+    counts = desk.ctx.dimension_counts()
+    assert counts["source"] == "topology"
+    assert counts["n0"] == _dense_kernel_dim(desk.rsys)
+    assert (counts["n_s"], counts["n0"], counts["n_inf"]) == (466, 127, 3359)
+
+
+def test_counts_without_node_count_take_dense_path(toy, synthetic):
+    for ctx in (toy[3], synthetic[3]):
+        assert ctx.rsys.n_nodes is None
+        counts = ctx.dimension_counts()
+        oracle = build_dense_oracle(ctx, cap=100)
+        assert counts["source"] == "dense"
+        assert (counts["n_s"], counts["n0"], counts["n_inf"]) == (
+            oracle.n_s, oracle.n_0, oracle.n_inf)
 
 
 def test_toy_and_synthetic_keep_colamd(toy, synthetic):
