@@ -3,7 +3,9 @@
     mqsmor <stage> [--config FILE] [--out DIR] [--seed N]
 
 Stages: mesh, assemble, regularize, reduce, freqresp, simulate, verify, all.
-Exit codes: 0 success, 2 validation error, 3 numerical failure.
+Exit codes: 0 success, 2 validation error, 3 numerical failure (RuntimeError,
+ValueError or numpy LinAlgError); any other exception is a program error and
+ends with its traceback (exit code 1).
 
 CSV column contracts:
     freqresp/freqresp.csv      omega, abs_H, abs_H_reduced, abs_error
@@ -16,6 +18,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+
+import numpy as np
 
 from .config import ConfigError, default_config, parse_config
 from .pipeline import STAGES, run_pipeline
@@ -49,7 +53,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:
+    except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     print(f"{args.stage}: ok (artifacts in {state.out})")

@@ -6,7 +6,9 @@ Factorization is unsymmetric-capable sparse LU with partial pivoting and a
 fill-reducing ordering: COLAMD per matrix, or a caller-supplied symmetric
 ordering such as ``nested_dissection`` shared by matrices of one pattern
 (the bordered saddle-point systems downstream are symmetric indefinite, so
-Cholesky is not an option).
+Cholesky is not an option).  Kernel dimensions of dense PSD matrices are
+certified by Cholesky factorizations rather than eigendecompositions
+(``psd_kernel_dim``).
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.io
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import blas, lapack
 
 
 class SingularMatrixError(RuntimeError):
@@ -214,6 +218,91 @@ def dense_sym_eig(a, sym_rtol=1e-12):
         raise ValueError("matrix is not symmetric within tolerance")
     w, u = np.linalg.eigh(a)
     return w[::-1].copy(), u[:, ::-1].copy()
+
+
+def orthonormal_columns(q):
+    """Orthonormal basis of im(q), for a dense or sparse q of full column
+    rank: two passes of Cholesky QR, q <- q L^{-T} with L L^T = q^T q.
+    Raises ValueError when q^T q has no Cholesky factor."""
+    for _ in range(2):
+        g = q.T @ q
+        try:
+            low = np.linalg.cholesky(g.toarray() if sp.issparse(g) else g)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("basis is not of full column rank") from exc
+        linv = scipy.linalg.solve_triangular(low, np.eye(low.shape[0]), lower=True)
+        q = np.asarray(q @ linv.T)
+    return q
+
+
+def psd_kernel_dim(a, q, tau):
+    """Number of eigenvalues <= ``tau`` of a symmetric PSD matrix ``a``,
+    certified by a Cholesky factorization when ``q`` spans that many.
+
+    ``q`` (n x k, full column rank, dense or sparse) is a basis of vectors
+    the caller knows ``a`` annihilates, so ``a`` has at least k eigenvalues
+    <= tau.  With Q an orthonormal basis of im(q) and c = max(diag(a), 2 tau),
+    a + c Q Q^T is a rank-k PSD update of ``a``; by Cauchy interlacing its
+    j-th smallest eigenvalue is at most the (j+k)-th of ``a``.  So when
+    a + c Q Q^T - tau I has a Cholesky factor, at most k eigenvalues of ``a``
+    are <= tau, and the count is exactly k.  When the factorization fails,
+    the count is made exactly instead: the number of nonpositive eigenvalues
+    of a - tau I, read off the block-diagonal factor of a Bunch-Kaufman
+    LDL^T by Sylvester's law of inertia.
+
+    ``a`` is overwritten; the work is done in place in its storage (one
+    ``dsyrk`` and one ``dpotrf``, plus one ``dsytrf`` on failure).
+    """
+    a = np.asarray(a)
+    n = a.shape[0]
+    if a.shape != (n, n) or a.dtype != np.float64:
+        raise ValueError("a must be a square float64 matrix")
+    if n == 0:
+        return 0
+    # a symmetric C-ordered matrix is its own Fortran-ordered transpose
+    f = a.T if a.flags.c_contiguous else a
+    if not f.flags.f_contiguous:
+        raise ValueError("a must be contiguous")
+    if not sp.issparse(q):
+        q = np.asarray(q, dtype=np.float64)
+    if q.shape[0] != n:
+        raise ValueError(f"dimension mismatch: matrix is {a.shape}, basis has {q.shape[0]} rows")
+    k = q.shape[1]
+    # the lower triangle is worked on; the strict upper one keeps a
+    diag = f.diagonal().copy()
+    if k:
+        qo = np.asfortranarray(orthonormal_columns(q))
+        lift = max(float(diag.max()), 2.0 * tau)
+        f = blas.dsyrk(lift, qo, beta=1.0, c=f, lower=1, overwrite_c=1)
+    f[np.diag_indices(n)] -= tau
+    f, info = lapack.dpotrf(f, lower=1, clean=0, overwrite_a=1)
+    if info == 0:
+        return k
+    if info < 0:
+        raise ValueError(f"dpotrf: illegal argument {-info}")
+    for j in range(n - 1):
+        f[j + 1:, j] = f[j, j + 1:]
+    f[np.diag_indices(n)] = diag - tau
+    lwork = int(lapack.dsytrf_lwork(n, lower=1)[0])
+    ldu, ipiv, info = lapack.dsytrf(f, lower=1, lwork=max(lwork, 1), overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"dsytrf: illegal argument {-info}")
+    return _nonpositive_inertia(ldu, ipiv)
+
+
+def _nonpositive_inertia(ldu, ipiv):
+    """Nonpositive eigenvalues of D in a lower Bunch-Kaufman LDL^T (dsytrf):
+    a positive ``ipiv`` entry marks a 1x1 pivot, a negative pair a 2x2 one."""
+    count, j, n = 0, 0, ipiv.shape[0]
+    while j < n:
+        if ipiv[j] > 0:
+            count += int(ldu[j, j] <= 0.0)
+            j += 1
+        else:
+            # eigvalsh reads the lower triangle, where dsytrf left D
+            count += int(np.sum(np.linalg.eigvalsh(ldu[j:j + 2, j:j + 2]) <= 0.0))
+            j += 2
+    return count
 
 
 @dataclass

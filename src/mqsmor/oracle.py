@@ -2,12 +2,15 @@
 
 Builds the quasi-Weierstrass transformation data (W1, E11, A11, kernels
 Y_sigma, Y_nu, spectral projector Pi, reflexive inverses) by dense nullspace
-and eigendecomposition routines, without reusing the structured solver path.
+and factorization routines, without reusing the structured solver path.
 Small systems (brute tier) materialize everything, including W itself, from
 raw SVD nullspaces.  Desk-scale systems use factored representations: the
-kernel Y_nu comes from a dense eigendecomposition of F_nu F_nu^T, Y_sigma
-enters only through a dense LU of the saddle matrix of its Gram system, and
-W1 is an orthonormal basis of the range of the spectral projector.
+kernel Y_nu comes from a pivoted Cholesky factorization of F_nu F_nu^T, its
+rank threshold certified by a residual bound and a second, lifted Cholesky
+factorization (no dense eigendecomposition of size n_r); Y_sigma enters only
+through a dense LU of the saddle matrix of its Gram system, and W1 is an
+orthonormal basis of the range of the spectral projector.  The products
+E_r W1 and A_r W1 are kept for the Gramian identity of Theorem 4.
 
 Sign convention: A_r is negative semidefinite, so the real transformation
 uses (-Y_sigma^T A_r Y_sigma)^{-1/2} and the infinite block of W^T A_r W is
@@ -21,7 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
+from .lacore import orthonormal_columns, psd_kernel_dim
 from .ops import OperatorContext
 
 
@@ -46,6 +52,8 @@ class DenseOracle:
     What1: np.ndarray              # n_r x n_s, Pi = W1 @ What1.T
     E11: np.ndarray
     A11: np.ndarray
+    EW1: np.ndarray                # E_dense @ W1
+    AW1: np.ndarray                # A_dense @ W1
     B1: np.ndarray
     Y_nu: np.ndarray               # n_r x n_0, orthonormal
     einv_factor: np.ndarray        # U with E_r^- = U U^T
@@ -153,8 +161,9 @@ def _build_brute(rsys, e, a, b_r):
         w1 = np.eye(n1 + n2r)
     if w1.shape[1] != n_s:
         raise RuntimeError("brute oracle: W1 dimension mismatch")
-    e11 = w1.T @ e @ w1
-    a11 = w1.T @ a @ w1
+    ew1, aw1 = e @ w1, a @ w1
+    e11 = w1.T @ ew1
+    a11 = w1.T @ aw1
     blocks = [w1]
     if n_0:
         blocks.append(y_nu @ _inv_sqrt_spd(y_nu.T @ e @ y_nu))
@@ -169,9 +178,47 @@ def _build_brute(rsys, e, a, b_r):
     einv_factor = np.hstack(u_blocks)
     return DenseOracle(
         tier="brute", n_s=n_s, n_0=n_0, n_inf=n_inf, E_dense=e, A_dense=a,
-        W1=w1, What1=what1, E11=e11, A11=a11, B1=w1.T @ b_r, Y_nu=y_nu,
-        einv_factor=einv_factor, Y_sigma=y_sigma, W=w, _n1=n1, _m=m,
+        W1=w1, What1=what1, E11=e11, A11=a11, EW1=ew1, AW1=aw1, B1=w1.T @ b_r,
+        Y_nu=y_nu, einv_factor=einv_factor, Y_sigma=y_sigma, W=w, _n1=n1, _m=m,
     )
+
+
+def _gram_kernel(f):
+    """Orthonormal basis Y_nu of ker(f^T) for a sparse f (F_nu), as the
+    kernel of the PSD Gram matrix G = f f^T, with the rank threshold
+    certified.
+
+    A pivoted Cholesky factorization P^T G P = U^T U (LAPACK ``dpstrf``,
+    stopped at pivots <= 1e-10 lambda_max) gives the rank r and the null
+    basis P [-U11^{-1} U12; I].  Every eigenvalue <= 1e-8 lambda_max must
+    also be <= 1e-10 lambda_max, or the rank threshold is ambiguous:
+    ||G Y_nu||_F <= 1e-10 lambda_max gives at least n0 eigenvalues
+    <= 1e-10 lambda_max (Rayleigh-Ritz), and a Cholesky certificate at
+    1e-8 lambda_max (``lacore.psd_kernel_dim``) gives at most n0 below that.
+    """
+    gram = (f @ f.T).tocsr()
+    n = gram.shape[0]
+    lam_max = float(spla.eigsh(gram, k=1, which="LA", return_eigenvectors=False)[0])
+    dense = gram.toarray()
+    u, piv, rank, _ = lapack.dpstrf(dense.T, tol=1e-10 * lam_max, lower=0,
+                                    overwrite_a=1)
+    n_0 = n - rank
+    y_nu = np.zeros((n, n_0))
+    residual = 0.0
+    if n_0:
+        # [[U11, U12], [0, I]] x = [0; I] gives x = [-U11^{-1} U12; I]
+        u[rank:, rank:] = np.eye(n_0)
+        rhs = np.zeros((n, n_0), order="F")
+        rhs[rank:] = np.eye(n_0)
+        y_nu[piv - 1] = scipy.linalg.solve_triangular(u, rhs, check_finite=False,
+                                                      overwrite_b=True)
+        y_nu = orthonormal_columns(y_nu)
+        residual = np.linalg.norm(f @ (f.T @ y_nu))     # bounds the 2-norm
+    del u, dense
+    if (residual > 1e-10 * lam_max
+            or psd_kernel_dim(gram.toarray(), y_nu, 1e-8 * lam_max) != n_0):
+        raise RuntimeError("desk oracle: F_nu rank threshold is ambiguous")
+    return y_nu
 
 
 def _build_desk(rsys, e, a, b_r, seed):
@@ -179,19 +226,7 @@ def _build_desk(rsys, e, a, b_r, seed):
     n_r = n1 + n2r
     n_inf = n2r - m
 
-    # Y_nu = zero-eigenvalue eigenvectors of F_nu F_nu^T (dense, subset)
-    gram = sp.bmat(
-        [[rsys.C1.T @ rsys.C1, rsys.C1.T @ rsys.P2],
-         [rsys.P2.T @ rsys.C1, rsys.P2.T @ rsys.P2]]
-    ).toarray()
-    lam_max = float(
-        sp.linalg.eigsh(sp.csr_matrix(gram), k=1, which="LA",
-                        return_eigenvectors=False)[0]
-    )
-    w_all, v_all = scipy.linalg.eigh(gram, subset_by_value=(-np.inf, 1e-8 * lam_max))
-    if w_all.size and w_all.max() > 1e-10 * lam_max:
-        raise RuntimeError("desk oracle: F_nu rank threshold is ambiguous")
-    y_nu = v_all
+    y_nu = _gram_kernel(sp.vstack([rsys.C1.T, rsys.P2.T]).tocsr())
     n_0 = y_nu.shape[1]
     n_s = n_r - n_0 - n_inf
     if n_s <= 0:
@@ -202,7 +237,10 @@ def _build_desk(rsys, e, a, b_r, seed):
     saddle[:n2r, :n2r] = a[n1:, n1:]
     saddle[:n2r, n2r:] = rsys.X2hat
     saddle[n2r:, :n2r] = rsys.X2hat.T
-    ysig_lu = scipy.linalg.lu_factor(saddle)
+    # symmetric (to rounding): its transpose is the Fortran-ordered matrix,
+    # factored in place
+    ysig_lu = scipy.linalg.lu_factor(saddle.T, overwrite_a=True, check_finite=False)
+    del saddle
 
     # spectral projector Pi = I - Pi_0 - Pi_inf applied to a random probe block
     eynu = e @ y_nu
@@ -229,8 +267,9 @@ def _build_desk(rsys, e, a, b_r, seed):
         )
     w1 = u[:, :n_s]
 
-    e11 = w1.T @ (e @ w1)
-    a11 = w1.T @ (a @ w1)
+    ew1, aw1 = e @ w1, a @ w1
+    e11 = w1.T @ ew1
+    a11 = w1.T @ aw1
 
     # What1 = H Theta with columns of H spanning im(Y_sigma)^perp
     h = np.zeros((n_r, n1 + m))
@@ -244,8 +283,8 @@ def _build_desk(rsys, e, a, b_r, seed):
     einv_factor = np.hstack([w1 @ _inv_sqrt_spd(e11), w2])
     return DenseOracle(
         tier="desk", n_s=n_s, n_0=n_0, n_inf=n_inf, E_dense=e, A_dense=a,
-        W1=w1, What1=what1, E11=e11, A11=a11, B1=w1.T @ b_r, Y_nu=y_nu,
-        einv_factor=einv_factor, Y_sigma=None, W=None, _ysig_lu=ysig_lu,
+        W1=w1, What1=what1, E11=e11, A11=a11, EW1=ew1, AW1=aw1, B1=w1.T @ b_r,
+        Y_nu=y_nu, einv_factor=einv_factor, Y_sigma=None, W=None, _ysig_lu=ysig_lu,
         _n1=n1, _m=m,
     )
 

@@ -506,8 +506,12 @@ def _stage_verify(state):
     ok &= record("lemma1_alg2_vs_oracle", rel <= 1e-9, f"rel={rel:.2e}")
 
     gc, go = dense_gramians(oracle)
-    t1 = oracle.E_dense @ (go.W1 @ go.core) @ (oracle.E_dense @ go.W1).T
-    t2 = oracle.A_dense @ (gc.W1 @ gc.core) @ (oracle.A_dense @ gc.W1).T
+    # [E W1, A W1] = Q [R_e, R_a] (thin QR): E G_o E^T - A G_c A^T is
+    # Q (R_e G_o R_e^T - R_a G_c R_a^T) Q^T, so both norms are taken in R
+    r = np.linalg.qr(np.hstack([oracle.EW1, oracle.AW1]), mode="r")
+    r_e, r_a = r[:, :oracle.n_s], r[:, oracle.n_s:]
+    t1 = r_e @ go.core @ r_e.T
+    t2 = r_a @ gc.core @ r_a.T
     th4 = np.linalg.norm(t1 - t2) / max(np.linalg.norm(t2), 1e-300)
     ok &= record("theorem4_gramian_identity", th4 <= 1e-8, f"rel={th4:.2e}")
 

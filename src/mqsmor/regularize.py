@@ -28,8 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from .lacore import csr_from_coo
+from .lacore import csr_from_coo, psd_kernel_dim
 from .mesh import IncidenceSet
 
 
@@ -443,7 +444,13 @@ def theorem1_check(system, bases: KernelBases, dense_intersection=True):
 
     Products are evaluated in factored form so graph-provenance bases give
     exact zeros.  The kernel-intersection dimension uses the PSD identity
-    ker(E) & ker(K) = ker(E + K), counted by a dense eigendecomposition.
+    ker(E) & ker(K) = ker(E + K): it is the number of eigenvalues of E + K
+    at most 1e-10 lambda_max, with lambda_max from a sparse Lanczos run on
+    E + K.  Once [0; Y_C2] is shown to lie in the kernel, one dense Cholesky
+    factorization of E + K lifted along [0; Y_C2] certifies that there are
+    exactly k2 such eigenvalues (``lacore.psd_kernel_dim``); otherwise, or
+    when the Cholesky fails, the count comes from the inertia of a dense
+    LDL^T of E + K - 1e-10 lambda_max I.
     """
     y = bases.Y_C2.astype(np.float64)
     c2y = (system.C2 @ y).tocsr()
@@ -481,15 +488,17 @@ def theorem1_check(system, bases: KernelBases, dense_intersection=True):
         or (report["E_rel_residual"] <= tol and report["K_rel_residual"] <= tol)
     )
     if dense_intersection:
-        n = system.n1 + system.n2
-        e_dense = np.zeros((n, n))
-        e_dense[: system.n1, : system.n1] = system.M11.toarray()
-        e_dense += x @ rinv @ x.T
-        ek = system.K().toarray()
-        ek += e_dense
-        w = np.linalg.eigvalsh(ek)
-        thresh = 1e-10 * max(w.max(), 1e-300)
-        dim = int(np.sum(w <= thresh))
+        n1, n = system.n1, system.n1 + system.n2
+        base = (sp.block_diag([system.M11, sp.csr_matrix((system.n2, system.n2))])
+                + system.K()).tocsr()
+        op = spla.LinearOperator((n, n), dtype=np.float64,
+                                 matvec=lambda v: base @ v + x @ (rinv @ (x.T @ v)))
+        lam_max = float(spla.eigsh(op, k=1, which="LA", return_eigenvectors=False)[0])
+        # [0; Y_C2] lies in the kernel only when kernel_pass; else count exactly
+        q = (sp.vstack([sp.csr_matrix((n1, y.shape[1])), y]) if report["kernel_pass"]
+             else np.zeros((n, 0)))
+        ek = (base + system.X @ sp.csr_matrix(rinv) @ system.X.T).toarray()
+        dim = psd_kernel_dim(ek, q, 1e-10 * max(lam_max, 1e-300))
         report["kernel_intersection_dim"] = dim
         report["dimension_pass"] = dim == bases.k2
     report["pass"] = report["kernel_pass"] and report.get("dimension_pass", True)

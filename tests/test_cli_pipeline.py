@@ -63,6 +63,19 @@ def test_cli_exit_code_numerical_failure(tmp_path, monkeypatch):
     assert main(["mesh", "--out", str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.parametrize("error", [TypeError, KeyError, AssertionError, MemoryError])
+def test_cli_program_error_is_not_a_numerical_failure(tmp_path, monkeypatch, error):
+    """A bug propagates with its traceback (exit code 1), not exit code 3."""
+    import mqsmor.pipeline as pl
+
+    def stage(state):
+        raise error("bug")
+
+    monkeypatch.setitem(pl._STAGE_FUNCS, "mesh", stage)
+    with pytest.raises(error):
+        main(["mesh", "--out", str(tmp_path / "o")])
+
+
 def test_cli_success_mesh_stage(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["mesh", "--out", str(out)]) == 0

@@ -10,6 +10,7 @@ from mqsmor.lacore import (
     factorize,
     lanczos_extremal,
     nested_dissection,
+    psd_kernel_dim,
     read_matrix_market,
     spmv,
     write_matrix_market,
@@ -208,6 +209,61 @@ def test_dense_sym_eig_reconstruction_random():
         assert np.linalg.norm(a @ u - u * w) <= 1e-10 * max(na, 1.0)
         assert np.linalg.norm(u.T @ u - np.eye(n)) <= 1e-10
         assert np.all(np.diff(w) <= 1e-12 * max(na, 1.0))
+
+
+def _planted_psd(n, k, extra=(), seed=0):
+    """PSD matrix with a planted k-dimensional kernel, a (non-orthonormal)
+    basis of it, and the planted spectrum (``extra`` eigenvalues after the
+    kernel, the rest in [1e-3, 1])."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    w = rng.uniform(1e-3, 1.0, n)
+    w[:k] = 0.0
+    w[k:k + len(extra)] = extra
+    a = (u * w) @ u.T
+    return 0.5 * (a + a.T), u[:, :k] @ rng.standard_normal((k, k)), w
+
+
+def _eigvalsh_count(a, tau):
+    return int(np.sum(np.linalg.eigvalsh(a) <= tau))
+
+
+@pytest.mark.parametrize("n,k", [(40, 0), (40, 1), (120, 9), (200, 31)])
+def test_psd_kernel_dim_planted_kernel(n, k):
+    a, q, w = _planted_psd(n, k, seed=n + k)
+    tau = 1e-10 * w.max()
+    assert _eigvalsh_count(a, tau) == k
+    assert psd_kernel_dim(a.copy(), q, tau) == k
+    # Fortran order and a sparse basis take the same path
+    assert psd_kernel_dim(np.asfortranarray(a), sp.csr_matrix(q), tau) == k
+
+
+@pytest.mark.parametrize("k", [0, 4])
+def test_psd_kernel_dim_extra_small_eigenvalue_counts_by_inertia(k):
+    a, q, w = _planted_psd(80, k, extra=(0.5e-10,), seed=k)
+    tau = 1e-10 * w.max()
+    assert _eigvalsh_count(a, tau) == k + 1
+    assert psd_kernel_dim(a.copy(), q, tau) == k + 1
+
+
+def test_psd_kernel_dim_incomplete_basis_gives_true_count():
+    a, q, w = _planted_psd(90, 6, seed=3)
+    tau = 1e-10 * w.max()
+    assert psd_kernel_dim(a.copy(), q[:, :-1], tau) == 6
+    assert psd_kernel_dim(a.copy(), np.zeros((90, 0)), tau) == 6
+
+
+def test_psd_kernel_dim_overwrites_input_in_place():
+    a, q, w = _planted_psd(30, 2, seed=4)
+    b = a.copy()
+    psd_kernel_dim(b, q, 1e-10 * w.max())
+    assert not np.array_equal(a, b)
+
+
+def test_psd_kernel_dim_rejects_rank_deficient_basis():
+    a, q, w = _planted_psd(30, 2, seed=5)
+    with pytest.raises(ValueError, match="full column rank"):
+        psd_kernel_dim(a.copy(), np.hstack([q, np.zeros((30, 1))]), 1e-10 * w.max())
 
 
 def test_lanczos_multiple_of_identity():

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from mqsmor.assembly import MaterialSpec, WindingSpec, build_system
-from mqsmor.lacore import factorize, lanczos_extremal
+from mqsmor.lacore import SingularMatrixError, factorize, lanczos_extremal
 from mqsmor.mesh import AIR, IRON, GeometrySpec, Mesh, build_incidence, eliminate_boundary, generate_mesh
 from mqsmor.ops import OperatorContext, SpectralBounds
 from mqsmor.oracle import build_dense_oracle
@@ -53,6 +53,37 @@ def test_toy_shifted_solve(toy):
     _, _, _, ctx = toy
     z = ctx.shifted_solve(-1.0, np.array([1.0, 1.0]))
     assert np.allclose(z, [0.0, -1.0 / 3.0], atol=1e-13)
+
+
+@pytest.mark.parametrize("error,expected", [
+    (SingularMatrixError("singular matrix at pivot index 0"), RuntimeError),
+    (MemoryError("Unable to allocate"), MemoryError),
+])
+def test_shift_factorization_reports_only_singularity(toy, monkeypatch, error, expected):
+    import mqsmor.ops as ops
+
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(ops, "factorize", failing)
+    with pytest.raises(expected) as info:
+        toy[3].shifted_solve(-1.0, np.array([1.0, 1.0]))
+    assert ("singular bordered matrix" in str(info.value)) == (expected is RuntimeError)
+
+
+def test_shift_factorization_keeps_last_shift_only(toy, monkeypatch):
+    import mqsmor.ops as ops
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return factorize(*args, **kwargs)
+
+    monkeypatch.setattr(ops, "factorize", counting)
+    ctx, w = toy[3], np.array([1.0, 1.0])
+    for shift in (-1.0, -1.0, -2.0, -2.0, -1.0):
+        ctx.shifted_solve(shift, w)
+    assert len(calls) == 3
 
 
 def test_toy_cr(toy):

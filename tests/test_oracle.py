@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from mqsmor.oracle import build_dense_oracle, dense_gramians
+from mqsmor.oracle import _gram_kernel, build_dense_oracle, dense_gramians
 
 
 def test_cap_exceeded(toy):
@@ -132,3 +133,36 @@ def test_desk_oracle_tier_and_consistency(desk):
     # E11 SPD, -A11 SPD
     np.linalg.cholesky(oracle.E11)
     np.linalg.cholesky(-oracle.A11)
+
+
+def _planted_gram(small, n=60, n0=5, seed=0):
+    """Sparse-stored factor F of a Gram matrix F F^T with lambda_max = 1,
+    an n0-dimensional kernel and one more eigenvalue ``small``."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    w = rng.uniform(0.1, 1.0, n)
+    w[:n0] = 0.0
+    w[n0] = small
+    w[-1] = 1.0
+    return sp.csr_matrix(u * np.sqrt(w)), u[:, :n0]
+
+
+def test_gram_kernel_certified_basis():
+    f, kernel = _planted_gram(0.05)
+    y = _gram_kernel(f)
+    assert y.shape == (60, 5)
+    assert np.linalg.norm(y.T @ y - np.eye(5)) <= 1e-12
+    assert np.linalg.norm(f @ (f.T @ y), 2) <= 1e-12
+    # same subspace as the planted kernel
+    assert np.linalg.svd(kernel.T @ y, compute_uv=False).min() >= 1 - 1e-10
+
+
+def test_gram_kernel_counts_eigenvalue_below_threshold():
+    # 1e-11 lambda_max is below both thresholds: part of the kernel
+    assert _gram_kernel(_planted_gram(1e-11)[0]).shape[1] == 6
+
+
+def test_gram_kernel_rejects_ambiguous_rank_threshold():
+    # 1e-9 lambda_max lies between 1e-10 and 1e-8 lambda_max
+    with pytest.raises(RuntimeError, match="rank threshold is ambiguous"):
+        _gram_kernel(_planted_gram(1e-9)[0])

@@ -209,6 +209,25 @@ def test_theorem1_trivial_kernel(toy):
     assert rep["pass"]
 
 
+def test_theorem1_reports_kernel_outside_basis():
+    """C2 = [1, 1, 1] leaves a two-dimensional common kernel [0; ker C2];
+    a basis Y_C2 with only one of its vectors passes the kernel products
+    but fails the dimension count, which reports the true dimension."""
+    c1, c2, ups = _csr([[1.0]]), _csr([[1.0, 1.0, 1.0]]), _csr([[1.0]])
+    x = (sp.hstack([c1, c2]).T @ ups).tocsr()
+    sysm = AssembledSystem(M11=_csr([[3.0]]), Mnu=_csr([[2.0]]), Upsilon=ups,
+                           X=x, C1=c1, C2=c2, R=np.array([[1.0]]), n1=1, n2=3, m=1)
+    y = _csr(np.array([[1.0], [-1.0], [0.0]]))
+    yh = _csr(np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
+    rep = theorem1_check(sysm, KernelBases(Y_C2=y, Yhat_C2=yh, k2=1, provenance="graph"))
+    assert rep["kernel_pass"]
+    assert rep["kernel_intersection_dim"] == 2
+    assert not rep["dimension_pass"] and not rep["pass"]
+    ek = sysm.K().toarray() + np.asarray(x.todense()) @ np.asarray(x.todense()).T
+    ek[0, 0] += 3.0
+    assert int(np.sum(np.linalg.eigvalsh(ek) <= 1e-10 * np.abs(ek).max())) == 2
+
+
 def test_regularized_definiteness_and_regularity(synthetic):
     _, _, rsys, ctx, _ = synthetic
     rng = np.random.default_rng(5)
