@@ -8,7 +8,7 @@ ordering such as ``nested_dissection`` shared by matrices of one pattern
 (the bordered saddle-point systems downstream are symmetric indefinite, so
 Cholesky is not an option).  Kernel dimensions of dense PSD matrices are
 certified by Cholesky factorizations rather than eigendecompositions
-(``psd_kernel_dim``).
+(``psd_kernel_dim``, and ``gram_kernel`` for a basis of ker f^T).
 """
 
 from __future__ import annotations
@@ -305,6 +305,46 @@ def _nonpositive_inertia(ldu, ipiv):
     return count
 
 
+def gram_kernel(f):
+    """Orthonormal basis Y of ker(f^T) for a sparse f (such as F_nu), as
+    the kernel of the PSD Gram matrix G = f f^T, with the rank threshold
+    certified.
+
+    A pivoted Cholesky factorization P^T G P = U^T U (LAPACK ``dpstrf``,
+    stopped at pivots <= 1e-10 lambda_max) gives the rank r and the null
+    basis P [-U11^{-1} U12; I].  Every eigenvalue <= 1e-8 lambda_max must
+    also be <= 1e-10 lambda_max, or the rank threshold is ambiguous:
+    ||G Y||_F <= 1e-10 lambda_max gives at least n0 eigenvalues
+    <= 1e-10 lambda_max (Rayleigh-Ritz), and a Cholesky certificate at
+    1e-8 lambda_max (``psd_kernel_dim``) gives at most n0 below that.
+    O(n^3) work on a dense n x n matrix, n = f.shape[0].
+    """
+    gram = (f @ f.T).tocsr()
+    n = gram.shape[0]
+    lam_max = float(spla.eigsh(gram, k=1, which="LA", return_eigenvectors=False)[0])
+    dense = gram.toarray()
+    u, piv, rank, _ = lapack.dpstrf(dense.T, tol=1e-10 * lam_max, lower=0,
+                                    overwrite_a=1)
+    n0 = n - rank
+    y = np.zeros((n, n0))
+    residual = 0.0
+    if n0:
+        # [[U11, U12], [0, I]] x = [0; I] gives x = [-U11^{-1} U12; I]
+        u[rank:, rank:] = np.eye(n0)
+        rhs = np.zeros((n, n0), order="F")
+        rhs[rank:] = np.eye(n0)
+        y[piv - 1] = scipy.linalg.solve_triangular(u, rhs, check_finite=False,
+                                                   overwrite_b=True)
+        y = orthonormal_columns(y)
+        residual = np.linalg.norm(f @ (f.T @ y))     # bounds the 2-norm
+    del u, dense
+    if (residual > 1e-10 * lam_max
+            or psd_kernel_dim(gram.toarray(), y, 1e-8 * lam_max) != n0):
+        raise RuntimeError(f"rank threshold is ambiguous for the kernel of "
+                           f"a {n} x {n} Gram matrix")
+    return y
+
+
 @dataclass
 class LanczosResult:
     lambda_min: float
@@ -367,16 +407,18 @@ def lanczos_extremal(op, start, maxit=100, tol=1e-10, metric=None):
 
 
 def write_matrix_market(path, a, symmetric=False):
-    """Write a sparse (coordinate) or dense (array) matrix in Matrix Market form.
+    """Write a sparse (coordinate) or dense (array) matrix in Matrix Market
+    form to exactly ``path``.
 
     1-based indices, full-precision scientific values; the symmetric flag
     stores the lower triangle only.
     """
     symmetry = "symmetric" if symmetric else "general"
-    if sp.issparse(a):
-        scipy.io.mmwrite(str(path), a.tocoo(), precision=17, symmetry=symmetry)
-    else:
-        scipy.io.mmwrite(str(path), np.asarray(a), precision=17, symmetry=symmetry)
+    a = a.tocoo() if sp.issparse(a) else np.asarray(a)
+    # through a file object: given a name, mmwrite appends ".mtx" to any
+    # other suffix
+    with open(path, "wb") as f:
+        scipy.io.mmwrite(f, a, precision=17, symmetry=symmetry)
 
 
 def read_matrix_market(path):

@@ -9,7 +9,7 @@ The LR-ADI recurrence (real negative shifts tau_k, E_r symmetric):
 The normalized residual ||R_k^T R_k||_F / ||B_r^T B_r||_F equals the true
 Lyapunov residual norm of Z_k Z_k^T, which the test suite verifies densely.
 Optimal shifts come from the classical elliptic-integral minimax solution on
-the spectral interval [a, b]; a geometric fallback is available.
+the spectral interval [a, b].
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ class ShiftSet:
     """Negative real ADI shifts with the achieved minimax value on [a, b]."""
 
     shifts: np.ndarray
-    method: str
     rho: float
     interval: tuple
 
@@ -55,13 +54,12 @@ def adi_rational_max(shifts, a, b, n_grid=4001):
     return float(vals.max())
 
 
-def wachspress_shifts(a, b, eps, method="wachspress"):
+def wachspress_shifts(a, b, eps):
     """Optimal ADI shift parameters for a real spectrum in [-b, -a].
 
     Uses the elliptic-integral solution of the rational minimax problem;
     the shift count J is the smallest one whose predicted reduction reaches
-    ``eps``.  ``method='logspace'`` places the same number of shifts
-    geometrically instead.
+    ``eps``.
     """
     if a <= 0:
         raise ValueError("spectral bound a must be positive")
@@ -70,7 +68,7 @@ def wachspress_shifts(a, b, eps, method="wachspress"):
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
     if b / a - 1 < 1e-12:
-        return ShiftSet(np.array([-a]), method, 0.0, (a, b))
+        return ShiftSet(np.array([-a]), 0.0, (a, b))
 
     kprime = a / b
     mc = kprime ** 2           # complementary parameter; k^2 = 1 - mc
@@ -79,16 +77,11 @@ def wachspress_shifts(a, b, eps, method="wachspress"):
     j_count = int(np.ceil(big_k / (2.0 * v * np.pi) * np.log(4.0 / eps)))
     j_count = max(j_count, 1)
 
-    if method == "logspace":
-        shifts = -np.geomspace(a, b, j_count) if j_count > 1 else np.array([-np.sqrt(a * b)])
-    elif method == "wachspress":
-        u = (2.0 * np.arange(1, j_count + 1) - 1.0) * big_k / (2.0 * j_count)
-        _, _, dn, _ = ellipj(u, 1.0 - mc)
-        shifts = np.clip(-a / dn, -b, -a)
-    else:
-        raise ValueError(f"unknown shift method {method!r}")
+    u = (2.0 * np.arange(1, j_count + 1) - 1.0) * big_k / (2.0 * j_count)
+    _, _, dn, _ = ellipj(u, 1.0 - mc)
+    shifts = np.clip(-a / dn, -b, -a)
     rho = adi_rational_max(shifts, a, b)
-    return ShiftSet(np.sort(shifts), method, rho, (a, b))
+    return ShiftSet(np.sort(shifts), rho, (a, b))
 
 
 @dataclass

@@ -20,7 +20,7 @@ the Lemma-2 matrix.  Systems without mesh coordinates use SuperLU's COLAMD.
 
 The quasi-Weierstrass counts n_s, n_0, n_inf come from the incidence
 complex (n_0 = N - k2 with N interior nodes) and cost nothing; dense
-eigenvalue work is left to hand-built inputs without a node count and to
+kernel counts are left to hand-built inputs without a node count and to
 the verification oracle.
 """
 
@@ -31,7 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .lacore import SingularMatrixError, factorize, lanczos_extremal, nested_dissection
+from .lacore import (
+    SingularMatrixError,
+    factorize,
+    gram_kernel,
+    lanczos_extremal,
+    nested_dissection,
+)
 from .regularize import RegularizedSystem
 
 LU_REFINE_STEPS = 1       # iterative refinement after each M11 / Lemma-2 solve
@@ -270,9 +276,10 @@ class OperatorContext:
         number N of interior nodes (a boundary-eliminated box complex, where
         ker C = im G0), the rest follows from topology: n_0 = N - k2 and
         n_s = n1 - N + k2 + m.  Hand-built inputs without a node count find
-        n_0 = n_r - rank(F_nu) by a dense eigendecomposition of F_nu F_nu^T,
-        with a gap check guarding the rank threshold; only that path is
-        limited, to n_r <= DENSE_COUNT_CAP.  ``source`` says which path ran.
+        n_0 = n_r - rank(F_nu) as the certified kernel dimension of
+        F_nu F_nu^T (``lacore.gram_kernel``, a dense pivoted Cholesky); only
+        that path is limited, to n_r <= DENSE_COUNT_CAP.  ``source`` says
+        which path ran.
         """
         if self._counts is not None:
             return self._counts
@@ -284,7 +291,9 @@ class OperatorContext:
             n0 = r.n_nodes - r.k2
         else:
             source = "dense"
-            n0 = self._dense_kernel_dim()
+            if n_r > DENSE_COUNT_CAP:
+                raise ValueError(f"n_r = {n_r} exceeds the dense cap {DENSE_COUNT_CAP}")
+            n0 = gram_kernel(sp.vstack([r.C1.T, r.P2.T]).tocsr()).shape[1]
         n_s = n_r - n0 - n_inf
         if min(n0, n_s) < 0:
             raise ValueError(f"negative dimension count: n0 = {n0}, n_s = {n_s}")
@@ -293,21 +302,3 @@ class OperatorContext:
             "n_inf": n_inf, "n0": n0, "n_s": n_s, "source": source,
         }
         return self._counts
-
-    def _dense_kernel_dim(self):
-        """n_r - rank(F_nu) from the eigenvalues of F_nu F_nu^T."""
-        r = self.rsys
-        if r.n_r > DENSE_COUNT_CAP:
-            raise ValueError(f"n_r = {r.n_r} exceeds the dense cap {DENSE_COUNT_CAP}")
-        gram = sp.bmat(
-            [
-                [r.C1.T @ r.C1, r.C1.T @ r.P2],
-                [r.P2.T @ r.C1, r.P2.T @ r.P2],
-            ]
-        ).toarray()
-        w = np.linalg.eigvalsh(gram)
-        wmax = w[-1]
-        nz = int(np.sum(w <= 1e-8 * wmax))
-        if nz and not (w[nz - 1] <= 1e-10 * wmax and w[nz] >= 1e-6 * wmax):
-            raise RuntimeError("rank threshold for F_nu is ambiguous")
-        return nz

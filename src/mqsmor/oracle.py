@@ -24,10 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
 
-from .lacore import orthonormal_columns, psd_kernel_dim
+from .lacore import gram_kernel
 from .ops import OperatorContext
 
 
@@ -183,50 +181,12 @@ def _build_brute(rsys, e, a, b_r):
     )
 
 
-def _gram_kernel(f):
-    """Orthonormal basis Y_nu of ker(f^T) for a sparse f (F_nu), as the
-    kernel of the PSD Gram matrix G = f f^T, with the rank threshold
-    certified.
-
-    A pivoted Cholesky factorization P^T G P = U^T U (LAPACK ``dpstrf``,
-    stopped at pivots <= 1e-10 lambda_max) gives the rank r and the null
-    basis P [-U11^{-1} U12; I].  Every eigenvalue <= 1e-8 lambda_max must
-    also be <= 1e-10 lambda_max, or the rank threshold is ambiguous:
-    ||G Y_nu||_F <= 1e-10 lambda_max gives at least n0 eigenvalues
-    <= 1e-10 lambda_max (Rayleigh-Ritz), and a Cholesky certificate at
-    1e-8 lambda_max (``lacore.psd_kernel_dim``) gives at most n0 below that.
-    """
-    gram = (f @ f.T).tocsr()
-    n = gram.shape[0]
-    lam_max = float(spla.eigsh(gram, k=1, which="LA", return_eigenvectors=False)[0])
-    dense = gram.toarray()
-    u, piv, rank, _ = lapack.dpstrf(dense.T, tol=1e-10 * lam_max, lower=0,
-                                    overwrite_a=1)
-    n_0 = n - rank
-    y_nu = np.zeros((n, n_0))
-    residual = 0.0
-    if n_0:
-        # [[U11, U12], [0, I]] x = [0; I] gives x = [-U11^{-1} U12; I]
-        u[rank:, rank:] = np.eye(n_0)
-        rhs = np.zeros((n, n_0), order="F")
-        rhs[rank:] = np.eye(n_0)
-        y_nu[piv - 1] = scipy.linalg.solve_triangular(u, rhs, check_finite=False,
-                                                      overwrite_b=True)
-        y_nu = orthonormal_columns(y_nu)
-        residual = np.linalg.norm(f @ (f.T @ y_nu))     # bounds the 2-norm
-    del u, dense
-    if (residual > 1e-10 * lam_max
-            or psd_kernel_dim(gram.toarray(), y_nu, 1e-8 * lam_max) != n_0):
-        raise RuntimeError("desk oracle: F_nu rank threshold is ambiguous")
-    return y_nu
-
-
 def _build_desk(rsys, e, a, b_r, seed):
     n1, n2r, m = rsys.n1, rsys.n2r, rsys.m
     n_r = n1 + n2r
     n_inf = n2r - m
 
-    y_nu = _gram_kernel(sp.vstack([rsys.C1.T, rsys.P2.T]).tocsr())
+    y_nu = gram_kernel(sp.vstack([rsys.C1.T, rsys.P2.T]).tocsr())
     n_0 = y_nu.shape[1]
     n_s = n_r - n_0 - n_inf
     if n_s <= 0:

@@ -1,12 +1,22 @@
 """Pipeline driver: staged artifacts on disk plus a run manifest.
 
 Stages: mesh, assemble, regularize, reduce, freqresp, simulate, verify, all.
-Each stage writes its artifacts under the output directory; prerequisites
-are read back from disk when present and recomputed in memory otherwise, so
-stages are resumable.  Each stage's key-value file (``incidence.txt``,
-``system.txt``, ``bases.txt``, ``reduced.txt``) is stamped with the tool
-version and a hash of the config keys that stage depends on; a resumed stage
-loads its artifacts only when the stamp matches, and rebuilds them otherwise.
+Each stage writes its artifacts under ``<out>/<stage>/``; prerequisites are
+read back from disk when present and recomputed in memory otherwise, so
+stages are resumable.  ``_STAMPED`` declares, once for the writers, the
+loader, the stamp and the manifest, each resumable stage's key-value file,
+the config keys the stage depends on and the artifacts a later call reads
+back.  The key-value file is stamped with the tool version and a hash of
+those config keys; a later call loads the stage's artifacts only when the
+stamp matches, and rebuilds them otherwise.  The mesh is regenerated from
+``geometry.*`` on every call and never read back: that costs no more than
+parsing ``mesh.txt``.
+
+Every artifact is written to a temporary file in its directory and renamed
+into place, so an interrupted call leaves each file whole or absent.  A
+stage's stamped key-value file is removed before its artifacts are written
+and written last, so it never stands beside a partial set.
+
 All numeric artifacts (Matrix Market, CSV, mesh text) are byte-identical
 across runs with the same config and seed; the manifest is exempt because
 it records wall-clock timings.  A call on a run directory whose manifest has
@@ -16,6 +26,7 @@ dimensions, timings and artifacts, its own values winning.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import os
@@ -35,7 +46,7 @@ from .analysis import (
 from .assembly import AssembledSystem, build_system, edge_midpoints
 from .config import RunConfig
 from .lacore import read_matrix_market, write_matrix_market
-from .mesh import build_incidence, eliminate_boundary, generate_mesh, read_mesh, write_mesh
+from .mesh import build_incidence, eliminate_boundary, generate_mesh, write_mesh
 from .mor import ReducedModel, balanced_truncate, lr_adi, wachspress_shifts
 from .ops import OperatorContext
 from .oracle import build_dense_oracle, dense_gramians
@@ -43,21 +54,28 @@ from .regularize import KernelBases, build_regularized, kernel_bases, theorem1_c
 
 STAGES = ("mesh", "assemble", "regularize", "reduce", "freqresp", "simulate", "verify")
 
-# config key prefixes that the artifacts of each stage depend on
-_STAGE_CONFIG_KEYS = {
-    "mesh": ("geometry.",),
-    "assemble": ("geometry.", "material.", "winding."),
-    "regularize": ("geometry.",),
-    "reduce": ("geometry.", "material.", "winding.", "mor."),
+# stage -> (stamped key-value file, config-key prefixes its stamp hashes,
+#           {field: artifact file that a later call reads back})
+_STAMPED = {
+    "mesh": ("incidence.txt", ("geometry.",), {}),
+    "assemble": ("system.txt", ("geometry.", "material.", "winding."),
+                 {f: f"{f}.mtx" for f in ("M11", "Mnu", "Upsilon", "X", "C1", "C2")}),
+    "regularize": ("bases.txt", ("geometry.",),
+                   {"Y_C2": "Y_C2.mtx", "Yhat_C2": "Yhat_C2.mtx"}),
+    "reduce": ("reduced.txt", ("geometry.", "material.", "winding.", "mor."),
+               {"A": "reduced_A.mtx", "B": "reduced_B.mtx", "C": "reduced_C.mtx",
+                "hankel": "hankel.csv"}),
 }
 
 
-def _config_hash(config: RunConfig, stage):
-    """Hash of the config values that ``stage``'s artifacts depend on."""
-    prefixes = _STAGE_CONFIG_KEYS[stage]
-    text = "\n".join(f"{k} = {config.values[k]!r}" for k in sorted(config.values)
-                     if k.startswith(prefixes))
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+def _cached(build):
+    """Method decorator: ``build`` runs once per state, its value is kept."""
+    @functools.wraps(build)
+    def get(self):
+        if build.__name__ not in self._cache:
+            self._cache[build.__name__] = build(self)
+        return self._cache[build.__name__]
+    return get
 
 
 class PipelineState:
@@ -70,123 +88,77 @@ class PipelineState:
         self._cache = {}
         self.manifest = RunManifest(config, self.out, seed=self.seed)
 
-    def path(self, *parts):
-        p = os.path.join(self.out, *parts)
-        os.makedirs(os.path.dirname(p), exist_ok=True)
-        return p
-
     def stamp(self, stage):
-        """Key-value lines that tie a stage's artifacts to this tool and config."""
+        """Key-value lines that tie ``stage``'s artifacts to this tool and to
+        the values of the config keys the stage depends on."""
+        prefixes = _STAMPED[stage][1]
+        text = "\n".join(f"{k} = {v!r}" for k, v in sorted(self.config.values.items())
+                         if k.startswith(prefixes))
         return [("tool_version", __version__),
-                ("config_hash", _config_hash(self.config, stage))]
+                ("config_hash", hashlib.sha256(text.encode()).hexdigest()[:16])]
 
-    def _read_stamped(self, stage, name):
-        """The key-value file ``<out>/<stage>/<name>`` when it carries the
-        stage's stamp; None when it is missing, unstamped or stale."""
-        path = os.path.join(self.out, stage, name)
-        if not os.path.exists(path):
-            return None
-        info = _read_kv(path)
-        return info if dict(self.stamp(stage)).items() <= info.items() else None
-
-    def _get(self, key, loader, builder):
-        if key in self._cache:
-            return self._cache[key]
-        obj = None
+    def _load(self, stage):
+        """(info, {field: array}) from ``stage``'s artifacts when its
+        key-value file carries this call's stamp; None when that file is
+        missing, unstamped or stale, or an artifact does not read."""
+        kv, _, files = _STAMPED[stage]
+        d = os.path.join(self.out, stage)
         try:
-            obj = loader()
+            info = _read_kv(os.path.join(d, kv))
+            if not dict(self.stamp(stage)).items() <= info.items():
+                return None
+            return info, {field: _read_artifact(os.path.join(d, name))
+                          for field, name in files.items()}
         except (OSError, ValueError):
-            obj = None
-        if obj is None:
-            obj = builder()
-        self._cache[key] = obj
-        return obj
+            return None
 
+    @_cached
     def mesh(self):
-        def load():
-            if self._read_stamped("mesh", "incidence.txt") is None:
-                return None
-            return read_mesh(os.path.join(self.out, "mesh", "mesh.txt"),
-                             spec=self.config.geometry)
+        return generate_mesh(self.config.geometry)
 
-        return self._get("mesh", load, lambda: generate_mesh(self.config.geometry))
-
+    @_cached
     def incidence(self):
-        if "inc" not in self._cache:
-            mesh = self.mesh()
-            self._cache["inc"] = eliminate_boundary(build_incidence(mesh), mesh)
-        return self._cache["inc"]
+        return eliminate_boundary(build_incidence(self.mesh()), self.mesh())
 
+    @_cached
     def system(self):
-        def load():
-            d = os.path.join(self.out, "assemble")
-            dims = self._read_stamped("assemble", "system.txt")
-            if dims is None:
-                return None
-            return AssembledSystem(
-                M11=read_matrix_market(os.path.join(d, "M11.mtx")),
-                Mnu=read_matrix_market(os.path.join(d, "Mnu.mtx")),
-                Upsilon=read_matrix_market(os.path.join(d, "Upsilon.mtx")),
-                X=read_matrix_market(os.path.join(d, "X.mtx")),
-                C1=read_matrix_market(os.path.join(d, "C1.mtx")),
-                C2=read_matrix_market(os.path.join(d, "C2.mtx")),
-                R=self.config.material.R,
-                n1=int(dims["n1"]), n2=int(dims["n2"]), m=int(dims["m"]),
-                edge_xyz=edge_midpoints(self.mesh(), self.incidence()),
-            )
+        loaded = self._load("assemble")
+        if loaded is None:
+            return build_system(self.mesh(), self.incidence(),
+                                self.config.material, self.config.winding)
+        dims, arrays = loaded
+        return AssembledSystem(
+            **arrays, R=self.config.material.R,
+            n1=int(dims["n1"]), n2=int(dims["n2"]), m=int(dims["m"]),
+            edge_xyz=edge_midpoints(self.mesh(), self.incidence()))
 
-        return self._get(
-            "system", load,
-            lambda: build_system(self.mesh(), self.incidence(),
-                                 self.config.material, self.config.winding),
-        )
-
+    @_cached
     def bases(self):
-        def load():
-            d = os.path.join(self.out, "regularize")
-            info = self._read_stamped("regularize", "bases.txt")
-            if info is None:
-                return None
-            return KernelBases(
-                Y_C2=read_matrix_market(os.path.join(d, "Y_C2.mtx")),
-                Yhat_C2=read_matrix_market(os.path.join(d, "Yhat_C2.mtx")),
-                k2=int(info["k2"]),
-                provenance=info["provenance"],
-                n_nodes=int(info["n_nodes"]),
-            )
+        loaded = self._load("regularize")
+        if loaded is None:
+            return kernel_bases(self.incidence())
+        info, arrays = loaded
+        return KernelBases(**arrays, k2=int(info["k2"]), provenance=info["provenance"],
+                           n_nodes=int(info["n_nodes"]))
 
-        return self._get("bases", load, lambda: kernel_bases(self.incidence()))
-
+    @_cached
     def rsys(self):
-        if "rsys" not in self._cache:
-            self._cache["rsys"] = build_regularized(self.system(), self.bases())
-        return self._cache["rsys"]
+        return build_regularized(self.system(), self.bases())
 
+    @_cached
     def ctx(self):
-        if "ctx" not in self._cache:
-            self._cache["ctx"] = OperatorContext(self.rsys())
-        return self._cache["ctx"]
+        return OperatorContext(self.rsys())
 
+    @_cached
     def model(self):
-        def load():
-            d = os.path.join(self.out, "reduce")
-            info = self._read_stamped("reduce", "reduced.txt")
-            if info is None:
-                return None
-            a = np.asarray(read_matrix_market(os.path.join(d, "reduced_A.mtx")))
-            b = np.asarray(read_matrix_market(os.path.join(d, "reduced_B.mtx")))
-            c = np.asarray(read_matrix_market(os.path.join(d, "reduced_C.mtx")))
-            hank = np.loadtxt(os.path.join(d, "hankel.csv"), delimiter=",",
-                              skiprows=1, ndmin=2)[:, 1]
-            model = ReducedModel(
-                A=a, B=b, C=c, hankel=hank, ell=int(info["ell"]),
-                n_s=int(info["n_s"]), m=int(info["m"]),
-                error_bound=float(info["error_bound"]),
-                hinf_error=float(info["hinf_error"]),
-            )
-            return model
-
-        return self._get("model", load, self._build_model)
+        loaded = self._load("reduce")
+        if loaded is None:
+            return self._build_model()
+        info, arrays = loaded
+        arrays["hankel"] = arrays["hankel"][:, 1]
+        return ReducedModel(
+            **arrays, ell=int(info["ell"]), n_s=int(info["n_s"]), m=int(info["m"]),
+            error_bound=float(info["error_bound"]), hinf_error=float(info["hinf_error"]))
 
     def _build_model(self):
         cfg = self.config
@@ -206,7 +178,6 @@ class PipelineState:
                 f"steps, last residual {zc.history[-1]:.3e} > tol "
                 f"{cfg['mor.tol_adi']:.3e}; no certified model")
         self._cache["zc"] = zc
-        self._cache["shifts"] = shifts
         ell = cfg["mor.order"] or None
         if ell is not None:
             return balanced_truncate(ctx, zc, ell=ell)
@@ -271,22 +242,16 @@ class RunManifest:
         if self.counts_source is None:
             self.counts_source = dict(entries).get("counts_source")
 
-    def write(self):
-        path = os.path.join(self.out, "manifest.txt")
-        self._merge_previous(path)
+    def text(self):
+        """The manifest, folded with the one already in the run directory."""
+        self._merge_previous(os.path.join(self.out, "manifest.txt"))
         self.check_identities()
-        with open(path, "w") as f:
-            for key, val in self._header():
-                f.write(f"{key} = {val}\n")
-            for key in sorted(self.dimensions):
-                f.write(f"dim.{key} = {self.dimensions[key]}\n")
-            if self.counts_source is not None:
-                f.write(f"counts_source = {self.counts_source}\n")
-            for stage, dt in self.timings:
-                f.write(f"time.{stage} = {dt:.3f}\n")
-            for art in self.artifacts:
-                f.write(f"artifact = {art}\n")
-        return path
+        items = self._header() + [(f"dim.{k}", self.dimensions[k])
+                                  for k in sorted(self.dimensions)]
+        if self.counts_source is not None:
+            items.append(("counts_source", self.counts_source))
+        items += [(f"time.{stage}", f"{dt:.3f}") for stage, dt in self.timings]
+        return _kv_text(items + [("artifact", art) for art in self.artifacts])
 
 
 def _read_kv(path):
@@ -299,22 +264,63 @@ def _read_kv(path):
     return out
 
 
-def _write_kv(path, items):
-    with open(path, "w") as f:
-        for k, v in items:
-            if isinstance(v, float):
-                f.write(f"{k} = {v:.17e}\n")
-            else:
-                f.write(f"{k} = {v}\n")
+def _read_artifact(path):
+    """A Matrix Market file as a matrix, a CSV file as a 2-D array of its rows."""
+    if path.endswith(".mtx"):
+        return read_matrix_market(path)
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w") as f:
-        f.write(header + "\n")
-        for row in rows:
-            f.write(",".join(
-                f"{x:.17e}" if isinstance(x, float) else str(x) for x in row
-            ) + "\n")
+def _kv_text(items):
+    return "".join(f"{k} = {v:.17e}\n" if isinstance(v, float) else f"{k} = {v}\n"
+                   for k, v in items)
+
+
+def _csv_text(header, rows):
+    return header + "\n" + "".join(
+        ",".join(f"{x:.17e}" if isinstance(x, float) else str(x) for x in row) + "\n"
+        for row in rows)
+
+
+def _replace(path, content):
+    """Write ``path`` through ``<path>.tmp`` and a rename, so it holds its
+    old content or the new one, never a part.  A string is written as text,
+    a callable is called with the path, anything else is a matrix."""
+    tmp = path + ".tmp"
+    try:
+        if isinstance(content, str):
+            with open(tmp, "w") as f:
+                f.write(content)
+        elif callable(content):
+            content(tmp)
+        else:
+            write_matrix_market(tmp, content)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def _write_stage(state, stage, files, info=None):
+    """Write ``files`` ({field or file name: content}) under ``<out>/<stage>``
+    and add them to the manifest's artifact list.
+
+    A field of the stage's ``_STAMPED`` entry stands for its file name.  With
+    ``info`` (key-value items) the stage's stamped file is removed first and
+    written last, stamped, so it never stands beside a partial set.
+    """
+    kv, _, declared = _STAMPED.get(stage, (None, (), {}))
+    d = os.path.join(state.out, stage)
+    os.makedirs(d, exist_ok=True)
+    files = {declared.get(key, key): content for key, content in files.items()}
+    if info is not None:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(d, kv))
+        files[kv] = _kv_text(state.stamp(stage) + info)
+    for name, content in files.items():
+        _replace(os.path.join(d, name), content)
+    state.manifest.artifacts += [os.path.join(stage, name) for name in files]
 
 
 def run_pipeline(config: RunConfig, stage, out_dir=None, seed=7):
@@ -334,20 +340,18 @@ def run_pipeline(config: RunConfig, stage, out_dir=None, seed=7):
         t0 = time.perf_counter()
         _STAGE_FUNCS[st](state)
         state.manifest.timings.append((st, time.perf_counter() - t0))
-    state.manifest.write()
+    _write_stage(state, "", {"manifest.txt": state.manifest.text()})
     return state
 
 
 def _stage_mesh(state):
     mesh = state.mesh()
     inc = state.incidence()
-    p = state.path("mesh", "mesh.txt")
-    write_mesh(p, mesh)
-    write_matrix_market(state.path("mesh", "C.mtx"), inc.C)
-    write_matrix_market(state.path("mesh", "G0.mtx"), inc.G0)
     cg = inc.C @ inc.G0
     cg.eliminate_zeros()
-    _write_kv(state.path("mesh", "incidence.txt"), state.stamp("mesh") + [
+    _write_stage(state, "mesh", {
+        "mesh.txt": lambda path: write_mesh(path, mesh), "C.mtx": inc.C, "G0.mtx": inc.G0,
+    }, [
         ("n_edges_interior", inc.edge_order.shape[0]),
         ("n_nodes_interior", inc.node_order.shape[0]),
         ("n1", inc.n1),
@@ -360,21 +364,16 @@ def _stage_mesh(state):
         n_n=mesh.n_nodes, n_e=mesh.n_edges, n_f=mesh.n_faces,
         n1=inc.n1, n2=inc.n2,
     )
-    state.manifest.artifacts += ["mesh/mesh.txt", "mesh/C.mtx", "mesh/G0.mtx",
-                                 "mesh/incidence.txt"]
 
 
 def _stage_assemble(state):
     sysm = state.system()
-    d = "assemble"
-    write_matrix_market(state.path(d, "M11.mtx"), sysm.M11, symmetric=True)
-    write_matrix_market(state.path(d, "Mnu.mtx"), sysm.Mnu, symmetric=True)
-    write_matrix_market(state.path(d, "Upsilon.mtx"), sysm.Upsilon)
-    write_matrix_market(state.path(d, "X.mtx"), sysm.X)
-    write_matrix_market(state.path(d, "C1.mtx"), sysm.C1)
-    write_matrix_market(state.path(d, "C2.mtx"), sysm.C2)
     mat = state.config.material
-    _write_kv(state.path(d, "system.txt"), state.stamp("assemble") + [
+    _write_stage(state, "assemble", {
+        "M11": lambda path: write_matrix_market(path, sysm.M11, symmetric=True),
+        "Mnu": lambda path: write_matrix_market(path, sysm.Mnu, symmetric=True),
+        "Upsilon": sysm.Upsilon, "X": sysm.X, "C1": sysm.C1, "C2": sysm.C2,
+    }, [
         ("n1", sysm.n1), ("n2", sysm.n2), ("m", sysm.m),
         ("n_f", sysm.Mnu.shape[0]),
         ("sigma1", float(mat.sigma1)),
@@ -382,55 +381,41 @@ def _stage_assemble(state):
         ("R", float(mat.R[0, 0])),
     ])
     state.manifest.add_dims(n1=sysm.n1, n2=sysm.n2, m=sysm.m)
-    state.manifest.artifacts += [f"{d}/{n}" for n in (
-        "M11.mtx", "Mnu.mtx", "Upsilon.mtx", "X.mtx", "C1.mtx", "C2.mtx", "system.txt")]
 
 
 def _stage_regularize(state):
     bases = state.bases()
     rsys = state.rsys()
-    d = "regularize"
-    write_matrix_market(state.path(d, "Y_C2.mtx"), bases.Y_C2)
-    write_matrix_market(state.path(d, "Yhat_C2.mtx"), bases.Yhat_C2)
-    write_matrix_market(state.path(d, "X2hat.mtx"), sp.csr_matrix(rsys.X2hat))
-    _write_kv(state.path(d, "bases.txt"), state.stamp("regularize") + [
+    # the dense kernel-intersection count belongs to verify
+    report = theorem1_check(state.system(), bases, dense_intersection=False)
+    _write_stage(state, "regularize", {
+        "Y_C2": bases.Y_C2, "Yhat_C2": bases.Yhat_C2,
+        "X2hat.mtx": sp.csr_matrix(rsys.X2hat),
+        "theorem1.txt": "".join(f"{k} = {v}\n" for k, v in report.items()),
+    }, [
         ("k2", bases.k2), ("provenance", bases.provenance),
         ("n_nodes", bases.n_nodes), ("n_r", rsys.n_r),
     ])
-    # the dense kernel-intersection count belongs to verify
-    report = theorem1_check(state.system(), bases, dense_intersection=False)
-    with open(state.path(d, "theorem1.txt"), "w") as f:
-        for k, v in report.items():
-            f.write(f"{k} = {v}\n")
     if not report["pass"]:
         raise RuntimeError("theorem 1 check failed; see regularize/theorem1.txt")
     state.manifest.add_dims(k2=bases.k2, n_r=rsys.n_r)
-    state.manifest.artifacts += [f"{d}/{n}" for n in (
-        "Y_C2.mtx", "Yhat_C2.mtx", "X2hat.mtx", "bases.txt",
-        "theorem1.txt")]
 
 
 def _stage_reduce(state):
     model = state.model()
-    d = "reduce"
+    files = {"A": model.A, "B": model.B, "C": model.C,
+             "hankel": _csv_text("index,hankel_value",
+                                 [(i + 1, float(h)) for i, h in enumerate(model.hankel)])}
     zc = state._cache.get("zc")
     if zc is not None:
-        _write_csv(state.path(d, "residual_history.csv"), "iteration,residual",
-                   [(k + 1, float(r)) for k, r in enumerate(zc.history)])
-    _write_csv(state.path(d, "hankel.csv"), "index,hankel_value",
-               [(i + 1, float(h)) for i, h in enumerate(model.hankel)])
-    write_matrix_market(state.path(d, "reduced_A.mtx"), model.A)
-    write_matrix_market(state.path(d, "reduced_B.mtx"), model.B)
-    write_matrix_market(state.path(d, "reduced_C.mtx"), model.C)
-    _write_kv(state.path(d, "reduced.txt"), state.stamp("reduce") + [
+        files["residual_history.csv"] = _csv_text(
+            "iteration,residual", [(k + 1, float(r)) for k, r in enumerate(zc.history)])
+    _write_stage(state, "reduce", files, [
         ("ell", model.ell), ("m", model.m), ("n_s", model.n_s),
         ("error_bound", float(model.error_bound)),
         ("hinf_error", float(model.hinf_error)),
     ])
     _record_counts(state, state.ctx().dimension_counts())
-    state.manifest.artifacts += [f"{d}/{n}" for n in (
-        "residual_history.csv", "hankel.csv", "reduced_A.mtx", "reduced_B.mtx",
-        "reduced_C.mtx", "reduced.txt")]
 
 
 def _stage_freqresp(state):
@@ -443,9 +428,8 @@ def _stage_freqresp(state):
         for w, a, b, e in zip(omegas, fr.magnitude_full(), fr.magnitude_reduced(),
                               fr.abs_error)
     ]
-    _write_csv(state.path("freqresp", "freqresp.csv"),
-               "omega,abs_H,abs_H_reduced,abs_error", rows)
-    state.manifest.artifacts.append("freqresp/freqresp.csv")
+    _write_stage(state, "freqresp", {
+        "freqresp.csv": _csv_text("omega,abs_H,abs_H_reduced,abs_error", rows)})
 
 
 def _stage_simulate(state):
@@ -457,9 +441,8 @@ def _stage_simulate(state):
         for t, u, y, yr, e in zip(sim.t, sim.u, sim.y_full, sim.y_reduced,
                                   sim.rel_error)
     ]
-    _write_csv(state.path("simulate", "simulation.csv"),
-               "t,u,y,y_reduced,rel_error", rows)
-    state.manifest.artifacts.append("simulate/simulation.csv")
+    _write_stage(state, "simulate", {
+        "simulation.csv": _csv_text("t,u,y,y_reduced,rel_error", rows)})
 
 
 def _stage_verify(state):
@@ -528,9 +511,7 @@ def _stage_verify(state):
     ok &= record("bound_dominates_hinf", model.hinf_error <= model.error_bound,
                  f"hinf={model.hinf_error:.3e} bound={model.error_bound:.3e}")
 
-    with open(state.path("verify", "verify.txt"), "w") as f:
-        f.write("\n".join(lines) + "\n")
-    state.manifest.artifacts.append("verify/verify.txt")
+    _write_stage(state, "verify", {"verify.txt": "\n".join(lines) + "\n"})
     _record_counts(state, counts)
     if not ok:
         raise RuntimeError("verification failed:\n" + "\n".join(lines))

@@ -460,11 +460,13 @@ def theorem1_check(system, bases: KernelBases, dense_intersection=True):
     x2ty = np.asarray((system.Upsilon.T @ c2y).todense())
     rinv = np.linalg.inv(system.R)
     x = np.asarray(system.X.todense())
-    e_y = x @ (rinv @ x2ty)                              # E [0; Y], stacked blocks
+    # ||E [0; Y]||_F = ||X W||_F with the m x k2 W = R^{-1} X2^T Y, from the
+    # Gram matrix X^T X instead of the dense n x k2 product
+    w = rinv @ x2ty
+    res_e = float(np.sqrt(max(np.sum(w * ((x.T @ x) @ w)), 0.0)))
     mnu_c2y = system.Mnu @ c2y
     k_y = sp.vstack([system.C1.T @ mnu_c2y, system.C2.T @ mnu_c2y])
     y_norm = max(np.sqrt(bases.Y_C2.power(2).sum()), 1e-300)
-    res_e = np.linalg.norm(e_y) if e_y.size else 0.0
     res_k = np.sqrt(k_y.power(2).sum()) if y.shape[1] else 0.0
     scale_e = max(
         np.linalg.norm(x) ** 2 * np.linalg.norm(rinv, 2) * y_norm, 1e-300

@@ -207,7 +207,7 @@ def test_criterion_11_toy_regression():
     ok &= abs(lam[0] + 2.0) <= 1e-12 and abs(lam[1]) <= 1e-12
     cr = np.array([ctx.apply_Cr(eye[:, i])[0] for i in range(2)])
     ok &= np.abs(cr - [2.0, 2.0]).max() <= 1e-12
-    zc = lr_adi(ctx, ShiftSet(np.array([-2.0]), "wachspress", 0.0, (2.0, 2.0)),
+    zc = lr_adi(ctx, ShiftSet(np.array([-2.0]), 0.0, (2.0, 2.0)),
                 tol=1e-14, maxit=4)
     model = balanced_truncate(ctx, zc, ell=1)
     ok &= model.hinf_error <= 1e-12

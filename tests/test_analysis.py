@@ -15,7 +15,7 @@ from mqsmor.mor import ShiftSet, balanced_truncate, lr_adi
 
 
 def toy_model(ctx):
-    shifts = ShiftSet(np.array([-2.0]), "wachspress", 0.0, (2.0, 2.0))
+    shifts = ShiftSet(np.array([-2.0]), 0.0, (2.0, 2.0))
     zc = lr_adi(ctx, shifts, tol=1e-14, maxit=5)
     return balanced_truncate(ctx, zc, ell=1)
 

@@ -91,7 +91,7 @@ def test_stage_resumability_and_roundtrip(tmp_path):
     cfg = default_config()
     out = tmp_path / "run"
     run_pipeline(cfg, "mesh", out_dir=str(out))
-    # assemble reads the mesh back from disk
+    # assemble regenerates the mesh
     state = run_pipeline(cfg, "assemble", out_dir=str(out))
     m11 = read_matrix_market(out / "assemble" / "M11.mtx")
     assert (m11 != state.system().M11).nnz == 0
@@ -131,6 +131,38 @@ def test_resume_rebuilds_unstamped_artifacts(tmp_path):
     fresh = build_system(state.mesh(), state.incidence(),
                          state.config.material, state.config.winding)
     assert (state.system().M11 != fresh.M11).nnz == 0
+
+
+class _Interrupted(Exception):
+    pass
+
+
+def test_interrupted_rewrite_leaves_whole_files_or_none(tmp_path, monkeypatch):
+    """A rerun of assemble that dies halfway through writing M11.mtx leaves
+    every file under assemble/ either byte-identical to its complete version
+    or absent, and system.txt never beside a partial set.  The partial file
+    is not loaded: a Matrix Market file cut inside a number can crash the
+    reader."""
+    import mqsmor.pipeline as pl
+    out = tmp_path / "run"
+    run_pipeline(default_config(), "assemble", out_dir=str(out))
+    d = out / "assemble"
+    complete = {p.name: p.read_bytes() for p in d.iterdir()}
+    write = pl.write_matrix_market
+
+    def interrupted(path, a, symmetric=False):
+        if "M11" in os.path.basename(str(path)):
+            with open(path, "wb") as f:
+                f.write(complete["M11.mtx"][: len(complete["M11.mtx"]) // 2])
+            raise _Interrupted
+        write(path, a, symmetric=symmetric)
+
+    monkeypatch.setattr(pl, "write_matrix_market", interrupted)
+    with pytest.raises(_Interrupted):
+        run_pipeline(default_config(), "assemble", out_dir=str(out))
+    left = {p.name: p.read_bytes() for p in d.iterdir()}
+    assert [name for name, data in left.items() if complete.get(name) != data] == []
+    assert "system.txt" not in left or left.keys() == complete.keys()
 
 
 @pytest.fixture(scope="module")

@@ -326,3 +326,14 @@ def test_matrix_market_dense_roundtrip(tmp_path):
     write_matrix_market(p, a)
     b = np.asarray(read_matrix_market(p))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("a", [sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 3.0]])),
+                               np.array([[1.0, 2.0]])])
+def test_matrix_market_writes_exactly_the_given_path(tmp_path, a):
+    p = tmp_path / "a.tmp"
+    write_matrix_market(p, a)
+    assert p.read_text().startswith("%%MatrixMarket")
+    assert not (tmp_path / "a.tmp.mtx").exists()
+    assert np.array_equal(sp.csr_matrix(read_matrix_market(p)).toarray(),
+                          sp.csr_matrix(a).toarray())

@@ -58,15 +58,9 @@ def test_wachspress_j4_vs_minimax_oracle():
     assert rho <= 1.05 * best
 
 
-def test_logspace_fallback():
-    ss = wachspress_shifts(1.0, 1e4, 1e-8, method="logspace")
-    assert ss.method == "logspace"
-    assert 0 < ss.rho < 1
-
-
 def test_lr_adi_toy_one_step_exact(toy):
     _, _, rsys, ctx = toy
-    shifts = ShiftSet(np.array([-2.0]), "wachspress", 0.0, (2.0, 2.0))
+    shifts = ShiftSet(np.array([-2.0]), 0.0, (2.0, 2.0))
     zc = lr_adi(ctx, shifts, tol=1e-14, maxit=5)
     assert zc.status == "converged"
     assert zc.n_c == 1
@@ -79,7 +73,7 @@ def test_lr_adi_toy_one_step_exact(toy):
 def test_lr_adi_zero_input(toy):
     _, _, rsys, ctx = toy
     ctx.B_r = np.zeros_like(ctx.B_r)
-    zc = lr_adi(ctx, ShiftSet(np.array([-1.0]), "wachspress", 0.0, (1.0, 1.0)),
+    zc = lr_adi(ctx, ShiftSet(np.array([-1.0]), 0.0, (1.0, 1.0)),
                 tol=1e-12, maxit=3)
     assert zc.n_c == 0 and zc.history[-1] == 0.0
 
@@ -110,7 +104,7 @@ def test_lr_adi_residual_identity_checkpoints(desk):
 
 def test_balanced_truncate_toy_exact(toy):
     _, _, rsys, ctx = toy
-    shifts = ShiftSet(np.array([-2.0]), "wachspress", 0.0, (2.0, 2.0))
+    shifts = ShiftSet(np.array([-2.0]), 0.0, (2.0, 2.0))
     zc = lr_adi(ctx, shifts, tol=1e-14, maxit=5)
     model = balanced_truncate(ctx, zc, ell=1)
     assert model.A[0, 0] == pytest.approx(-2.0, abs=1e-12)
@@ -125,7 +119,7 @@ def test_balanced_truncate_toy_exact(toy):
 
 def test_balanced_truncate_errors(toy):
     _, _, _, ctx = toy
-    shifts = ShiftSet(np.array([-2.0]), "wachspress", 0.0, (2.0, 2.0))
+    shifts = ShiftSet(np.array([-2.0]), 0.0, (2.0, 2.0))
     zc = lr_adi(ctx, shifts, tol=1e-14, maxit=5)
     with pytest.raises(ValueError, match="order"):
         balanced_truncate(ctx, zc, ell=5)

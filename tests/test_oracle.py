@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mqsmor.oracle import _gram_kernel, build_dense_oracle, dense_gramians
+from mqsmor.lacore import gram_kernel as _gram_kernel
+from mqsmor.oracle import build_dense_oracle, dense_gramians
 
 
 def test_cap_exceeded(toy):

@@ -228,6 +228,28 @@ def test_theorem1_reports_kernel_outside_basis():
     assert int(np.sum(np.linalg.eigvalsh(ek) <= 1e-10 * np.abs(ek).max())) == 2
 
 
+def test_theorem1_e_residual_matches_dense_product():
+    """A basis outside ker(X2^T), with m = 2 and a non-diagonal R: the
+    reported ||E [0; Y]||_F equals the norm of the dense n x k2 product
+    X R^{-1} X2^T Y."""
+    c1 = _csr([[1.0], [0.0]])
+    c2 = _csr([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+    ups = _csr([[1.0, 0.5], [2.0, -1.0]])
+    x = (sp.hstack([c1, c2]).T @ ups).tocsr()
+    r = np.array([[2.0, 0.3], [0.3, 1.0]])
+    sysm = AssembledSystem(M11=_csr([[3.0]]), Mnu=_csr(np.diag([2.0, 5.0])),
+                           Upsilon=ups, X=x, C1=c1, C2=c2, R=r, n1=1, n2=3, m=2)
+    y = _csr(np.random.default_rng(4).standard_normal((3, 2)))
+    bases = KernelBases(Y_C2=y, Yhat_C2=_csr(np.eye(3)[:, :1]), k2=2,
+                        provenance="dense-svd")
+    rep = theorem1_check(sysm, bases, dense_intersection=False)
+    xd = x.toarray()
+    dense = xd @ np.linalg.inv(r) @ (xd[1:].T @ y.toarray())
+    assert np.linalg.norm(dense) > 1.0
+    assert rep["E_kernel_residual"] == pytest.approx(np.linalg.norm(dense), rel=1e-12)
+    assert not rep["kernel_pass"] and not rep["pass"]
+
+
 def test_regularized_definiteness_and_regularity(synthetic):
     _, _, rsys, ctx, _ = synthetic
     rng = np.random.default_rng(5)
