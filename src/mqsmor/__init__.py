@@ -16,7 +16,6 @@ from .lacore import (
     lanczos_extremal,
     nested_dissection,
     read_matrix_market,
-    spmv,
     write_matrix_market,
 )
 from .mesh import (
@@ -55,8 +54,10 @@ from .mor import (
     ShiftSet,
     balanced_truncate,
     error_bound,
+    hankel_values,
     hinf_error,
     lr_adi,
+    reduced_order,
     wachspress_shifts,
 )
 from .analysis import (
@@ -69,6 +70,6 @@ from .analysis import (
     transfer_reduced,
 )
 from .oracle import DenseOracle, build_dense_oracle, dense_gramians
-from .config import ConfigError, RunConfig, parse_config
+from .config import ConfigError, RunConfig, default_config, parse_config
 
 __version__ = "0.1.0"

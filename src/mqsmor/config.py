@@ -45,7 +45,7 @@ _DEFAULTS = {
     "mor.maxit_adi": ("int", 80),
     "mor.eps_shift": ("float", 1.0e-12),
     "mor.order": ("int", 0),            # 0 = choose from the error bound
-    "mor.tol_hsv": ("float", 0.0),      # 0 = auto: 1e-8 * ||R^-1||
+    "mor.tol_hsv": ("float", 0.0),      # error-bound target; 0 = auto: 1e-8 * ||R^-1||
     "mor.lanczos_maxit": ("int", 150),
     "mor.lanczos_tol": ("float", 1.0e-9),
     "analysis.freq_min": ("float", 1.0e-4),

@@ -13,6 +13,7 @@ certified by Cholesky factorizations rather than eigendecompositions
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,14 +40,6 @@ def csr_from_coo(rows, cols, vals, shape, dtype=None):
     a.sum_duplicates()
     a.sort_indices()
     return a
-
-
-def spmv(a, v):
-    """Sparse matrix-vector product with an explicit dimension check."""
-    v = np.asarray(v)
-    if v.shape[0] != a.shape[1]:
-        raise ValueError(f"dimension mismatch: matrix is {a.shape}, vector has {v.shape[0]}")
-    return a @ v
 
 
 class Factorization:
@@ -422,7 +415,19 @@ def write_matrix_market(path, a, symmetric=False):
 
 
 def read_matrix_market(path):
-    """Read a Matrix Market file; sparse files come back as canonical CSR."""
+    """Read a Matrix Market file; sparse files come back as canonical CSR.
+
+    A file whose last byte is not a newline has been cut short and raises
+    ValueError before scipy reads it: scipy's reader can crash the process
+    on a file cut inside a number.
+    """
+    with open(path, "rb") as f:
+        size = f.seek(0, os.SEEK_END)
+        f.seek(max(size - 1, 0))
+        last = f.read(1)
+    if last != b"\n":
+        raise ValueError(f"{path}: Matrix Market file does not end in a newline "
+                         "(truncated)")
     a = scipy.io.mmread(str(path))
     if sp.issparse(a):
         a = a.tocsr()

@@ -157,9 +157,35 @@ class ReducedModel:
     hinf_error: float | None = None
 
 
-def balanced_truncate(ctx: OperatorContext, zc: LowRankFactor, ell=None,
-                      tol_hsv=None) -> ReducedModel:
-    """Balanced truncation from the low-rank Gramian factor.
+def _hankel(ctx: OperatorContext, z):
+    """Eigenvalues (descending) and eigenvectors of -Z^T A_r Z."""
+    h = -(z.T @ ctx.apply_Ar(z))
+    return dense_sym_eig(0.5 * (h + h.T))
+
+
+def hankel_values(ctx: OperatorContext, zc: LowRankFactor) -> np.ndarray:
+    """Hankel values of the low-rank Gramian factor, descending."""
+    return _hankel(ctx, zc.Z)[0]
+
+
+def _tail_bound(hankel, n_s, ell):
+    """``error_bound`` of an order-``ell`` model with these Hankel values."""
+    lam = np.clip(hankel, 0.0, None)
+    n_c = lam.shape[0]
+    tail = lam[ell: n_c - 1].sum() if ell < n_c - 1 else 0.0
+    return float(2.0 * (tail + (n_s - ell + 1) * lam[n_c - 1]))
+
+
+def reduced_order(hankel, n_s, target) -> int:
+    """Smallest order whose truncated-tail error bound meets ``target``, or
+    n_c when none does.  The bound never grows with the order."""
+    n_c = len(hankel)
+    return next((ell for ell in range(1, n_c + 1)
+                 if _tail_bound(hankel, n_s, ell) <= target), n_c)
+
+
+def balanced_truncate(ctx: OperatorContext, zc: LowRankFactor, ell) -> ReducedModel:
+    """Balanced truncation of order ``ell`` from the low-rank Gramian factor.
 
     Hankel values are the eigenvalues of -Z^T A_r Z; the projection matrix is
     V = Z U_1 Lambda_1^{-1/2}; the reduced matrices are evaluated columnwise
@@ -169,16 +195,8 @@ def balanced_truncate(ctx: OperatorContext, zc: LowRankFactor, ell=None,
     z = zc.Z
     if z.shape[1] == 0:
         raise ValueError("empty low-rank factor")
-    az = ctx.apply_Ar(z)
-    h = -(z.T @ az)
-    lam, u = dense_sym_eig(0.5 * (h + h.T))
+    lam, u = _hankel(ctx, z)
     n_c = lam.shape[0]
-    if ell is None:
-        if tol_hsv is None:
-            raise ValueError("give either ell or tol_hsv")
-        tails = 2.0 * np.cumsum(np.clip(lam, 0.0, None)[::-1])[::-1]
-        ok = np.flatnonzero(np.concatenate([tails[1:], [0.0]]) <= tol_hsv)
-        ell = int(ok[0] + 1) if ok.size else n_c
     if not 1 <= ell <= n_c:
         raise ValueError(f"reduced order {ell} out of range 1..{n_c}")
     if lam[ell - 1] <= 0:
@@ -213,10 +231,7 @@ def error_bound(model: ReducedModel) -> float:
     2 (lam_{l+1} + ... + lam_{nc-1} + (n_s - l + 1) lam_{nc})."""
     if model.n_s is None:
         raise ValueError("n_s unknown; dimension counts are required for the bound")
-    lam = np.clip(model.hankel, 0.0, None)
-    n_c, ell = lam.shape[0], model.ell
-    tail = lam[ell: n_c - 1].sum() if ell < n_c - 1 else 0.0
-    return float(2.0 * (tail + (model.n_s - ell + 1) * lam[n_c - 1]))
+    return _tail_bound(model.hankel, model.n_s, model.ell)
 
 
 def hinf_error(model: ReducedModel, R) -> float:

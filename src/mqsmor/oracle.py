@@ -259,9 +259,6 @@ class FactoredGramian:
     def toarray(self):
         return self.W1 @ self.core @ self.W1.T
 
-    def apply(self, v):
-        return self.W1 @ (self.core @ (self.W1.T @ v))
-
 
 def dense_gramians(oracle: DenseOracle):
     """Solve the projected Lyapunov equations in W1 coordinates.

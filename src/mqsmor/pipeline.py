@@ -47,7 +47,14 @@ from .assembly import AssembledSystem, build_system, edge_midpoints
 from .config import RunConfig
 from .lacore import read_matrix_market, write_matrix_market
 from .mesh import build_incidence, eliminate_boundary, generate_mesh, write_mesh
-from .mor import ReducedModel, balanced_truncate, lr_adi, wachspress_shifts
+from .mor import (
+    ReducedModel,
+    balanced_truncate,
+    hankel_values,
+    lr_adi,
+    reduced_order,
+    wachspress_shifts,
+)
 from .ops import OperatorContext
 from .oracle import build_dense_oracle, dense_gramians
 from .regularize import KernelBases, build_regularized, kernel_bases, theorem1_check
@@ -178,16 +185,10 @@ class PipelineState:
                 f"steps, last residual {zc.history[-1]:.3e} > tol "
                 f"{cfg['mor.tol_adi']:.3e}; no certified model")
         self._cache["zc"] = zc
-        ell = cfg["mor.order"] or None
-        if ell is not None:
-            return balanced_truncate(ctx, zc, ell=ell)
-        # pick the smallest order whose truncated-tail error bound meets the
-        # target used by the default scenario
-        target = self.config.tol_hsv
-        model = balanced_truncate(ctx, zc, tol_hsv=target)
-        while model.error_bound > target and model.ell < zc.n_c:
-            model = balanced_truncate(ctx, zc, ell=model.ell + 1)
-        return model
+        # mor.order, or the smallest order whose error bound meets the target
+        ell = cfg["mor.order"] or reduced_order(
+            hankel_values(ctx, zc), ctx.dimension_counts()["n_s"], cfg.tol_hsv)
+        return balanced_truncate(ctx, zc, ell)
 
 
 class RunManifest:
@@ -210,11 +211,14 @@ class RunManifest:
         self.dimensions.update(kw)
 
     def check_identities(self):
+        """Raise ValueError when the dimensions, with those merged from the
+        manifest on disk, break n_r = n1 + n2 - k2 or n_s + n0 + n_inf = n_r."""
         d = self.dimensions
-        if {"n_r", "n1", "n2", "k2"} <= d.keys():
-            assert d["n_r"] == d["n1"] + d["n2"] - d["k2"], "n_r identity violated"
-        if {"n_r", "n_s", "n0", "n_inf"} <= d.keys():
-            assert d["n_s"] + d["n0"] + d["n_inf"] == d["n_r"], "count identity violated"
+        if {"n_r", "n1", "n2", "k2"} <= d.keys() and d["n_r"] != d["n1"] + d["n2"] - d["k2"]:
+            raise ValueError(f"n_r identity violated: {d}")
+        if ({"n_r", "n_s", "n0", "n_inf"} <= d.keys()
+                and d["n_s"] + d["n0"] + d["n_inf"] != d["n_r"]):
+            raise ValueError(f"count identity violated: {d}")
 
     def _header(self):
         return ([("tool_version", __version__), ("seed", str(self.seed))]

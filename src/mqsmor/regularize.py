@@ -2,14 +2,16 @@
 
 The common kernel of E and K is spanned by [0; Y_C2] with Y_C2 a basis of
 ker(C2).  Both Y_C2 and the range basis Yhat_C2 of im(C2^T) are computed
-exactly by graph algorithms on the incidence complex:
+exactly from the incidence complex with ``scipy.sparse.csgraph``:
 
   * ker(G1) (node potentials constant on ungrounded conducting components)
-    by a signed union-find,
-  * ker(C2) = im(G2 Z1) with an independent column subset picked per
-    quotient-graph component,
-  * Yhat_C2 = ker(Z1^T G2^T) (circulations of the quotient graph) by
-    spanning-forest fundamental cycles.
+    from ``connected_components``, with a virtual ground node for the
+    single-entry rows,
+  * ker(C2) = im(G2 Z1) with an independent column subset: every quotient
+    node except the last of each ungrounded quotient component,
+  * Yhat_C2 = ker(Z1^T G2^T) (circulations of the quotient graph) as the
+    fundamental cycles of the Kruskal spanning forest in column order
+    (``minimum_spanning_tree`` with weight j + 1 for column j).
 
 All products C2 @ Y_C2 and (G2 Z1)^T @ Yhat_C2 vanish exactly in integer
 arithmetic.  A rank-revealing dense fallback exists for inputs without
@@ -29,6 +31,11 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import (
+    breadth_first_order,
+    connected_components,
+    minimum_spanning_tree,
+)
 
 from .lacore import csr_from_coo, psd_kernel_dim
 from .mesh import IncidenceSet
@@ -49,174 +56,119 @@ def reduced_gradient(inc: IncidenceSet):
 
 
 def _column_structure(a):
-    """(ok, rows, signs) when every column has <= 2 entries in {-1,+1},
-    opposite signs when there are two."""
-    a = a.tocsc()
-    if a.nnz and not np.all(np.isin(a.data, (-1, 1))):
-        return False, None, None
+    """True when every column of a has <= 2 entries, all in {-1, +1}, and
+    the entries of a two-entry column have opposite signs."""
+    a = sp.csc_matrix(a)
     counts = np.diff(a.indptr)
-    if np.any(counts > 2):
-        return False, None, None
-    two = np.flatnonzero(counts == 2)
-    for j in two:
-        s = a.data[a.indptr[j]:a.indptr[j + 1]]
-        if s[0] == s[1]:
-            return False, None, None
-    return True, a, counts
+    if np.any(counts > 2) or not np.all(np.isin(a.data, (-1, 1))):
+        return False
+    two = a.indptr[:-1][counts == 2]
+    return bool(np.all(a.data[two] == -a.data[two + 1]))
+
+
+def _row_edges(a):
+    """Edges (u, v, i) of the graph on the columns of a plus a virtual ground
+    node n = a.shape[1]: one per row i with one or two entries, joining its
+    two columns, or its single column to ground."""
+    ar = sp.csr_matrix(a)
+    counts = np.diff(ar.indptr)
+    i = np.flatnonzero((counts == 1) | (counts == 2))
+    first = ar.indptr[i]
+    u = ar.indices[first]
+    v = np.full(i.size, ar.shape[1], dtype=u.dtype)
+    two = counts[i] == 2
+    v[two] = ar.indices[first[two] + 1]
+    return u, v, i
+
+
+def _components(a):
+    """Connected-component labels of the columns of a and, last, of the
+    virtual ground, with the rows of one or two entries as edges."""
+    n = a.shape[1]
+    u, v, _ = _row_edges(a)
+    graph = sp.csr_matrix((np.ones(u.size), (u, v)), shape=(n + 1, n + 1))
+    return connected_components(graph, directed=False)[1]
+
+
+def _exact(a, basis, what):
+    check = a @ basis
+    check.eliminate_zeros()
+    if check.nnz:
+        raise RuntimeError(f"{what} failed its exactness check: input is not incidence")
+    return basis
 
 
 def _cycle_kernel(a):
     """Sparse kernel of a column-incidence matrix via fundamental cycles.
 
-    Columns are directed edges over rows-as-nodes (single-entry columns lead
-    to a virtual ground node, empty columns are free loops).  A spanning
-    forest is grown greedily, keeping ground the root of its tree; every
-    non-forest column yields one kernel vector supported on its fundamental
-    cycle, with entries in {-1, 0, +1}.
+    Columns are edges over rows-as-nodes (single-entry columns lead to a
+    virtual ground node, empty columns are free loops).  The spanning forest
+    is Kruskal's with weight j + 1 for column j, i.e. the forest a greedy
+    scan in column order grows.  Every non-forest column yields one kernel
+    vector supported on its fundamental cycle, with entries in {-1, 0, +1}:
+    both endpoints are walked to the root of their tree, and the part of the
+    two walks above their common ancestor cancels.
     """
-    ok, ac, _ = _column_structure(a)
-    assert ok
+    ac = sp.csc_matrix(a)
     p, q = ac.shape
-    ground = p
-    uf = np.arange(p + 1, dtype=np.int64)
-    pnode = np.full(p + 1, -1, dtype=np.int64)    # rooted-forest parent node
-    pcol = np.full(p + 1, -1, dtype=np.int64)     # column of the parent edge
-    pself = np.zeros(p + 1, dtype=np.int64)       # entry of that column here
-    pother = np.zeros(p + 1, dtype=np.int64)      # entry at the parent node
-
-    def find(x):
-        while uf[x] != x:
-            uf[x] = uf[uf[x]]
-            x = uf[x]
-        return x
-
-    def reroot(u):
-        chain = []
-        x = u
-        while pcol[x] >= 0:
-            chain.append((x, pnode[x], pcol[x], pself[x], pother[x]))
-            x = pnode[x]
-        for child, par, j, s_child, s_par in chain:
-            pnode[par], pcol[par] = child, j
-            pself[par], pother[par] = s_par, s_child
-        pnode[u], pcol[u] = -1, -1
-        pself[u] = pother[u] = 0
-
-    cols_entries = []
-    tree = np.zeros(q, dtype=bool)
-    for j in range(q):
-        lo, hi = ac.indptr[j], ac.indptr[j + 1]
-        rows, vals = ac.indices[lo:hi], ac.data[lo:hi]
-        cols_entries.append((rows, vals))
-        if rows.size == 0:
-            continue
-        if rows.size == 1:
-            u, su, v, sv = int(rows[0]), int(vals[0]), ground, 0
-        else:
-            u, v = int(rows[0]), int(rows[1])
-            su, sv = int(vals[0]), int(vals[1])
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            continue
-        tree[j] = True
-        # keep ground the root of its tree so grounded walks terminate there
-        if ru == find(ground):
-            u, v, su, sv = v, u, sv, su
-            ru, rv = rv, ru
-        reroot(u)
-        pnode[u], pcol[u], pself[u], pother[u] = v, j, su, sv
-        uf[ru] = rv
-
-    def cancel_up(u, residual, coeff):
-        while residual != 0 and u != ground:
-            j = pcol[u]
-            if j < 0:
-                return residual       # leftover at an ungrounded root
-            y = -residual // pself[u]
-            coeff[j] = coeff.get(j, 0) + y
-            residual = y * pother[u]
-            u = pnode[u]
-        return 0
-
-    rows_out, cols_out, vals_out = [], [], []
-    out_col = 0
-    for j in range(q):
-        if tree[j]:
-            continue
-        rows, vals = cols_entries[j]
-        coeff = {j: 1}
-        leftover = 0
-        for u, a_u in zip(rows, vals):
-            leftover += cancel_up(int(u), int(a_u), coeff)
-        if leftover != 0:
-            raise AssertionError("cycle walk left a residual: input is not incidence")
-        for cj, cv in coeff.items():
-            if cv != 0:
-                rows_out.append(cj)
-                cols_out.append(out_col)
-                vals_out.append(cv)
-        out_col += 1
-    basis = csr_from_coo(rows_out, cols_out, vals_out, (q, out_col), dtype=np.int64)
-    check = a @ basis
-    check.eliminate_zeros()
-    assert check.nnz == 0, "cycle kernel failed exactness check"
-    return basis
+    u, v, j = _row_edges(ac.T)
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    # one graph entry per node pair, from its smallest column: a sparse
+    # matrix would sum the weights of parallel columns
+    _, first = np.unique(lo.astype(np.int64) * (p + 1) + hi, return_index=True)
+    # a super-root p + 1 joined to every node by weights above all columns:
+    # Kruskal grows the column-order forest first, then hangs each tree from
+    # its largest node, so ground (node p) roots its own tree
+    top, nodes = p + 1, np.arange(p + 1)
+    graph = sp.csr_matrix(
+        (np.concatenate([j[first] + 1.0, q + 1.0 + p - nodes]),
+         (np.concatenate([lo[first], nodes]), np.concatenate([hi[first], np.full(p + 1, top)]))),
+        shape=(p + 2, p + 2))
+    tree = minimum_spanning_tree(graph).tocoo()
+    _, parent = breadth_first_order(tree, top, directed=False, return_predecessors=True)
+    # column of each node's parent edge and that column's entry at the node
+    edge = tree.data <= q
+    row, col = tree.row[edge], tree.col[edge]
+    child = np.where(parent[row] == col, row, col)
+    pcol = np.zeros(p + 1, dtype=np.int64)
+    pcol[child] = tree.data[edge].astype(np.int64) - 1
+    pent = np.zeros(p + 1, dtype=np.int64)
+    pent[child] = np.asarray(ac[child, pcol[child]]).ravel()
+    cotree = np.setdiff1d(np.arange(q), pcol[child])
+    # walking up from an entry r at node x puts -r * pent[x] on x's parent
+    # edge and carries r to the parent; ground's own walk is empty
+    ends = ac[:, cotree].tocoo()
+    x, c, r = ends.row, ends.col, ends.data.astype(np.int64)
+    rows, cols, vals = [cotree], [np.arange(cotree.size)], [np.ones(cotree.size, np.int64)]
+    while x.size:
+        up = parent[x] != top
+        x, c, r = x[up], c[up], r[up]
+        rows.append(pcol[x])
+        cols.append(c)
+        vals.append(-r * pent[x])
+        x = parent[x]
+    basis = csr_from_coo(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
+                         (q, cotree.size), dtype=np.int64)
+    basis.eliminate_zeros()
+    return _exact(a, basis, "cycle kernel")
 
 
 def _potential_kernel(a):
-    """Sparse kernel of a row-incidence matrix via a signed union-find.
+    """Sparse kernel of a row-incidence matrix: the indicators of the
+    ungrounded components of the column graph, ordered by first column.
 
-    Rows are +-1 difference (or grounding) constraints on the columns;
-    kernel vectors are signed indicators of ungrounded components.
+    Rows are +-1 difference (or grounding) constraints on the columns, so
+    every kernel vector is constant on a component.
     """
-    ar = a.tocsr()
-    n = ar.shape[1]
-    parent = np.arange(n, dtype=np.int64)
-    sign = np.ones(n, dtype=np.int64)
-    grounded = np.zeros(n, dtype=bool)
-
-    def find(x):
-        path = []
-        while parent[x] != x:
-            path.append(x)
-            x = parent[x]
-        s = 1
-        for node in reversed(path):
-            s *= sign[node]
-            sign[node] = s
-            parent[node] = x
-        return x
-
-    for i in range(ar.shape[0]):
-        lo, hi = ar.indptr[i], ar.indptr[i + 1]
-        cols = ar.indices[lo:hi]
-        vals = ar.data[lo:hi]
-        if cols.size == 1:
-            grounded[find(cols[0])] = True
-        elif cols.size == 2:
-            c1, c2 = cols
-            rel = -int(vals[0]) * int(vals[1])   # p_c1 = rel * p_c2
-            r1, r2 = find(c1), find(c2)
-            if r1 == r2:
-                if sign[c1] != rel * sign[c2]:
-                    grounded[r1] = True
-            else:
-                # attach r1 under r2 keeping p_c1 = rel * p_c2 consistent
-                parent[r1] = r2
-                sign[r1] = rel * sign[c1] * sign[c2]
-                grounded[r2] = grounded[r2] or grounded[r1]
-    roots = np.array([find(c) for c in range(n)], dtype=np.int64)
-    live = np.flatnonzero(~grounded[roots])
-    order = {}
-    cols_out = np.empty(live.size, dtype=np.int64)
-    for idx, c in enumerate(live):
-        r = roots[c]
-        if r not in order:
-            order[r] = len(order)
-        cols_out[idx] = order[r]
-    basis = csr_from_coo(live, cols_out, sign[live], (n, len(order)), dtype=np.int64)
-    assert (a @ basis).nnz == 0, "potential kernel failed exactness check"
-    return basis
+    labels = _components(a)
+    n = a.shape[1]
+    live = np.flatnonzero(labels[:n] != labels[n])
+    _, first, comp = np.unique(labels[live], return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    basis = csr_from_coo(live, rank[comp], np.ones(live.size, dtype=np.int64),
+                         (n, first.size), dtype=np.int64)
+    return _exact(a, basis, "potential kernel")
 
 
 def kernel_incidence(a):
@@ -228,9 +180,9 @@ def kernel_incidence(a):
     """
     a = a.tocsr() if sp.issparse(a) else sp.csr_matrix(a)
     a.eliminate_zeros()
-    if _column_structure(a)[0]:
+    if _column_structure(a):
         return _cycle_kernel(a), "graph"
-    if _column_structure(sp.csc_matrix(a.T))[0]:
+    if _column_structure(a.T):
         return _potential_kernel(a), "graph"
     ns = scipy.linalg.null_space(a.toarray())
     return sp.csr_matrix(ns), "dense-svd"
@@ -280,36 +232,13 @@ def kernel_bases(inc: IncidenceSet, n1: int | None = None) -> KernelBases:
 
 def _independent_columns(m):
     """Indices of a maximal independent column subset of an incidence-like
-    matrix (columns = quotient nodes): drop one column per ungrounded
-    connected component."""
-    mc = m.tocsr()
+    matrix (columns = quotient nodes): drop the last column of every
+    ungrounded connected component."""
+    labels = _components(m)
     q = m.shape[1]
-    parent = np.arange(q, dtype=np.int64)
-    grounded = np.zeros(q, dtype=bool)
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(mc.shape[0]):
-        cols = mc.indices[mc.indptr[i]:mc.indptr[i + 1]]
-        if cols.size == 1:
-            grounded[find(cols[0])] = True
-        elif cols.size == 2:
-            r1, r2 = find(cols[0]), find(cols[1])
-            if r1 != r2:
-                parent[r1] = r2
-                grounded[r2] = grounded[r2] or grounded[r1]
-    drop = set()
-    last_of = {}
-    for c in range(q):
-        last_of[find(c)] = c
-    for r, c in last_of.items():
-        if not grounded[r]:
-            drop.add(c)
-    return np.array([c for c in range(q) if c not in drop], dtype=np.int64)
+    last = np.zeros(labels.max() + 1, dtype=np.int64)
+    np.maximum.at(last, labels[:q], np.arange(q))
+    return np.flatnonzero((labels[:q] == labels[q]) | (np.arange(q) != last[labels[:q]]))
 
 
 @dataclass
@@ -326,7 +255,6 @@ class RegularizedSystem:
     Mnu: object            # csr n_f x n_f SPD
     C1: object             # csr n_f x n1
     C2: object             # csr n_f x n2
-    Upsilon: object        # csr n_f x m
     R: np.ndarray          # m x m SPD
     Yhat: object           # csr n2 x (n2 - k2), Yhat[cotree] = I
     Y: object              # csr n2 x k2
@@ -420,7 +348,6 @@ def build_regularized(system, bases: KernelBases) -> RegularizedSystem:
         Mnu=system.Mnu,
         C1=system.C1,
         C2=system.C2,
-        Upsilon=system.Upsilon,
         R=system.R,
         Yhat=yhat,
         Y=y,

@@ -11,7 +11,7 @@ import scipy.sparse as sp
 from mqsmor.assembly import AssembledSystem, build_system
 from mqsmor.config import default_config
 from mqsmor.mesh import build_incidence, eliminate_boundary, generate_mesh
-from mqsmor.mor import balanced_truncate, lr_adi, wachspress_shifts
+from mqsmor.mor import balanced_truncate, hankel_values, lr_adi, reduced_order, wachspress_shifts
 from mqsmor.ops import OperatorContext
 from mqsmor.oracle import build_dense_oracle
 from mqsmor.regularize import KernelBases, build_regularized, kernel_bases
@@ -127,7 +127,9 @@ class DeskScenario:
     @property
     def model(self):
         return self._timed("bt", lambda: balanced_truncate(
-            self.ctx, self.zc, tol_hsv=self.config.tol_hsv))
+            self.ctx, self.zc, reduced_order(hankel_values(self.ctx, self.zc),
+                                             self.ctx.dimension_counts()["n_s"],
+                                             self.config.tol_hsv)))
 
     @property
     def oracle(self):

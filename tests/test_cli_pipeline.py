@@ -1,14 +1,17 @@
 import filecmp
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mqsmor
 from mqsmor.assembly import build_system
 from mqsmor.cli import main
 from mqsmor.config import ConfigError, RunConfig, default_config, parse_config
 from mqsmor.lacore import read_matrix_market
-from mqsmor.pipeline import run_pipeline
+from mqsmor.pipeline import RunManifest, run_pipeline
 
 
 def test_parse_empty_file_gives_defaults(tmp_path):
@@ -165,6 +168,24 @@ def test_interrupted_rewrite_leaves_whole_files_or_none(tmp_path, monkeypatch):
     assert "system.txt" not in left or left.keys() == complete.keys()
 
 
+def test_resumed_assemble_rebuilds_a_cut_matrix_file(tmp_path):
+    """An assemble/M11.mtx cut inside a number (right after an ``e+``) does
+    not load, so a rerun of assemble rebuilds it.  The rerun is a child
+    process, because scipy's reader can crash the process on such a file."""
+    out = tmp_path / "run"
+    run_pipeline(default_config(), "assemble", out_dir=str(out))
+    m11 = out / "assemble" / "M11.mtx"
+    complete = m11.read_bytes()
+    m11.write_bytes(complete[: complete.rindex(b"e+", 0, 2 * len(complete) // 3) + 2])
+    src = os.path.dirname(os.path.dirname(mqsmor.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-m", "mqsmor.cli", "assemble", "--out", str(out)],
+                         env=env, capture_output=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert m11.read_bytes() == complete
+
+
 @pytest.fixture(scope="module")
 def capped_reduce(tmp_path_factory):
     """``mqsmor reduce`` on the desk (n_r = 3952) with oracle.dense_cap = 1000."""
@@ -257,3 +278,20 @@ def test_determinism_byte_identical_numeric_artifacts(tmp_path):
     assert len(arts_a) >= 14
     for rel in sorted(arts_a):
         assert filecmp.cmp(arts_a[rel], arts_b[rel], shallow=False), rel
+
+
+@pytest.mark.parametrize("old, new, match", [
+    ({"n_r": 10, "k2": 3}, {"n1": 5, "n2": 7}, "n_r identity"),
+    ({"n_s": 4, "n0": 2}, {"n_inf": 3, "n_r": 10}, "count identity"),
+])
+def test_manifest_rejects_inconsistent_merged_dimensions(tmp_path, old, new, match):
+    """Dimensions that break an identity once merged with those of the
+    manifest on disk raise ValueError, a check ``python -O`` keeps."""
+    cfg = default_config()
+    first = RunManifest(cfg, str(tmp_path), seed=7)
+    first.add_dims(**old)
+    (tmp_path / "manifest.txt").write_text(first.text())
+    second = RunManifest(cfg, str(tmp_path), seed=7)
+    second.add_dims(**new)
+    with pytest.raises(ValueError, match=match):
+        second.text()

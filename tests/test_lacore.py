@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -12,30 +16,8 @@ from mqsmor.lacore import (
     nested_dissection,
     psd_kernel_dim,
     read_matrix_market,
-    spmv,
     write_matrix_market,
 )
-
-
-def test_spmv_identity():
-    a = sp.identity(2, format="csr")
-    assert np.array_equal(spmv(a, np.array([3.0, -1.0])), [3.0, -1.0])
-
-
-def test_spmv_permutation():
-    a = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.array_equal(spmv(a, np.array([1.0, 2.0])), [2.0, 1.0])
-
-
-def test_spmv_hand_product():
-    a = sp.csr_matrix(np.array([[2.0, 2.0], [2.0, 2.0]]))
-    assert np.array_equal(spmv(a, np.array([0.0, 1.0])), [2.0, 2.0])
-
-
-def test_spmv_dimension_mismatch():
-    a = sp.identity(2, format="csr")
-    with pytest.raises(ValueError, match="dimension"):
-        spmv(a, np.ones(3))
 
 
 def test_csr_from_coo_sums_duplicates_and_checks_bounds():
@@ -337,3 +319,25 @@ def test_matrix_market_writes_exactly_the_given_path(tmp_path, a):
     assert not (tmp_path / "a.tmp.mtx").exists()
     assert np.array_equal(sp.csr_matrix(read_matrix_market(p)).toarray(),
                           sp.csr_matrix(a).toarray())
+
+
+def test_matrix_market_cut_inside_a_number_raises(tmp_path):
+    """A file cut right after an exponent's ``e+`` raises ValueError; read
+    in a child process, because scipy's reader can crash on it."""
+    p = tmp_path / "a.mtx"
+    write_matrix_market(p, sp.csr_matrix(np.array([[1.5, 0.0, 2.0],
+                                                   [0.0, -3.25, 0.0],
+                                                   [4.0, 0.0, 5.5]])))
+    data = p.read_bytes()
+    p.write_bytes(data[: data.rindex(b"e+") + 2])
+    code = ("import sys\n"
+            "from mqsmor.lacore import read_matrix_market\n"
+            "try:\n"
+            "    read_matrix_market(sys.argv[1])\n"
+            "except ValueError:\n"
+            "    sys.exit(3)\n")
+    src = os.path.dirname(os.path.dirname(sys.modules["mqsmor"].__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code, str(p)], env=env, timeout=120)
+    assert run.returncode == 3

@@ -4,12 +4,15 @@ import scipy.linalg
 from scipy.optimize import minimize
 
 from mqsmor.mor import (
+    ReducedModel,
     ShiftSet,
     adi_rational_max,
     balanced_truncate,
     error_bound,
+    hankel_values,
     hinf_error,
     lr_adi,
+    reduced_order,
     wachspress_shifts,
 )
 from mqsmor.lacore import dense_sym_eig
@@ -142,6 +145,45 @@ def test_error_bound_requires_ns(desk):
     broken = dataclasses.replace(model, n_s=None)
     with pytest.raises(ValueError):
         error_bound(broken)
+
+
+def _first_order_meeting_bound(hankel, n_s, target):
+    """Brute force: scan ``error_bound`` over every order."""
+    for ell in range(1, len(hankel) + 1):
+        model = ReducedModel(A=None, B=None, C=None, hankel=hankel, ell=ell, n_s=n_s, m=1)
+        if error_bound(model) <= target:
+            return ell
+    return len(hankel)
+
+
+@pytest.mark.parametrize("hankel, n_s", [
+    ([3.0, 1.0, 0.0, 0.0], 10),
+    ([2.0, 0.5, 0.25, 0.0, 0.0, 0.0], 6),
+    ([1.0, 1e-3, 1e-9, 0.0], 4),
+    ([5.0, 0.0], 2),
+    ([5.0], 3),
+])
+def test_reduced_order_matches_bound_scan_with_zero_tail(hankel, n_s):
+    hankel = np.array(hankel)
+    for target in (0.0, 1e-12, 1e-3, 0.3, 0.5, 1.0, 2.0, 10.0, 100.0):
+        assert reduced_order(hankel, n_s, target) == \
+            _first_order_meeting_bound(hankel, n_s, target)
+
+
+def test_reduced_order_matches_bound_scan_on_desk(desk):
+    model = desk.model
+    hankel = hankel_values(desk.ctx, desk.zc)
+    assert np.array_equal(hankel, model.hankel)
+    target = desk.config.tol_hsv
+    assert target == pytest.approx(1e-10, rel=1e-12)
+    assert model.ell == reduced_order(hankel, model.n_s, target) == 10
+    assert model.error_bound == pytest.approx(4.6999577e-11, rel=1e-7)
+    bounds = [error_bound(ReducedModel(A=None, B=None, C=None, hankel=hankel, ell=ell,
+                                       n_s=model.n_s, m=1))
+              for ell in range(1, len(hankel) + 1)]
+    for target in [desk.config.tol_hsv] + bounds + [0.5 * b for b in bounds]:
+        assert reduced_order(hankel, model.n_s, target) == \
+            _first_order_meeting_bound(hankel, model.n_s, target)
 
 
 def test_hinf_error_requires_negative_definite():
