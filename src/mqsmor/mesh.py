@@ -135,7 +135,8 @@ class Mesh:
         self.edge_boundary = (
             self.node_boundary[self.edges[:, 0]] & self.node_boundary[self.edges[:, 1]]
         )
-        assert self.edges.max() < n_n
+        if self.edges.size and self.edges.max() >= n_n:
+            raise RuntimeError("an edge references a node outside the mesh")
 
     @property
     def n_nodes(self):
@@ -280,7 +281,9 @@ def _curl_incidence(faces, edges, n_nodes):
     def eid(lo, hi):
         k = lo.astype(np.int64) * n_nodes + hi
         pos = np.searchsorted(keys, k)
-        assert np.array_equal(keys[pos], k)
+        if k.size and (keys.size == 0
+                       or not np.array_equal(keys[np.minimum(pos, keys.size - 1)], k)):
+            raise RuntimeError("a face edge is missing from the edge list")
         return pos
 
     nf = faces.shape[0]

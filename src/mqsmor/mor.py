@@ -109,7 +109,10 @@ def lr_adi(ctx: OperatorContext, shifts: ShiftSet, tol=1e-12, maxit=80,
 
     Shifts are cycled when exhausted.  Stops at the normalized residual
     tolerance, at ``maxit`` steps, or when a full shift cycle brought no
-    residual decrease (warning, partial factor returned).
+    residual decrease (warning, partial factor returned).  The shifted
+    solves run through ``ctx.shifted_solves``, which factors the next
+    shifts ahead on worker threads; up to ``ops.LU_LANES`` look-ahead LUs
+    go unused when the iteration stops early.
     """
     b = ctx.B_r
     n_r, m = b.shape
@@ -121,23 +124,28 @@ def lr_adi(ctx: OperatorContext, shifts: ShiftSet, tol=1e-12, maxit=80,
     hist = []
     snaps = {}
     j_count = len(shifts)
+    taus = [float(shifts.shifts[k % j_count]) for k in range(maxit)]
+    solves = ctx.shifted_solves(taus)
+    next(solves)
     status = "maxit"
     k = 0
-    for k in range(maxit):
-        tau = float(shifts.shifts[k % j_count])
-        f = ctx.shifted_solve(tau, res_mat)
-        res_mat = res_mat - 2.0 * tau * ctx.apply_Er(f)
-        cols.append(np.sqrt(-2.0 * tau) * f)
-        hist.append(float(np.linalg.norm(res_mat.T @ res_mat) / bnorm))
-        if k + 1 in snapshot_steps:
-            snaps[k + 1] = res_mat.copy()
-        if hist[-1] <= tol:
-            status = "converged"
-            break
-        if k + 1 >= 2 * j_count and hist[-1] >= hist[-1 - j_count]:
-            status = "stagnated"
-            warnings.warn("LR-ADI stagnated over a full shift cycle; returning partial factor")
-            break
+    try:
+        for k, tau in enumerate(taus):
+            f = solves.send(res_mat)
+            res_mat = res_mat - 2.0 * tau * ctx.apply_Er(f)
+            cols.append(np.sqrt(-2.0 * tau) * f)
+            hist.append(float(np.linalg.norm(res_mat.T @ res_mat) / bnorm))
+            if k + 1 in snapshot_steps:
+                snaps[k + 1] = res_mat.copy()
+            if hist[-1] <= tol:
+                status = "converged"
+                break
+            if k + 1 >= 2 * j_count and hist[-1] >= hist[-1 - j_count]:
+                status = "stagnated"
+                warnings.warn("LR-ADI stagnated over a full shift cycle; returning partial factor")
+                break
+    finally:
+        solves.close()
     z = np.hstack(cols)
     return LowRankFactor(z, np.array(hist), k + 1, status, snaps)
 

@@ -18,6 +18,13 @@ nested-dissection ordering, computed per context from the edge midpoints
 last), serves every shift; its restriction to the unknowns after x1 orders
 the Lemma-2 matrix.  Systems without mesh coordinates use SuperLU's COLAMD.
 
+Each thread keeps a one-slot cache of its last shifted LU.  LR-ADI's real
+shifts run through ``shifted_solves``: while the caller works on one step,
+the next two shifts are factored on two persistent single-thread lanes
+(``LU_LANES``), each of which solves its step and frees its LU on its own
+thread.  Complex shifts (frequency sweeps, passivity scans) stay serial on
+the calling thread.
+
 The quasi-Weierstrass counts n_s, n_0, n_inf come from the incidence
 complex (n_0 = N - k2 with N interior nodes) and cost nothing; dense
 kernel counts are left to hand-built inputs without a node count and to
@@ -26,6 +33,13 @@ the verification oracle.
 
 from __future__ import annotations
 
+import ctypes
+import itertools
+import os
+import threading
+import traceback
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +57,55 @@ from .regularize import RegularizedSystem
 LU_REFINE_STEPS = 1       # iterative refinement after each M11 / Lemma-2 solve
 SHIFT_REFINE_STEPS = 2    # refinement on the true shifted residual
 DENSE_COUNT_CAP = 8000    # largest n_r for the dense rank count
+LU_LANES = 2              # threads that build LR-ADI's look-ahead LUs
+
+
+def _find_malloc_trim():
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    return trim
+
+
+_MALLOC_TRIM = _find_malloc_trim()
+_lanes = []
+_lanes_lock = threading.Lock()
+os.register_at_fork(after_in_child=_lanes.clear)
+
+
+def _lane_pool():
+    """The LU_LANES persistent single-thread executors, made on first use."""
+    with _lanes_lock:
+        if not _lanes:
+            _lanes.extend(ThreadPoolExecutor(1, thread_name_prefix=f"mqsmor-lu{i}")
+                          for i in range(LU_LANES))
+        return _lanes
+
+
+def _trim_heap():
+    """Give freed heap memory back to the OS (glibc ``malloc_trim``, which
+    trims every thread's arena); a no-op where libc has no such function."""
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
+
+
+def _clear_traceback_frames(exc):
+    """Drop the locals of every frame in the tracebacks of ``exc`` and the
+    exceptions chained to it, so none of them keeps an LU alive."""
+    seen = set()
+    while exc is not None and id(exc) not in seen:
+        seen.add(id(exc))
+        traceback.clear_frames(exc.__traceback__)
+        exc = exc.__cause__ or exc.__context__
+
+
+class _ShiftSlot(threading.local):
+    """Per-thread cache of the last shifted LU: (shift, mat, fact) or None."""
+
+    entry = None
 
 
 @dataclass
@@ -108,7 +171,7 @@ class OperatorContext:
             lemma2_order = self._order[self._order >= n1] - n1
         self._lemma2_mat = sp.bmat(lemma2, format="csc")
         self._lemma2_fact = factorize(self._lemma2_mat, perm=lemma2_order)
-        self._shift_cache = None        # (shift, mat, fact) of the last shift
+        self._shift_cache = _ShiftSlot()
         self.B_r = rsys.B_r()
         self._counts = None
 
@@ -193,16 +256,18 @@ class OperatorContext:
     def _shift_factorization(self, shift):
         """(mat, fact) of the bordered matrix at ``shift``.
 
-        Only the last shift's LU is kept: LR-ADI factors each Wachspress
-        shift once, ``simulate`` reuses one shift, and sweep points and
-        passivity samples are each used once, so an older LU is never asked
-        for again and would only hold memory.  The old LU is dropped only
-        after the new one is built: freed first, its memory goes back to
-        the system and the new LU pays the page faults (about 0.3 s per
-        desk LR-ADI run).
+        Each thread keeps only its last shift's LU: ``simulate`` reuses one
+        shift, sweep points and passivity samples are each used once, and
+        LR-ADI's lanes (see ``shifted_solves``) free their LU after each
+        step, so an older LU is never asked for again and would only hold
+        memory.  The old LU is dropped only after the new one is built:
+        freed first, its memory goes back to the system and the new LU pays
+        the page faults.  The slot is thread-local because SuperLU frees an
+        LU's memory only on the thread that built it.
         """
-        if self._shift_cache is not None and self._shift_cache[0] == shift:
-            return self._shift_cache[1:]
+        slot = self._shift_cache
+        if slot.entry is not None and slot.entry[0] == shift:
+            return slot.entry[1:]
         is_complex = np.iscomplexobj(shift) and np.imag(shift) != 0
         tau = complex(shift) if is_complex else float(np.real(shift))
         mat = (self._lemma3_K + tau * self._lemma3_M).tocsc()
@@ -210,7 +275,7 @@ class OperatorContext:
             fact = factorize(mat, perm=self._order)
         except SingularMatrixError as exc:
             raise RuntimeError(f"singular bordered matrix at shift {shift}") from exc
-        self._shift_cache = (shift, mat, fact)
+        slot.entry = (shift, mat, fact)
         return mat, fact
 
     def _shifted_solve_raw(self, w, fact):
@@ -240,6 +305,64 @@ class OperatorContext:
                 break
             z = z + self._shifted_solve_raw(resid, fact)
         return z
+
+    def shifted_solves(self, shifts):
+        """Send/receive generator of ``shifted_solve`` over real ``shifts``.
+
+        Prime it with ``next``; then each ``send(w)`` returns the ``z`` that
+        ``shifted_solve(shift, w)`` gives for the next shift in turn.  The
+        LU of step k + 1 does not depend on the right-hand side of step k, so
+        the next LU_LANES shifts are factored ahead on the lanes while the
+        caller works; each lane solves its own step and frees its LU on its
+        own thread.  At most LU_LANES bordered LUs are alive at once.
+        Closing the generator (``close``, or an exception raised through it)
+        hands every pending step a ``None`` right-hand side, waits for the
+        lanes to free their look-ahead LUs and trims the heap, so lane
+        memory goes back to the OS.
+        """
+        shifts = iter(shifts)
+        lanes = itertools.cycle(_lane_pool())
+        steps = deque()     # (rhs future, result future), in shift order
+
+        def issue():
+            shift = next(shifts, None)
+            if shift is not None:
+                rhs = Future()
+                steps.append((rhs, next(lanes).submit(self._lane_step, shift, rhs)))
+
+        try:
+            for _ in range(LU_LANES):
+                issue()
+            w = yield
+            while steps:
+                rhs, done = steps.popleft()
+                rhs.set_result(w)
+                z = done.result()
+                issue()
+                w = yield z
+        finally:
+            # a sentinel, never an exception: a traceback set on the future
+            # would pin the lane frame that holds the LU
+            for rhs, _ in steps:
+                rhs.set_result(None)
+            wait([done for _, done in steps])
+            _trim_heap()
+
+    def _lane_step(self, shift, rhs):
+        """One step of ``shifted_solves`` on a lane: factor ``shift``, wait for
+        the right-hand side (``None`` once the sequence closed), solve, and
+        free the LU on this thread."""
+        try:
+            self._shift_factorization(shift)
+            w = rhs.result()
+            return None if w is None else self.shifted_solve(shift, w)
+        except BaseException as exc:
+            # the error is re-raised on the caller's thread: its frames must
+            # not carry this lane's LU there
+            _clear_traceback_frames(exc)
+            raise
+        finally:
+            self._shift_cache.entry = None
 
     # -- spectral bounds ---------------------------------------------------
 

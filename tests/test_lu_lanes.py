@@ -1,0 +1,195 @@
+"""LR-ADI's look-ahead LU lanes: each LU is freed on the thread that built it,
+errors surface as in a serial loop, and the results equal a serial loop over
+``shifted_solve`` bit for bit."""
+
+import os
+import subprocess
+import sys
+import threading
+import weakref
+
+import numpy as np
+import pytest
+
+import mqsmor.ops as ops
+from mqsmor.lacore import SingularMatrixError, factorize
+from mqsmor.mor import ShiftSet, lr_adi
+
+# the synthetic system has one finite eigenvalue, near -1.1; these shifts
+# are far from it, so LR-ADI needs many steps
+SLOW = ShiftSet(np.array([-5.0, -9.0]), 0.5, (5.0, 9.0))
+
+
+def track_factorize(monkeypatch, fail_on=None, error=None):
+    """Patch ``ops.factorize`` to record, per LU, the thread that built it and
+    the thread that freed it.  A call on the matrix ``fail_on`` builds its
+    LU, keeps it in a local and raises ``error``, as ``factorize`` does on a
+    small pivot."""
+    records = []
+
+    def tracking(mat, *args, **kwargs):
+        fact = factorize(mat, *args, **kwargs)
+        rec = {"built": threading.get_ident(), "freed": None}
+
+        def freed():
+            rec["freed"] = threading.get_ident()
+
+        weakref.finalize(fact, freed)
+        records.append(rec)
+        if fail_on is not None and np.array_equal(mat.toarray(), fail_on):
+            raise error
+        return fact
+
+    monkeypatch.setattr(ops, "factorize", tracking)
+    return records
+
+
+def assert_freed_by_builders(records):
+    assert records
+    main = threading.get_ident()
+    for rec in records:
+        assert rec["built"] != main
+        assert rec["freed"] == rec["built"]
+
+
+def serial_lr_adi(ctx, shifts, **kwargs):
+    """``lr_adi`` driven by a plain loop over ``ctx.shifted_solve``."""
+
+    def serial(taus):
+        w = yield
+        for tau in taus:
+            w = yield ctx.shifted_solve(tau, w)
+
+    ctx.shifted_solves = serial
+    try:
+        return lr_adi(ctx, shifts, **kwargs)
+    finally:
+        del ctx.shifted_solves
+
+
+def test_converged_early_frees_unused_lookahead_on_lanes(synthetic, monkeypatch):
+    ctx = synthetic[3]
+    records = track_factorize(monkeypatch)
+    shifts = ShiftSet(np.array([-1.1005291005291007, -2.0, -3.0]), 0.5, (1.1, 3.0))
+    zc = lr_adi(ctx, shifts, tol=1e-12, maxit=80)
+    assert zc.status == "converged" and zc.iterations == 1
+    # the LUs of steps 2 and 3 were built ahead and never used
+    assert len(records) == zc.iterations + ops.LU_LANES
+    assert_freed_by_builders(records)
+
+
+def test_maxit_frees_every_lu_on_its_lane(synthetic, monkeypatch):
+    ctx = synthetic[3]
+    records = track_factorize(monkeypatch)
+    zc = lr_adi(ctx, SLOW, tol=1e-30, maxit=4)
+    assert zc.status == "maxit" and zc.iterations == 4
+    assert len(records) == 4
+    assert_freed_by_builders(records)
+
+
+@pytest.mark.parametrize("error,expected", [
+    (SingularMatrixError("singular matrix at pivot index 0"), RuntimeError),
+    (MemoryError("Unable to allocate"), MemoryError),
+])
+def test_error_at_third_shift_frees_lus_and_lanes(synthetic, monkeypatch, error, expected):
+    ctx = synthetic[3]
+    shifts = ShiftSet(np.array([-5.0, -7.0, -9.0]), 0.5, (5.0, 9.0))
+    third = (ctx._lemma3_K + -9.0 * ctx._lemma3_M).toarray()
+    records = track_factorize(monkeypatch, fail_on=third, error=error)
+    with pytest.raises(expected) as info:
+        lr_adi(ctx, shifts, tol=1e-30, maxit=10)
+    if expected is RuntimeError:
+        assert str(info.value) == "singular bordered matrix at shift -9.0"
+    else:
+        assert info.value is error
+    assert_freed_by_builders(records)
+    # the lanes are free again: a second run on the same context completes
+    records = track_factorize(monkeypatch)
+    zc = lr_adi(ctx, SLOW, tol=1e-30, maxit=6)
+    assert zc.status == "maxit" and zc.iterations == 6
+    assert_freed_by_builders(records)
+
+
+def test_lanes_equal_serial_loop_on_synthetic(synthetic):
+    ctx = synthetic[3]
+    for shifts, kwargs in ((SLOW, {"tol": 1e-30, "maxit": 7}),
+                           (SLOW, {"tol": 1e-6, "maxit": 80})):
+        lanes = lr_adi(ctx, shifts, **kwargs)
+        serial = serial_lr_adi(ctx, shifts, **kwargs)
+        assert np.array_equal(lanes.Z, serial.Z)
+        assert np.array_equal(lanes.history, serial.history)
+        assert lanes.status == serial.status
+
+
+def test_lanes_equal_serial_loop_on_desk(desk):
+    cfg = desk.config
+    kwargs = {"tol": cfg["mor.tol_adi"], "maxit": cfg["mor.maxit_adi"]}
+    lanes = lr_adi(desk.ctx, desk.shifts, **kwargs)
+    serial = serial_lr_adi(desk.ctx, desk.shifts, **kwargs)
+    assert lanes.status == serial.status == "converged"
+    assert np.array_equal(lanes.Z, serial.Z)
+    assert np.array_equal(lanes.history, serial.history)
+
+
+def test_shifted_solves_equals_shifted_solve(synthetic):
+    ctx = synthetic[3]
+    rng = np.random.default_rng(3)
+    taus = [-5.0, -9.0, -5.0, -2.5]
+    solves = ctx.shifted_solves(taus)
+    next(solves)
+    for tau in taus:
+        w = rng.standard_normal((ctx.rsys.n_r, 2))
+        assert np.array_equal(solves.send(w), ctx.shifted_solve(tau, w))
+    with pytest.raises(StopIteration):
+        solves.send(w)
+
+
+def test_consumer_error_leaves_no_lane_blocked():
+    """An exception raised in LR-ADI's own loop, uncaught, ends the
+    interpreter: no lane is left waiting for a right-hand side."""
+    code = ("from conftest import make_synthetic_system\n"
+            "from mqsmor.mor import ShiftSet, lr_adi\n"
+            "from mqsmor.ops import OperatorContext\n"
+            "from mqsmor.regularize import build_regularized\n"
+            "import numpy as np\n"
+            "ctx = OperatorContext(build_regularized(*make_synthetic_system()))\n"
+            "def fail(v):\n"
+            "    raise ArithmeticError('consumer failed')\n"
+            "ctx.apply_Er = fail\n"
+            "lr_adi(ctx, ShiftSet(np.array([-5.0, -9.0]), 0.5, (5.0, 9.0)),\n"
+            "       tol=1e-30, maxit=10)\n")
+    src = os.path.dirname(os.path.dirname(ops.__file__))
+    tests = os.path.dirname(__file__)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, tests, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, timeout=60)
+    assert run.returncode == 1
+    assert b"ArithmeticError: consumer failed" in run.stderr
+
+
+def test_concurrent_runs_share_the_lanes(synthetic):
+    """LR-ADI runs from more threads than cores, under a short switch
+    interval, share the two lanes without deadlock and each equals the
+    serial loop."""
+    ctx = synthetic[3]
+    expected = serial_lr_adi(ctx, SLOW, tol=1e-30, maxit=12)
+    results = [None] * 4
+
+    def run(i):
+        results[i] = lr_adi(ctx, SLOW, tol=1e-30, maxit=12)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(results))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for zc in results:
+        assert np.array_equal(zc.Z, expected.Z)
+        assert np.array_equal(zc.history, expected.history)

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -142,3 +146,25 @@ def test_conducting_partition_first(desk):
     noncond = [e for e in inc.edge_order[inc.n1:]]
     assert all(e in iron_edges for e in cond)
     assert all(e not in iron_edges for e in noncond)
+
+
+def test_missing_face_edge_raises_under_python_O():
+    """The curl incidence's face-edge lookup is an explicit check that
+    ``python -O`` keeps: a face whose edge is absent from the edge list
+    raises, whether the missing key sorts inside or past the list."""
+    code = ("import numpy as np\n"
+            "from mqsmor.mesh import _curl_incidence\n"
+            "faces = np.array([[0, 1, 2]])\n"
+            "for edges in ([[0, 1], [1, 2]], [[0, 1], [0, 2]]):\n"
+            "    try:\n"
+            "        _curl_incidence(faces, np.array(edges), 3)\n"
+            "    except RuntimeError:\n"
+            "        pass\n"
+            "    else:\n"
+            "        raise SystemExit(1)\n"
+            "raise SystemExit(3)\n")
+    src = os.path.dirname(os.path.dirname(sys.modules["mqsmor"].__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=120)
+    assert run.returncode == 3
