@@ -12,6 +12,13 @@ through a dense LU of the saddle matrix of its Gram system, and W1 is an
 orthonormal basis of the range of the spectral projector.  The products
 E_r W1 and A_r W1 are kept for the Gramian identity of Theorem 4.
 
+E_r = blockdiag(M11, 0) + Xhat R^{-1} Xhat^T (Xhat = [X1; X2hat]) and
+A_r = -F_nu M_nu F_nu^T (F_nu = [C1^T; P2^T]) are applied as sparse products
+by ``SparsePencil``, written here rather than taken from
+``RegularizedSystem.apply_Er/apply_Ar``, which the Lemma-1 check compares
+against.  No n_r x n_r copy of E_r or A_r is held; the dense forms are built
+on first access (brute tier and tests).
+
 Sign convention: A_r is negative semidefinite, so the real transformation
 uses (-Y_sigma^T A_r Y_sigma)^{-1/2} and the infinite block of W^T A_r W is
 -I instead of the +I of the complex canonical form.
@@ -19,6 +26,8 @@ uses (-Y_sigma^T A_r Y_sigma)^{-1/2} and the infinite block of W^T A_r W is
 
 from __future__ import annotations
 
+import functools
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +46,44 @@ def _inv_sqrt_spd(mat):
 
 
 @dataclass
+class SparsePencil:
+    """E_r = blockdiag(M11, 0) + Xhat R^{-1} Xhat^T and
+    A_r = -F_nu M_nu F_nu^T, kept as their sparse and n_r x m factors."""
+
+    M11: object            # sparse n1 x n1
+    Xhat: np.ndarray       # n_r x m dense, [X1; X2hat]
+    Rinv: np.ndarray       # m x m
+    F_nu: object           # csr n_r x n_f, [C1^T; P2^T]
+    Mnu: object            # sparse n_f x n_f
+
+    @classmethod
+    def of(cls, rsys):
+        return cls(M11=rsys.M11, Xhat=np.vstack([rsys.X1, rsys.X2hat]),
+                   Rinv=rsys.Rinv, F_nu=sp.vstack([rsys.C1.T, rsys.P2.T]).tocsr(),
+                   Mnu=rsys.Mnu)
+
+    def apply_E(self, v):
+        v = np.asarray(v)
+        n1 = self.M11.shape[0]
+        out = self.Xhat @ (self.Rinv @ (self.Xhat.T @ v))
+        out[:n1] += self.M11 @ v[:n1]
+        return out
+
+    def apply_A(self, v):
+        return -(self.F_nu @ (self.Mnu @ (self.F_nu.T @ v)))
+
+    def dense_E(self):
+        n1 = self.M11.shape[0]
+        e = self.Xhat @ self.Rinv @ self.Xhat.T
+        e[:n1, :n1] += self.M11.toarray()
+        e[n1:, :n1] = e[:n1, n1:].T          # exactly symmetric
+        return e
+
+    def dense_A(self):
+        return -(self.F_nu @ self.Mnu @ self.F_nu.T).toarray()
+
+
+@dataclass
 class DenseOracle:
     """Dense verification data for one regularized system."""
 
@@ -44,14 +91,13 @@ class DenseOracle:
     n_s: int
     n_0: int
     n_inf: int
-    E_dense: np.ndarray
-    A_dense: np.ndarray
+    pencil: SparsePencil           # E_r and A_r as sparse products
     W1: np.ndarray                 # n_r x n_s
     What1: np.ndarray              # n_r x n_s, Pi = W1 @ What1.T
     E11: np.ndarray
     A11: np.ndarray
-    EW1: np.ndarray                # E_dense @ W1
-    AW1: np.ndarray                # A_dense @ W1
+    EW1: np.ndarray                # E_r W1
+    AW1: np.ndarray                # A_r W1
     B1: np.ndarray
     Y_nu: np.ndarray               # n_r x n_0, orthonormal
     einv_factor: np.ndarray        # U with E_r^- = U U^T
@@ -63,7 +109,17 @@ class DenseOracle:
 
     @property
     def n_r(self):
-        return self.E_dense.shape[0]
+        return self.W1.shape[0]
+
+    @functools.cached_property
+    def E_dense(self):
+        """E_r as an n_r x n_r array, built on first access."""
+        return self.pencil.dense_E()
+
+    @functools.cached_property
+    def A_dense(self):
+        """A_r as an n_r x n_r array, built on first access."""
+        return self.pencil.dense_A()
 
     # -- operator applications -------------------------------------------
 
@@ -76,7 +132,7 @@ class DenseOracle:
     def _ysigma_gram_solve(self, v):
         """Y_sigma (Y_sigma^T A_r Y_sigma)^{-1} Y_sigma^T v."""
         if self.tier == "brute":
-            g = self.Y_sigma.T @ (self.A_dense @ self.Y_sigma)
+            g = self.Y_sigma.T @ self.pencil.apply_A(self.Y_sigma)
             return self.Y_sigma @ np.linalg.solve(g, self.Y_sigma.T @ v)
         n1, m = self._n1, self._m
         v = np.asarray(v)
@@ -87,7 +143,7 @@ class DenseOracle:
         return np.concatenate([np.zeros((n1,) + v.shape[1:]), z2])
 
     def pi_inf_apply(self, v):
-        return self._ysigma_gram_solve(self.A_dense @ v)
+        return self._ysigma_gram_solve(self.pencil.apply_A(v))
 
     def ainv_apply(self, v):
         """A_r^- v = W1 A11^{-1} W1^T v + Y_s (Y_s^T A_r Y_s)^{-1} Y_s^T v."""
@@ -105,24 +161,6 @@ class DenseOracle:
         return scipy.linalg.eig(self.A11, self.E11, right=False)
 
 
-def _dense_er(rsys):
-    n1, n2r = rsys.n1, rsys.n2r
-    rinv = rsys.Rinv
-    x1, x2h = rsys.X1, rsys.X2hat
-    e = np.zeros((n1 + n2r, n1 + n2r))
-    e[:n1, :n1] = rsys.M11.toarray() + x1 @ rinv @ x1.T
-    e[:n1, n1:] = x1 @ rinv @ x2h.T
-    e[n1:, :n1] = e[:n1, n1:].T
-    e[n1:, n1:] = x2h @ rinv @ x2h.T
-    return e
-
-
-def _dense_ar(rsys):
-    """A_r = -F_nu M_nu F_nu^T with F_nu = [C1^T; Yhat^T C2^T]."""
-    f_nu = sp.vstack([rsys.C1.T, rsys.P2.T]).tocsr()
-    return -(f_nu @ rsys.Mnu @ f_nu.T).toarray()
-
-
 def build_dense_oracle(ctx: OperatorContext, cap=3000, brute_cap=800,
                        seed=20260809) -> DenseOracle:
     """Construct the oracle; fails when n_r exceeds the configurable cap."""
@@ -130,20 +168,20 @@ def build_dense_oracle(ctx: OperatorContext, cap=3000, brute_cap=800,
     n_r = rsys.n_r
     if n_r > cap:
         raise ValueError(f"dense oracle cap exceeded: n_r = {n_r} > {cap}")
-    e = _dense_er(rsys)
-    a = _dense_ar(rsys)
+    pencil = SparsePencil.of(rsys)
     if n_r <= brute_cap:
-        return _build_brute(rsys, e, a, ctx.B_r)
-    return _build_desk(rsys, e, a, ctx.B_r, seed)
+        return _build_brute(rsys, pencil, ctx.B_r)
+    return _build_desk(rsys, pencil, ctx.B_r, seed)
 
 
-def _build_brute(rsys, e, a, b_r):
+def _build_brute(rsys, pencil, b_r):
     n1, n2r, m = rsys.n1, rsys.n2r, rsys.m
+    e, a = pencil.dense_E(), pencil.dense_A()
     f_sigma = np.zeros((n1 + n2r, n1 + m))
     f_sigma[:n1, :n1] = np.eye(n1)
     f_sigma[:n1, n1:] = rsys.X1
     f_sigma[n1:, n1:] = rsys.X2hat
-    f_nu = np.vstack([rsys.C1.T.toarray(), rsys.P2.T.toarray()])
+    f_nu = pencil.F_nu.toarray()
     y_sigma = scipy.linalg.null_space(f_sigma.T)
     y_nu = scipy.linalg.null_space(f_nu.T)
     n_inf, n_0 = y_sigma.shape[1], y_nu.shape[1]
@@ -175,26 +213,28 @@ def _build_brute(rsys, e, a, b_r):
         u_blocks.append(blocks[1])
     einv_factor = np.hstack(u_blocks)
     return DenseOracle(
-        tier="brute", n_s=n_s, n_0=n_0, n_inf=n_inf, E_dense=e, A_dense=a,
+        tier="brute", n_s=n_s, n_0=n_0, n_inf=n_inf, pencil=pencil,
         W1=w1, What1=what1, E11=e11, A11=a11, EW1=ew1, AW1=aw1, B1=w1.T @ b_r,
         Y_nu=y_nu, einv_factor=einv_factor, Y_sigma=y_sigma, W=w, _n1=n1, _m=m,
     )
 
 
-def _build_desk(rsys, e, a, b_r, seed):
+def _build_desk(rsys, pencil, b_r, seed):
     n1, n2r, m = rsys.n1, rsys.n2r, rsys.m
     n_r = n1 + n2r
     n_inf = n2r - m
 
-    y_nu = gram_kernel(sp.vstack([rsys.C1.T, rsys.P2.T]).tocsr())
+    y_nu = gram_kernel(pencil.F_nu)
     n_0 = y_nu.shape[1]
     n_s = n_r - n_0 - n_inf
     if n_s <= 0:
         raise RuntimeError("desk oracle: no finite-eigenvalue block")
 
-    # dense LU of the Y_sigma Gram saddle system (independent factorization)
+    # dense LU of the Y_sigma Gram saddle system (independent factorization);
+    # its leading block is the trailing block of A_r, -P2^T M_nu P2
+    f2 = pencil.F_nu[n1:]
     saddle = np.zeros((n2r + m, n2r + m))
-    saddle[:n2r, :n2r] = a[n1:, n1:]
+    saddle[:n2r, :n2r] = -(f2 @ pencil.Mnu @ f2.T).toarray()
     saddle[:n2r, n2r:] = rsys.X2hat
     saddle[n2r:, :n2r] = rsys.X2hat.T
     # symmetric (to rounding): its transpose is the Fortran-ordered matrix,
@@ -203,13 +243,13 @@ def _build_desk(rsys, e, a, b_r, seed):
     del saddle
 
     # spectral projector Pi = I - Pi_0 - Pi_inf applied to a random probe block
-    eynu = e @ y_nu
+    eynu = pencil.apply_E(y_nu)
     g0 = y_nu.T @ eynu
     g0_lu = scipy.linalg.lu_factor(g0)
 
     def pi_apply(v):
         pi0 = y_nu @ scipy.linalg.lu_solve(g0_lu, eynu.T @ v)
-        av = a @ v
+        av = pencil.apply_A(v)
         tail = (m,) + v.shape[1:]
         rhs = np.concatenate([av[n1:], np.zeros(tail)])
         z2 = scipy.linalg.lu_solve(ysig_lu, rhs)[:n2r]
@@ -220,6 +260,7 @@ def _build_desk(rsys, e, a, b_r, seed):
     probes = rng.standard_normal((n_r, min(n_s + 8, n_r)))
     ps = pi_apply(probes)
     u, s, _ = np.linalg.svd(ps, full_matrices=False)
+    del probes, ps
     rank = int(np.sum(s > 1e-10 * s[0]))
     if rank != n_s:
         raise RuntimeError(
@@ -227,7 +268,7 @@ def _build_desk(rsys, e, a, b_r, seed):
         )
     w1 = u[:, :n_s]
 
-    ew1, aw1 = e @ w1, a @ w1
+    ew1, aw1 = pencil.apply_E(w1), pencil.apply_A(w1)
     e11 = w1.T @ ew1
     a11 = w1.T @ aw1
 
@@ -242,7 +283,7 @@ def _build_desk(rsys, e, a, b_r, seed):
     w2 = y_nu @ _inv_sqrt_spd(g0)
     einv_factor = np.hstack([w1 @ _inv_sqrt_spd(e11), w2])
     return DenseOracle(
-        tier="desk", n_s=n_s, n_0=n_0, n_inf=n_inf, E_dense=e, A_dense=a,
+        tier="desk", n_s=n_s, n_0=n_0, n_inf=n_inf, pencil=pencil,
         W1=w1, What1=what1, E11=e11, A11=a11, EW1=ew1, AW1=aw1, B1=w1.T @ b_r,
         Y_nu=y_nu, einv_factor=einv_factor, Y_sigma=None, W=None, _ysig_lu=ysig_lu,
         _n1=n1, _m=m,
@@ -260,18 +301,42 @@ class FactoredGramian:
         return self.W1 @ self.core @ self.W1.T
 
 
+def _lyapunov_solver(a):
+    """Solver of a X + X a^T = q for several real q that share one real
+    Schur form of ``a``; per right-hand side it runs the steps of
+    ``scipy.linalg.solve_continuous_lyapunov`` (Bartels-Stewart)."""
+    r, u = scipy.linalg.schur(a, output="real")
+    trsyl = scipy.linalg.get_lapack_funcs("trsyl", (r,))
+
+    def solve(q):
+        y, scale, info = trsyl(r, r, u.T.dot(q.dot(u)), tranb="T")
+        if info < 0:
+            raise ValueError(f"?TRSYL: illegal value in argument number {-info}")
+        if info == 1:
+            warnings.warn("Lyapunov operator has an eigenvalue pair whose sum is "
+                          "very close to or exactly zero; the solution is obtained "
+                          "via perturbing the coefficients", RuntimeWarning,
+                          stacklevel=2)
+        y *= scale
+        return u.dot(y).dot(u.T)
+
+    return solve
+
+
 def dense_gramians(oracle: DenseOracle):
     """Solve the projected Lyapunov equations in W1 coordinates.
 
     Both equations reduce to E11 G A11 + A11 G E11 = -Q on the n_s block;
     with H = E11 G E11 and F = E11^{-1} A11 this is the standard Lyapunov
-    equation F^T H + H F = -Q.
+    equation F^T H + H F = -Q, solved for both right-hand sides from one
+    Schur form of F^T.
     """
     e11, a11, b1 = oracle.E11, oracle.A11, oracle.B1
     f = np.linalg.solve(e11, a11)
-    c1 = -(b1.T @ np.linalg.solve(e11, a11))      # C_r W1 = -B1^T E11^{-1} A11
-    h_c = scipy.linalg.solve_continuous_lyapunov(f.T, -(b1 @ b1.T))
-    h_o = scipy.linalg.solve_continuous_lyapunov(f.T, -(c1.T @ c1))
+    c1 = -(b1.T @ f)                              # C_r W1 = -B1^T E11^{-1} A11
+    solve = _lyapunov_solver(f.T)
+    h_c = solve(-(b1 @ b1.T))
+    h_o = solve(-(c1.T @ c1))
     e_inv = np.linalg.inv(e11)
     g_c = e_inv @ h_c @ e_inv
     g_o = e_inv @ h_o @ e_inv

@@ -1,9 +1,40 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from mqsmor.lacore import gram_kernel as _gram_kernel
 from mqsmor.oracle import build_dense_oracle, dense_gramians
+
+
+def _dense_er(rsys):
+    """E_r = F_s M_s F_s^T as a dense array, block by block."""
+    n1, n2r = rsys.n1, rsys.n2r
+    rinv = rsys.Rinv
+    x1, x2h = rsys.X1, rsys.X2hat
+    e = np.zeros((n1 + n2r, n1 + n2r))
+    e[:n1, :n1] = rsys.M11.toarray() + x1 @ rinv @ x1.T
+    e[:n1, n1:] = x1 @ rinv @ x2h.T
+    e[n1:, :n1] = e[:n1, n1:].T
+    e[n1:, n1:] = x2h @ rinv @ x2h.T
+    return e
+
+
+def _dense_ar(rsys):
+    """A_r = -F_nu M_nu F_nu^T with F_nu = [C1^T; Yhat^T C2^T]."""
+    f_nu = sp.vstack([rsys.C1.T, rsys.P2.T]).tocsr()
+    return -(f_nu @ rsys.Mnu @ f_nu.T).toarray()
+
+
+def _system(request, name):
+    """(rsys, oracle) of the toy, synthetic or desk system."""
+    if name == "desk":
+        desk = request.getfixturevalue("desk")
+        return desk.rsys, desk.oracle
+    ctx = request.getfixturevalue(name)[3]
+    return ctx.rsys, build_dense_oracle(ctx, cap=100)
 
 
 def test_cap_exceeded(toy):
@@ -167,3 +198,72 @@ def test_gram_kernel_rejects_ambiguous_rank_threshold():
     # 1e-9 lambda_max lies between 1e-10 and 1e-8 lambda_max
     with pytest.raises(RuntimeError, match="rank threshold is ambiguous"):
         _gram_kernel(_planted_gram(1e-9)[0])
+
+
+@pytest.mark.parametrize("name", ["toy", "synthetic", "desk"])
+def test_sparse_pencil_products_match_dense(request, name):
+    rsys, oracle = _system(request, name)
+    v = np.random.default_rng(3).standard_normal((rsys.n_r, 7))
+    for apply, dense in ((oracle.pencil.apply_E, _dense_er),
+                         (oracle.pencil.apply_A, _dense_ar)):
+        ref = dense(rsys) @ v
+        assert np.linalg.norm(apply(v) - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("name", ["toy", "synthetic", "desk"])
+def test_lazy_dense_forms_equal_reference(request, name):
+    rsys, oracle = _system(request, name)
+    assert np.array_equal(oracle.E_dense, _dense_er(rsys))
+    assert np.array_equal(oracle.A_dense, _dense_ar(rsys))
+    assert oracle.E_dense is oracle.E_dense          # built once
+
+
+@pytest.fixture(scope="module")
+def traced_desk_oracle(desk):
+    """A fresh desk oracle and the peak traced memory of building it."""
+    ctx = desk.ctx
+    tracemalloc.start()
+    try:
+        oracle = build_dense_oracle(ctx, cap=desk.config["oracle.dense_cap"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return oracle, peak
+
+
+def test_desk_oracle_holds_no_n_r_square_array(traced_desk_oracle):
+    oracle, _ = traced_desk_oracle
+    n_r = oracle.n_r
+    assert n_r == oracle.pencil.Xhat.shape[0]
+    held = list(vars(oracle).values()) + list(vars(oracle.pencil).values())
+    held += [x for v in held if isinstance(v, tuple) for x in v]
+    assert not [v for v in held
+                if isinstance(v, np.ndarray) and v.shape == (n_r, n_r)]
+    assert "E_dense" not in vars(oracle) and "A_dense" not in vars(oracle)
+
+
+def test_desk_oracle_traced_peak(traced_desk_oracle):
+    oracle, peak = traced_desk_oracle
+    assert peak <= 2.5 * oracle.n_r ** 2 * 8
+
+
+def _two_call_gramians(oracle):
+    """dense_gramians as two independent scipy Lyapunov solves."""
+    e11, a11, b1 = oracle.E11, oracle.A11, oracle.B1
+    f = np.linalg.solve(e11, a11)
+    c1 = -(b1.T @ np.linalg.solve(e11, a11))
+    h_c = scipy.linalg.solve_continuous_lyapunov(f.T, -(b1 @ b1.T))
+    h_o = scipy.linalg.solve_continuous_lyapunov(f.T, -(c1.T @ c1))
+    e_inv = np.linalg.inv(e11)
+    g_c = e_inv @ h_c @ e_inv
+    g_o = e_inv @ h_o @ e_inv
+    return 0.5 * (g_c + g_c.T), 0.5 * (g_o + g_o.T)
+
+
+@pytest.mark.parametrize("name", ["synthetic", "desk"])
+def test_dense_gramians_one_schur_form_bit_identical(request, name):
+    _, oracle = _system(request, name)
+    gc, go = dense_gramians(oracle)
+    ref_c, ref_o = _two_call_gramians(oracle)
+    assert np.array_equal(gc.core, ref_c)
+    assert np.array_equal(go.core, ref_o)
