@@ -61,6 +61,11 @@ _DEFAULTS = {
 }
 
 
+def default_value(key):
+    """The built-in default of config key ``key``."""
+    return _DEFAULTS[key][1]
+
+
 @dataclass
 class RunConfig:
     """Validated configuration for one pipeline run."""
@@ -96,7 +101,7 @@ class RunConfig:
             if not self[key] > 0:
                 raise ConfigError(f"{key} must be positive")
         for key in ("analysis.steps", "analysis.freq_points", "oracle.dense_cap",
-                    "mor.maxit_adi"):
+                    "mor.maxit_adi", "analysis.passivity_samples"):
             if not self[key] >= 1:
                 raise ConfigError(f"{key} must be >= 1")
         if self["mor.order"] < 0 or self["mor.tol_hsv"] < 0:

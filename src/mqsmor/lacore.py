@@ -87,6 +87,12 @@ def factorize(s, pivot_rtol=1e-13, perm=None):
     ordering can serve every matrix of a shared sparsity pattern.  A pivot
     smaller than ``pivot_rtol`` times the largest pivot raises
     SingularMatrixError naming the pivot index.
+
+    The pivot check reads ``lu.U``, and scipy's SuperLU object then builds
+    CSC copies of L and U that it keeps for its lifetime, about as large as
+    the LU itself.  On the desk's bordered matrix that costs about 12 MB and
+    10 ms per real LU, and 38 MB and 30 ms per complex LU at the ends of the
+    frequency sweep.
     """
     if s.shape[0] != s.shape[1]:
         raise ValueError(f"matrix must be square, got {s.shape}")

@@ -18,7 +18,8 @@ nested-dissection ordering, computed per context from the edge midpoints
 last), serves every shift; its restriction to the unknowns after x1 orders
 the Lemma-2 matrix.  Systems without mesh coordinates use SuperLU's COLAMD.
 
-Each thread keeps a one-slot cache of its last shifted LU.  LR-ADI's real
+Each thread keeps a one-slot cache of its last shifted LU, which
+``release_shifted_lu`` drops on the calling thread.  LR-ADI's real
 shifts run through ``shifted_solves``: while the caller works on one step,
 the next two shifts are factored on two persistent single-thread lanes
 (``LU_LANES``), each of which solves its step and frees its LU on its own
@@ -277,6 +278,12 @@ class OperatorContext:
             raise RuntimeError(f"singular bordered matrix at shift {shift}") from exc
         slot.entry = (shift, mat, fact)
         return mat, fact
+
+    def release_shifted_lu(self):
+        """Drop the calling thread's cached shifted LU and give the freed
+        heap back to the OS."""
+        self._shift_cache.entry = None
+        _trim_heap()
 
     def _shifted_solve_raw(self, w, fact):
         r = self.rsys

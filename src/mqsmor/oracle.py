@@ -9,8 +9,12 @@ kernel Y_nu comes from a pivoted Cholesky factorization of F_nu F_nu^T, its
 rank threshold certified by a residual bound and a second, lifted Cholesky
 factorization (no dense eigendecomposition of size n_r); Y_sigma enters only
 through a dense LU of the saddle matrix of its Gram system, and W1 is an
-orthonormal basis of the range of the spectral projector.  The products
-E_r W1 and A_r W1 are kept for the Gramian identity of Theorem 4.
+orthonormal basis of the range of the spectral projector.  The build holds
+one n^2-sized block at a time: the Gram matrix of the Y_nu kernel, then the
+saddle LU, which serves one solve of the random probe block and is freed
+before the SVD that gives W1 (``DenseOracle`` refactors it on first use of
+``pi_inf_apply`` or ``ainv_apply``).  The products E_r W1 and A_r W1 are
+kept for the Gramian identity of Theorem 4.
 
 E_r = blockdiag(M11, 0) + Xhat R^{-1} Xhat^T (Xhat = [X1; X2hat]) and
 A_r = -F_nu M_nu F_nu^T (F_nu = [C1^T; P2^T]) are applied as sparse products
@@ -28,14 +32,17 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
+from .config import default_value
 from .lacore import gram_kernel
 from .ops import OperatorContext
+
+PROBE_BLOCK = 64      # probe columns projected at a time by the desk build
 
 
 def _inv_sqrt_spd(mat):
@@ -103,9 +110,8 @@ class DenseOracle:
     einv_factor: np.ndarray        # U with E_r^- = U U^T
     Y_sigma: np.ndarray | None = None       # brute tier only
     W: np.ndarray | None = None             # brute tier only
-    _ysig_lu: tuple = field(default=None, repr=False)
-    _n1: int = 0
-    _m: int = 0
+    _n1: int = 0                   # n1 and m locate the desk tier's saddle
+    _m: int = 0                    # matrix; its LU is not kept (_ysig_lu)
 
     @property
     def n_r(self):
@@ -120,6 +126,12 @@ class DenseOracle:
     def A_dense(self):
         """A_r as an n_r x n_r array, built on first access."""
         return self.pencil.dense_A()
+
+    @functools.cached_property
+    def _ysig_lu(self):
+        """Desk tier: LU of the Y_sigma Gram saddle matrix, factored on first
+        use (``pi_inf_apply``, ``ainv_apply``); the build does not keep its own."""
+        return _ysigma_saddle_lu(self.pencil, self._n1)
 
     # -- operator applications -------------------------------------------
 
@@ -161,9 +173,10 @@ class DenseOracle:
         return scipy.linalg.eig(self.A11, self.E11, right=False)
 
 
-def build_dense_oracle(ctx: OperatorContext, cap=3000, brute_cap=800,
-                       seed=20260809) -> DenseOracle:
-    """Construct the oracle; fails when n_r exceeds the configurable cap."""
+def build_dense_oracle(ctx: OperatorContext, cap=default_value("oracle.dense_cap"),
+                       brute_cap=800, seed=20260809) -> DenseOracle:
+    """Construct the oracle; fails when n_r exceeds ``cap`` (config key
+    ``oracle.dense_cap``, whose default it shares)."""
     rsys = ctx.rsys
     n_r = rsys.n_r
     if n_r > cap:
@@ -219,6 +232,21 @@ def _build_brute(rsys, pencil, b_r):
     )
 
 
+def _ysigma_saddle_lu(pencil, n1):
+    """Dense LU of the Y_sigma Gram saddle matrix [[-P2^T M_nu P2, X2hat],
+    [X2hat^T, 0]], whose leading block is the trailing block of A_r; an
+    independent factorization, assembled sparse and made dense once."""
+    f2 = pencil.F_nu[n1:]
+    n2r = f2.shape[0]
+    x2h = sp.csr_matrix(pencil.Xhat[n1:])
+    saddle = sp.bmat([[f2 @ pencil.Mnu @ f2.T, x2h], [x2h.T, None]]).toarray()
+    # negated as a dense block: its empty entries are -0.0
+    np.negative(saddle[:n2r, :n2r], out=saddle[:n2r, :n2r])
+    # symmetric (to rounding): its transpose is the Fortran-ordered matrix,
+    # factored in place
+    return scipy.linalg.lu_factor(saddle.T, overwrite_a=True, check_finite=False)
+
+
 def _build_desk(rsys, pencil, b_r, seed):
     n1, n2r, m = rsys.n1, rsys.n2r, rsys.m
     n_r = n1 + n2r
@@ -230,37 +258,24 @@ def _build_desk(rsys, pencil, b_r, seed):
     if n_s <= 0:
         raise RuntimeError("desk oracle: no finite-eigenvalue block")
 
-    # dense LU of the Y_sigma Gram saddle system (independent factorization);
-    # its leading block is the trailing block of A_r, -P2^T M_nu P2
-    f2 = pencil.F_nu[n1:]
-    saddle = np.zeros((n2r + m, n2r + m))
-    saddle[:n2r, :n2r] = -(f2 @ pencil.Mnu @ f2.T).toarray()
-    saddle[:n2r, n2r:] = rsys.X2hat
-    saddle[n2r:, :n2r] = rsys.X2hat.T
-    # symmetric (to rounding): its transpose is the Fortran-ordered matrix,
-    # factored in place
-    ysig_lu = scipy.linalg.lu_factor(saddle.T, overwrite_a=True, check_finite=False)
-    del saddle
-
-    # spectral projector Pi = I - Pi_0 - Pi_inf applied to a random probe block
+    # spectral projector Pi = I - Pi_0 - Pi_inf applied in place to a random
+    # probe block; A_r goes PROBE_BLOCK columns at a time, so that its
+    # temporaries of n_f rows stay small, and the saddle LU lives only for
+    # its one solve
     eynu = pencil.apply_E(y_nu)
     g0 = y_nu.T @ eynu
     g0_lu = scipy.linalg.lu_factor(g0)
-
-    def pi_apply(v):
-        pi0 = y_nu @ scipy.linalg.lu_solve(g0_lu, eynu.T @ v)
-        av = pencil.apply_A(v)
-        tail = (m,) + v.shape[1:]
-        rhs = np.concatenate([av[n1:], np.zeros(tail)])
-        z2 = scipy.linalg.lu_solve(ysig_lu, rhs)[:n2r]
-        piinf = np.concatenate([np.zeros((n1,) + v.shape[1:]), z2])
-        return v - pi0 - piinf
-
     rng = np.random.default_rng(seed)
-    probes = rng.standard_normal((n_r, min(n_s + 8, n_r)))
-    ps = pi_apply(probes)
+    ps = rng.standard_normal((n_r, min(n_s + 8, n_r)))
+    rhs = np.zeros((n2r + m, ps.shape[1]), order="F")
+    for j in range(0, ps.shape[1], PROBE_BLOCK):
+        rhs[:n2r, j:j + PROBE_BLOCK] = pencil.apply_A(ps[:, j:j + PROBE_BLOCK])[n1:]
+    z2 = scipy.linalg.lu_solve(_ysigma_saddle_lu(pencil, n1), rhs, overwrite_b=True)
+    ps -= y_nu @ scipy.linalg.lu_solve(g0_lu, eynu.T @ ps)
+    ps[n1:] -= z2[:n2r]
+    del rhs, z2
     u, s, _ = np.linalg.svd(ps, full_matrices=False)
-    del probes, ps
+    del ps
     rank = int(np.sum(s > 1e-10 * s[0]))
     if rank != n_s:
         raise RuntimeError(
@@ -285,8 +300,7 @@ def _build_desk(rsys, pencil, b_r, seed):
     return DenseOracle(
         tier="desk", n_s=n_s, n_0=n_0, n_inf=n_inf, pencil=pencil,
         W1=w1, What1=what1, E11=e11, A11=a11, EW1=ew1, AW1=aw1, B1=w1.T @ b_r,
-        Y_nu=y_nu, einv_factor=einv_factor, Y_sigma=None, W=None, _ysig_lu=ysig_lu,
-        _n1=n1, _m=m,
+        Y_nu=y_nu, einv_factor=einv_factor, Y_sigma=None, W=None, _n1=n1, _m=m,
     )
 
 

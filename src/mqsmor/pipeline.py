@@ -33,6 +33,7 @@ import os
 import time
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from . import __version__
@@ -459,6 +460,13 @@ def _stage_verify(state):
         lines.append(f"{name}: {'PASS' if ok else 'FAIL'} {detail}".rstrip())
         return ok
 
+    # the full-model scan runs first, on the small heap, and its last
+    # bordered LU is freed before any dense block of size n^2 is made
+    scan_full = passivity_scan(functools.partial(transfer_full, ctx),
+                               n_samples=cfg["analysis.passivity_samples"],
+                               seed=state.seed)
+    ctx.release_shifted_lu()
+
     ok = True
     rep1 = theorem1_check(state.system(), state.bases(),
                           dense_intersection=ctx.rsys.n_r <= cfg["oracle.dense_cap"])
@@ -492,21 +500,23 @@ def _stage_verify(state):
                   / max(np.linalg.norm(z_oracle), 1e-300))
     ok &= record("lemma1_alg2_vs_oracle", rel <= 1e-9, f"rel={rel:.2e}")
 
-    gc, go = dense_gramians(oracle)
+    n_s = oracle.n_s
+    g_c, g_o = (g.core for g in dense_gramians(oracle))
     # [E W1, A W1] = Q [R_e, R_a] (thin QR): E G_o E^T - A G_c A^T is
-    # Q (R_e G_o R_e^T - R_a G_c R_a^T) Q^T, so both norms are taken in R
-    r = np.linalg.qr(np.hstack([oracle.EW1, oracle.AW1]), mode="r")
-    r_e, r_a = r[:, :oracle.n_s], r[:, oracle.n_s:]
-    t1 = r_e @ go.core @ r_e.T
-    t2 = r_a @ gc.core @ r_a.T
+    # Q (R_e G_o R_e^T - R_a G_c R_a^T) Q^T, so both norms are taken in R,
+    # factored in place from one Fortran-ordered block once the oracle is gone
+    ew_aw = np.empty((ctx.rsys.n_r, 2 * n_s), order="F")
+    ew_aw[:, :n_s] = oracle.EW1
+    ew_aw[:, n_s:] = oracle.AW1
+    del oracle
+    r = scipy.linalg.qr(ew_aw, mode="r", overwrite_a=True, check_finite=False)[0]
+    del ew_aw
+    r_e, r_a = r[:2 * n_s, :n_s], r[:2 * n_s, n_s:]
+    t1 = r_e @ g_o @ r_e.T
+    t2 = r_a @ g_c @ r_a.T
     th4 = np.linalg.norm(t1 - t2) / max(np.linalg.norm(t2), 1e-300)
     ok &= record("theorem4_gramian_identity", th4 <= 1e-8, f"rel={th4:.2e}")
-    # the scans' bordered LUs need not stack on the oracle's arrays
-    del oracle, gc, go
 
-    scan_full = passivity_scan(functools.partial(transfer_full, ctx),
-                               n_samples=cfg["analysis.passivity_samples"],
-                               seed=state.seed)
     ok &= record("theorem3_passivity_full", scan_full["pass"],
                  f"margin={scan_full['min_margin_rel']:.2e}")
     scan_red = passivity_scan(functools.partial(transfer_reduced, model),

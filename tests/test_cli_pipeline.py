@@ -2,6 +2,7 @@ import filecmp
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,6 +220,51 @@ def test_verify_enforces_dense_cap(capped_reduce, capsys):
     cfg, out, _, _ = capped_reduce
     assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 3
     assert "dense oracle cap exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_config_rejects_nonpositive_passivity_samples(tmp_path, samples):
+    with pytest.raises(ConfigError, match="analysis.passivity_samples must be >= 1"):
+        RunConfig({"analysis.passivity_samples": samples})
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"analysis.passivity_samples = {samples}\n")
+    assert main(["verify", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+
+VERIFY_LINES = ("theorem1_common_kernel", "theorem2_spectrum", "sec32_BtEinvB_equals_Rinv",
+                "lemma1_alg2_vs_oracle", "theorem4_gramian_identity",
+                "theorem3_passivity_full", "reduced_passivity", "bound_dominates_hinf")
+
+
+@pytest.fixture(scope="module")
+def traced_desk_verify(tmp_path_factory):
+    """The output directory of a desk ``verify`` call (2 passivity samples)
+    resumed after ``reduce``, the peak traced memory of that call alone, and
+    n1 + n2."""
+    out = tmp_path_factory.mktemp("verify") / "run"
+    cfg = RunConfig({"analysis.passivity_samples": 2})
+    rsys = run_pipeline(cfg, "reduce", out_dir=str(out)).rsys()
+    n = rsys.n1 + rsys.n2
+    tracemalloc.start()
+    try:
+        run_pipeline(cfg, "verify", out_dir=str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak, n
+
+
+def test_desk_verify_traced_peak(traced_desk_verify):
+    # measured 1.33 (n1 + n2)^2 doubles, set by theorem1_check's dense E + K;
+    # an oracle that keeps its saddle LU reads 1.62 to 1.76
+    _, peak, n = traced_desk_verify
+    assert peak <= 1.5 * n * n * 8
+
+
+def test_desk_verify_lines_in_order(traced_desk_verify):
+    lines = (traced_desk_verify[0] / "verify" / "verify.txt").read_text().splitlines()
+    assert [line.split(":")[0] for line in lines] == list(VERIFY_LINES)
+    assert all(": PASS" in line for line in lines)
 
 
 def test_cli_refuses_unconverged_adi_factor(tmp_path, capsys):

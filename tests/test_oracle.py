@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+from mqsmor import oracle as oracle_mod
+from mqsmor.config import default_config
 from mqsmor.lacore import gram_kernel as _gram_kernel
 from mqsmor.oracle import build_dense_oracle, dense_gramians
 
@@ -220,31 +223,59 @@ def test_lazy_dense_forms_equal_reference(request, name):
 
 @pytest.fixture(scope="module")
 def traced_desk_oracle(desk):
-    """A fresh desk oracle and the peak traced memory of building it."""
+    """A fresh desk oracle, built with the default cap, and the peak traced
+    memory of building it."""
     ctx = desk.ctx
     tracemalloc.start()
     try:
-        oracle = build_dense_oracle(ctx, cap=desk.config["oracle.dense_cap"])
+        oracle = build_dense_oracle(ctx)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     return oracle, peak
 
 
+def test_default_cap_is_the_config_default():
+    cap = inspect.signature(build_dense_oracle).parameters["cap"].default
+    assert cap == default_config()["oracle.dense_cap"]
+
+
 def test_desk_oracle_holds_no_n_r_square_array(traced_desk_oracle):
     oracle, _ = traced_desk_oracle
     n_r = oracle.n_r
     assert n_r == oracle.pencil.Xhat.shape[0]
+    n_saddle = n_r - oracle._n1 + oracle._m      # the Y_sigma saddle matrix
     held = list(vars(oracle).values()) + list(vars(oracle.pencil).values())
     held += [x for v in held if isinstance(v, tuple) for x in v]
-    assert not [v for v in held
-                if isinstance(v, np.ndarray) and v.shape == (n_r, n_r)]
-    assert "E_dense" not in vars(oracle) and "A_dense" not in vars(oracle)
+    assert not [v for v in held if isinstance(v, np.ndarray)
+                and v.shape in ((n_r, n_r), (n_saddle, n_saddle))]
+    assert not {"E_dense", "A_dense", "_ysig_lu"} & set(vars(oracle))
 
 
 def test_desk_oracle_traced_peak(traced_desk_oracle):
+    # measured 1.32 n_r^2 doubles, set by gram_kernel's F_nu F_nu^T Gram;
+    # keeping the saddle LU through the build reads 1.82
     oracle, peak = traced_desk_oracle
-    assert peak <= 2.5 * oracle.n_r ** 2 * 8
+    assert peak <= 1.5 * oracle.n_r ** 2 * 8
+
+
+def test_desk_lazy_saddle_lu_matches_ops(desk, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return saddle_lu(*args)
+
+    saddle_lu = oracle_mod._ysigma_saddle_lu
+    monkeypatch.setattr(oracle_mod, "_ysigma_saddle_lu", counted)
+    oracle = build_dense_oracle(desk.ctx)
+    assert len(calls) == 1                       # the build's own solve
+    v = np.random.default_rng(8).standard_normal((desk.rsys.n_r, 3))
+    for _ in range(2):
+        ref = desk.ctx.apply_Pi_inf(v)
+        assert np.linalg.norm(oracle.pi_inf_apply(v) - ref) <= 1e-10 * np.linalg.norm(ref)
+    oracle.ainv_apply(v)
+    assert len(calls) == 2                       # refactored once, on first use
 
 
 def _two_call_gramians(oracle):
