@@ -85,11 +85,13 @@ def _simulate_full(ctx, u, t, h, x0):
     rinv = r.Rinv
     y = np.empty((t.shape[0], m))
     y[0] = rinv @ _sample_input(u, t[0], m)
+    # (E - h A) x_new = rhs  <=>  ((-1/h) E + A) x_new = -rhs / h: one LU
+    # serves every step
+    lu = ctx.shifted_lu(-1.0 / h)
     for k in range(1, t.shape[0]):
         uk = _sample_input(u, t[k], m)
         rhs = r.apply_Er(x) + h * (ctx.B_r @ uk)
-        # (E - h A) x_new = rhs  <=>  ((-1/h) E + A) x_new = -rhs / h
-        x_new = ctx.shifted_solve(-1.0 / h, -rhs / h)
+        x_new = ctx.shifted_solve(-1.0 / h, -rhs / h, lu)
         y[k] = -ctx.B_r.T @ (x_new - x) / h + rinv @ uk
         x = x_new
     return y

@@ -155,7 +155,6 @@ class AssembledSystem:
     n1: int
     n2: int
     m: int
-    M: object = field(default=None, repr=False)
     edge_xyz: np.ndarray | None = field(default=None, repr=False)  # (n1+n2) x 3
 
     @property
@@ -354,6 +353,5 @@ def build_system(mesh: Mesh, inc: IncidenceSet, material: MaterialSpec,
         n1=n1,
         n2=n2,
         m=m,
-        M=M,
         edge_xyz=edge_midpoints(mesh, inc),
     )

@@ -18,13 +18,17 @@ nested-dissection ordering, computed per context from the edge midpoints
 last), serves every shift; its restriction to the unknowns after x1 orders
 the Lemma-2 matrix.  Systems without mesh coordinates use SuperLU's COLAMD.
 
-Each thread keeps a one-slot cache of its last shifted LU, which
-``release_shifted_lu`` drops on the calling thread.  LR-ADI's real
-shifts run through ``shifted_solves``: while the caller works on one step,
-the next two shifts are factored on two persistent single-thread lanes
-(``LU_LANES``), each of which solves its step and frees its LU on its own
-thread.  Complex shifts (frequency sweeps, passivity scans) stay serial on
-the calling thread.
+A shifted LU belongs to its caller and lives no longer than the caller
+holds it: ``shifted_lu`` returns one, and ``shifted_solve`` solves with the
+LU it is given or builds its own and drops it on return.  Only ``simulate``
+reuses an LU, over its time steps; a sweep point or a passivity sample
+builds and frees one, so no older LU is alive when the next is built.
+LR-ADI's real shifts run through ``shifted_solves``: while the caller
+works on one step, the next two shifts are factored on two persistent
+single-thread lanes (``LU_LANES``), each of which solves its step and frees
+its LU on its own thread, because SuperLU frees an LU's memory only on the
+thread that built it.  Complex shifts (frequency sweeps, passivity scans)
+stay serial on the calling thread.
 
 The quasi-Weierstrass counts n_s, n_0, n_inf come from the incidence
 complex (n_0 = N - k2 with N interior nodes) and cost nothing; dense
@@ -86,7 +90,7 @@ def _lane_pool():
         return _lanes
 
 
-def _trim_heap():
+def trim_heap():
     """Give freed heap memory back to the OS (glibc ``malloc_trim``, which
     trims every thread's arena); a no-op where libc has no such function."""
     if _MALLOC_TRIM is not None:
@@ -101,12 +105,6 @@ def _clear_traceback_frames(exc):
         seen.add(id(exc))
         traceback.clear_frames(exc.__traceback__)
         exc = exc.__cause__ or exc.__context__
-
-
-class _ShiftSlot(threading.local):
-    """Per-thread cache of the last shifted LU: (shift, mat, fact) or None."""
-
-    entry = None
 
 
 @dataclass
@@ -172,7 +170,6 @@ class OperatorContext:
             lemma2_order = self._order[self._order >= n1] - n1
         self._lemma2_mat = sp.bmat(lemma2, format="csc")
         self._lemma2_fact = factorize(self._lemma2_mat, perm=lemma2_order)
-        self._shift_cache = _ShiftSlot()
         self.B_r = rsys.B_r()
         self._counts = None
 
@@ -254,36 +251,16 @@ class OperatorContext:
 
     # -- shifted solves ----------------------------------------------------
 
-    def _shift_factorization(self, shift):
-        """(mat, fact) of the bordered matrix at ``shift``.
-
-        Each thread keeps only its last shift's LU: ``simulate`` reuses one
-        shift, sweep points and passivity samples are each used once, and
-        LR-ADI's lanes (see ``shifted_solves``) free their LU after each
-        step, so an older LU is never asked for again and would only hold
-        memory.  The old LU is dropped only after the new one is built:
-        freed first, its memory goes back to the system and the new LU pays
-        the page faults.  The slot is thread-local because SuperLU frees an
-        LU's memory only on the thread that built it.
-        """
-        slot = self._shift_cache
-        if slot.entry is not None and slot.entry[0] == shift:
-            return slot.entry[1:]
+    def shifted_lu(self, shift):
+        """LU of the bordered matrix tau Mb + Kb at ``shift``, in the
+        context's order; the caller owns it and frees it by dropping it."""
         is_complex = np.iscomplexobj(shift) and np.imag(shift) != 0
         tau = complex(shift) if is_complex else float(np.real(shift))
-        mat = (self._lemma3_K + tau * self._lemma3_M).tocsc()
         try:
-            fact = factorize(mat, perm=self._order)
+            return factorize((self._lemma3_K + tau * self._lemma3_M).tocsc(),
+                             perm=self._order)
         except SingularMatrixError as exc:
             raise RuntimeError(f"singular bordered matrix at shift {shift}") from exc
-        slot.entry = (shift, mat, fact)
-        return mat, fact
-
-    def release_shifted_lu(self):
-        """Drop the calling thread's cached shifted LU and give the freed
-        heap back to the OS."""
-        self._shift_cache.entry = None
-        _trim_heap()
 
     def _shifted_solve_raw(self, w, fact):
         r = self.rsys
@@ -293,24 +270,30 @@ class OperatorContext:
         sol = fact.solve(rhs)
         return np.concatenate([sol[: r.n1], sol[r.n1 + r.cotree]])
 
-    def shifted_solve(self, shift, w):
+    def shifted_solve(self, shift, w, lu=None):
         """(tau E_r + A_r)^{-1} w via the bordered system in edge coordinates.
 
         Valid for real tau < 0 and complex shifts off the nonpositive real
         spectrum of the pencil; supports one rhs or a matrix of rhs columns.
+        ``lu`` is ``shifted_lu(shift)``, for a caller that solves at one shift
+        many times; without it the solve builds an LU and drops it on return.
         The raw bordered solve is polished by iterative refinement on the
-        true shifted residual in the reduced coordinates.
+        true shifted residual in the reduced coordinates.  Refinement stops
+        once that residual is at most 1e-13 relative or after
+        SHIFT_REFINE_STEPS steps, whichever comes first; a solve that stops
+        short of 1e-13 returns its last iterate and reports nothing.
         """
         r = self.rsys
-        _, fact = self._shift_factorization(shift)
+        if lu is None:
+            lu = self.shifted_lu(shift)
         w = np.asarray(w)
-        z = self._shifted_solve_raw(w, fact)
+        z = self._shifted_solve_raw(w, lu)
         wn = np.linalg.norm(w)
         for _ in range(SHIFT_REFINE_STEPS):
             resid = w - (shift * r.apply_Er(z) + r.apply_Ar(z))
             if np.linalg.norm(resid) <= 1e-13 * wn:
                 break
-            z = z + self._shifted_solve_raw(resid, fact)
+            z = z + self._shifted_solve_raw(resid, lu)
         return z
 
     def shifted_solves(self, shifts):
@@ -353,23 +336,24 @@ class OperatorContext:
             for rhs, _ in steps:
                 rhs.set_result(None)
             wait([done for _, done in steps])
-            _trim_heap()
+            trim_heap()
 
     def _lane_step(self, shift, rhs):
         """One step of ``shifted_solves`` on a lane: factor ``shift``, wait for
         the right-hand side (``None`` once the sequence closed), solve, and
         free the LU on this thread."""
+        lu = None
         try:
-            self._shift_factorization(shift)
+            lu = self.shifted_lu(shift)
             w = rhs.result()
-            return None if w is None else self.shifted_solve(shift, w)
+            return None if w is None else self.shifted_solve(shift, w, lu)
         except BaseException as exc:
             # the error is re-raised on the caller's thread: its frames must
             # not carry this lane's LU there
             _clear_traceback_frames(exc)
             raise
         finally:
-            self._shift_cache.entry = None
+            del lu
 
     # -- spectral bounds ---------------------------------------------------
 

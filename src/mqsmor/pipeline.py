@@ -56,7 +56,7 @@ from .mor import (
     reduced_order,
     wachspress_shifts,
 )
-from .ops import OperatorContext
+from .ops import OperatorContext, trim_heap
 from .oracle import build_dense_oracle, dense_gramians
 from .regularize import KernelBases, build_regularized, kernel_bases, theorem1_check
 
@@ -146,8 +146,7 @@ class PipelineState:
         if loaded is None:
             return kernel_bases(self.incidence())
         info, arrays = loaded
-        return KernelBases(**arrays, k2=int(info["k2"]), provenance=info["provenance"],
-                           n_nodes=int(info["n_nodes"]))
+        return KernelBases(**arrays, k2=int(info["k2"]), n_nodes=int(info["n_nodes"]))
 
     @_cached
     def rsys(self):
@@ -398,8 +397,7 @@ def _stage_regularize(state):
         "X2hat.mtx": sp.csr_matrix(rsys.X2hat),
         "theorem1.txt": "".join(f"{k} = {v}\n" for k, v in report.items()),
     }, [
-        ("k2", bases.k2), ("provenance", bases.provenance),
-        ("n_nodes", bases.n_nodes), ("n_r", rsys.n_r),
+        ("k2", bases.k2), ("n_nodes", bases.n_nodes), ("n_r", rsys.n_r),
     ])
     if not report["pass"]:
         raise RuntimeError("theorem 1 check failed; see regularize/theorem1.txt")
@@ -460,12 +458,13 @@ def _stage_verify(state):
         lines.append(f"{name}: {'PASS' if ok else 'FAIL'} {detail}".rstrip())
         return ok
 
-    # the full-model scan runs first, on the small heap, and its last
-    # bordered LU is freed before any dense block of size n^2 is made
+    # the full-model scan runs first, on the small heap; each sample frees
+    # its bordered LU, and the freed heap goes back to the OS before any
+    # dense block of size n^2 is made
     scan_full = passivity_scan(functools.partial(transfer_full, ctx),
                                n_samples=cfg["analysis.passivity_samples"],
                                seed=state.seed)
-    ctx.release_shifted_lu()
+    trim_heap()
 
     ok = True
     rep1 = theorem1_check(state.system(), state.bases(),

@@ -14,8 +14,7 @@ exactly from the incidence complex with ``scipy.sparse.csgraph``:
     (``minimum_spanning_tree`` with weight j + 1 for column j).
 
 All products C2 @ Y_C2 and (G2 Z1)^T @ Yhat_C2 vanish exactly in integer
-arithmetic.  A rank-revealing dense fallback exists for inputs without
-incidence structure; its provenance is recorded.
+arithmetic.  Input without incidence structure is rejected.
 
 The regularized state is (x1, z2) with x2 = Yhat z2.  Each fundamental
 cycle has a +1 on its own cotree edge and no other cotree entry, so
@@ -28,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import (
@@ -176,21 +174,20 @@ def kernel_incidence(a):
 
     Dispatches on structure: column incidence (<= 2 opposite-signed entries
     per column) -> circulation space; row incidence -> component potentials;
-    anything else -> dense SVD null space.  Returns (basis, provenance).
+    anything else raises ValueError.
     """
     a = a.tocsr() if sp.issparse(a) else sp.csr_matrix(a)
     a.eliminate_zeros()
     if _column_structure(a):
-        return _cycle_kernel(a), "graph"
+        return _cycle_kernel(a)
     if _column_structure(a.T):
-        return _potential_kernel(a), "graph"
-    ns = scipy.linalg.null_space(a.toarray())
-    return sp.csr_matrix(ns), "dense-svd"
+        return _potential_kernel(a)
+    raise ValueError("matrix has neither column- nor row-incidence structure")
 
 
 @dataclass
 class KernelBases:
-    """Exact bases of ker(C2) and im(C2^T) with recorded provenance.
+    """Bases of ker(C2) and im(C2^T); ``kernel_bases`` makes exact integer ones.
 
     ``n_nodes`` is the number N of interior nodes (columns of G0) when the
     bases come from a boundary-eliminated box complex, where ker C = im G0;
@@ -200,7 +197,6 @@ class KernelBases:
     Y_C2: object
     Yhat_C2: object
     k2: int
-    provenance: str
     n_nodes: int | None = None
 
 
@@ -215,19 +211,17 @@ def kernel_bases(inc: IncidenceSet, n1: int | None = None) -> KernelBases:
     n1 = inc.n1 if n1 is None else n1
     g1, g2 = g[:n1], g[n1:]
     n2 = g2.shape[0]
-    z1, prov1 = kernel_incidence(g1)
+    z1 = kernel_incidence(g1)
     quotient = (g2 @ z1).tocsc()
     keep = _independent_columns(quotient)
     y = quotient[:, keep].tocsr()
-    yhat, prov2 = kernel_incidence(sp.csc_matrix(quotient.T))
+    yhat = kernel_incidence(sp.csc_matrix(quotient.T))
     k2 = y.shape[1]
     if k2 + yhat.shape[1] != n2:
         raise RuntimeError(
             f"kernel dimensions inconsistent: k2={k2} plus {yhat.shape[1]} != n2={n2}"
         )
-    prov = "graph" if prov1 == prov2 == "graph" else "dense-svd"
-    return KernelBases(Y_C2=y, Yhat_C2=yhat, k2=k2, provenance=prov,
-                       n_nodes=g.shape[1])
+    return KernelBases(Y_C2=y, Yhat_C2=yhat, k2=k2, n_nodes=g.shape[1])
 
 
 def _independent_columns(m):
@@ -369,8 +363,8 @@ def build_regularized(system, bases: KernelBases) -> RegularizedSystem:
 def theorem1_check(system, bases: KernelBases, dense_intersection=True):
     """Verify that [0; Y_C2] spans the common kernel of E and K.
 
-    Products are evaluated in factored form so graph-provenance bases give
-    exact zeros.  The kernel-intersection dimension uses the PSD identity
+    Products are evaluated in factored form so integer bases give exact
+    zeros.  The kernel-intersection dimension uses the PSD identity
     ker(E) & ker(K) = ker(E + K): it is the number of eigenvalues of E + K
     at most 1e-10 lambda_max, with lambda_max from a sparse Lanczos run on
     E + K.  Once [0; Y_C2] is shown to lie in the kernel, one dense Cholesky
@@ -383,7 +377,7 @@ def theorem1_check(system, bases: KernelBases, dense_intersection=True):
     c2y = (system.C2 @ y).tocsr()
     c2y.eliminate_zeros()
     # factored evaluation order: X2^T Y = Upsilon^T (C2 Y), exactly zero for
-    # integer-provenance bases
+    # integer bases
     x2ty = np.asarray((system.Upsilon.T @ c2y).todense())
     rinv = np.linalg.inv(system.R)
     x = np.asarray(system.X.todense())
@@ -404,7 +398,6 @@ def theorem1_check(system, bases: KernelBases, dense_intersection=True):
     )
     report = {
         "k2": bases.k2,
-        "provenance": bases.provenance,
         "C2Y_exact_zero": c2y.nnz == 0,
         "E_kernel_residual": float(res_e),
         "K_kernel_residual": float(res_k),

@@ -29,7 +29,7 @@ def make_toy_system():
         R=np.array([[1.0]]), n1=1, n2=1, m=1,
     )
     bases = KernelBases(Y_C2=sp.csr_matrix((1, 0)), Yhat_C2=sp.identity(1, format="csr"),
-                        k2=0, provenance="graph")
+                        k2=0)
     return sysm, bases
 
 
@@ -45,7 +45,7 @@ def make_synthetic_system():
         M11=_csr([[3.0, 1.0], [1.0, 2.0]]), Mnu=_csr(np.diag([2.0, 3.0, 4.0])),
         Upsilon=ups, X=x, C1=c1, C2=c2, R=np.array([[2.0]]), n1=2, n2=4, m=1,
     )
-    bases = KernelBases(Y_C2=y, Yhat_C2=yh, k2=2, provenance="graph")
+    bases = KernelBases(Y_C2=y, Yhat_C2=yh, k2=2)
     return sysm, bases
 
 

@@ -221,17 +221,29 @@ def test_toy_products():
 def test_edge_mass_conducting_block_spd(desk):
     m11 = desk.system.M11.toarray()
     np.linalg.cholesky(m11)   # raises if not SPD
-    assert desk.system.M.nnz == desk.system.M11.nnz
     assert is_positive_definite(desk.system.M11)
 
 
 def _doctored_edge_mass(doctor):
-    """assemble_edge_mass with ``doctor`` applied to the conducting block."""
+    """assemble_edge_mass with ``doctor`` applied to the matrix it returns."""
     def assemble(mesh, inc, sigma_by_region):
         m = assemble_edge_mass(mesh, inc, sigma_by_region).tolil()
         doctor(m)
         return m.tocsr()
     return assemble
+
+
+def _couple_to_nonconducting_edge(m):
+    # edge 5 conducts; the last edge, in the n2 block, does not
+    m[5, -1] = m[-1, 5] = 1.0
+
+
+def test_build_system_rejects_mass_outside_conducting_block(desk, monkeypatch):
+    import mqsmor.assembly as assembly
+    monkeypatch.setattr(assembly, "assemble_edge_mass",
+                        _doctored_edge_mass(_couple_to_nonconducting_edge))
+    with pytest.raises(ValueError, match="outside the conducting block"):
+        build_system(desk.mesh, desk.inc, desk.config.material, desk.config.winding)
 
 
 def _negate_diagonal(m):

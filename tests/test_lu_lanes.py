@@ -1,6 +1,6 @@
-"""LR-ADI's look-ahead LU lanes: each LU is freed on the thread that built it,
-errors surface as in a serial loop, and the results equal a serial loop over
-``shifted_solve`` bit for bit."""
+"""Shifted-LU lifetimes and LR-ADI's look-ahead LU lanes: each LU is freed on
+the thread that built it, errors surface as in a serial loop, and the results
+equal a serial loop over ``shifted_solve`` bit for bit."""
 
 import os
 import subprocess
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import mqsmor.ops as ops
+from mqsmor.analysis import simulate
 from mqsmor.lacore import SingularMatrixError, factorize
 from mqsmor.mor import ShiftSet, lr_adi
 
@@ -21,15 +22,16 @@ SLOW = ShiftSet(np.array([-5.0, -9.0]), 0.5, (5.0, 9.0))
 
 
 def track_factorize(monkeypatch, fail_on=None, error=None):
-    """Patch ``ops.factorize`` to record, per LU, the thread that built it and
-    the thread that freed it.  A call on the matrix ``fail_on`` builds its
-    LU, keeps it in a local and raises ``error``, as ``factorize`` does on a
-    small pivot."""
+    """Patch ``ops.factorize`` to record, per LU, the thread that built it,
+    the thread that freed it and how many LUs were alive with it when it was
+    built.  A call on the matrix ``fail_on`` builds its LU, keeps it in a
+    local and raises ``error``, as ``factorize`` does on a small pivot."""
     records = []
 
     def tracking(mat, *args, **kwargs):
+        alive = sum(rec["freed"] is None for rec in records)
         fact = factorize(mat, *args, **kwargs)
-        rec = {"built": threading.get_ident(), "freed": None}
+        rec = {"built": threading.get_ident(), "freed": None, "alive": alive + 1}
 
         def freed():
             rec["freed"] = threading.get_ident()
@@ -65,6 +67,20 @@ def serial_lr_adi(ctx, shifts, **kwargs):
         return lr_adi(ctx, shifts, **kwargs)
     finally:
         del ctx.shifted_solves
+
+
+def test_shifted_lus_live_only_while_their_caller_holds_them(toy, monkeypatch):
+    """A solve without an LU builds one and frees it on return, and
+    ``simulate`` builds one LU for all its steps: no two LUs are ever alive
+    together, and each is freed on the thread that built it."""
+    records = track_factorize(monkeypatch)
+    ctx, w = toy[3], np.array([1.0, 1.0])
+    for shift in (-1.0, -1.0, -2.0, 3j):
+        ctx.shifted_solve(shift, w)
+    simulate(ctx, lambda t: [1.0], 0.7, 7)
+    assert len(records) == 5
+    assert max(rec["alive"] for rec in records) == 1
+    assert all(rec["freed"] == rec["built"] for rec in records)
 
 
 def test_converged_early_frees_unused_lookahead_on_lanes(synthetic, monkeypatch):
@@ -107,6 +123,22 @@ def test_error_at_third_shift_frees_lus_and_lanes(synthetic, monkeypatch, error,
     records = track_factorize(monkeypatch)
     zc = lr_adi(ctx, SLOW, tol=1e-30, maxit=6)
     assert zc.status == "maxit" and zc.iterations == 6
+    assert_freed_by_builders(records)
+
+
+def test_error_in_lane_solve_frees_lu_on_its_lane(synthetic, monkeypatch):
+    """A solve that fails after its lane built the LU: the error reaches the
+    caller without the LU, which its lane has freed."""
+    ctx = synthetic[3]
+    records = track_factorize(monkeypatch)
+
+    def failing(w, fact):
+        raise ArithmeticError("solve failed")
+
+    monkeypatch.setattr(ctx, "_shifted_solve_raw", failing)
+    with pytest.raises(ArithmeticError, match="solve failed"):
+        lr_adi(ctx, SLOW, tol=1e-30, maxit=4)
+    assert len(records) == ops.LU_LANES
     assert_freed_by_builders(records)
 
 

@@ -6,7 +6,7 @@ from mqsmor.assembly import MaterialSpec, WindingSpec, build_system
 from mqsmor.lacore import SingularMatrixError, factorize, lanczos_extremal
 from mqsmor.mesh import AIR, IRON, GeometrySpec, Mesh, build_incidence, eliminate_boundary, generate_mesh
 from mqsmor.ops import OperatorContext, SpectralBounds
-from mqsmor.oracle import build_dense_oracle
+from mqsmor.oracle import SparsePencil, build_dense_oracle
 from mqsmor.regularize import build_regularized, kernel_bases
 
 
@@ -59,7 +59,7 @@ def test_toy_shifted_solve(toy):
     (SingularMatrixError("singular matrix at pivot index 0"), RuntimeError),
     (MemoryError("Unable to allocate"), MemoryError),
 ])
-def test_shift_factorization_reports_only_singularity(toy, monkeypatch, error, expected):
+def test_shifted_lu_reports_only_singularity(toy, monkeypatch, error, expected):
     import mqsmor.ops as ops
 
     def failing(*args, **kwargs):
@@ -67,23 +67,8 @@ def test_shift_factorization_reports_only_singularity(toy, monkeypatch, error, e
 
     monkeypatch.setattr(ops, "factorize", failing)
     with pytest.raises(expected) as info:
-        toy[3].shifted_solve(-1.0, np.array([1.0, 1.0]))
+        toy[3].shifted_lu(-1.0)
     assert ("singular bordered matrix" in str(info.value)) == (expected is RuntimeError)
-
-
-def test_shift_factorization_keeps_last_shift_only(toy, monkeypatch):
-    import mqsmor.ops as ops
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return factorize(*args, **kwargs)
-
-    monkeypatch.setattr(ops, "factorize", counting)
-    ctx, w = toy[3], np.array([1.0, 1.0])
-    for shift in (-1.0, -1.0, -2.0, -2.0, -1.0):
-        ctx.shifted_solve(shift, w)
-    assert len(calls) == 3
 
 
 def test_toy_cr(toy):
@@ -186,15 +171,29 @@ def test_desk_einva_vs_oracle(desk):
     assert worst <= 1e-9
 
 
+# a refined solve reaches the rounding floor eps ||(|tau| |E_r| + |A_r|) |z|||
+# of its own residual, up to this factor; the worst ratio measured over 60
+# draws at these five shifts was 1.4 (0.83 for the draws below)
+FLOOR_FACTOR = 10.0
+
+
 def test_desk_shifted_residual(desk):
     ctx = desk.ctx
     sb = desk.bounds
+    pencil = SparsePencil.of(ctx.rsys)
+    n, n1 = ctx.rsys.n_r, ctx.rsys.n1
+    xhat = sp.csr_matrix(pencil.Xhat)
+    abs_e = abs(sp.block_diag([pencil.M11, sp.csr_matrix((n - n1, n - n1))])
+                + xhat @ sp.csr_matrix(pencil.Rinv) @ xhat.T).tocsr()
+    abs_a = abs(pencil.F_nu @ pencil.Mnu @ pencil.F_nu.T).tocsr()
+    eps = np.finfo(np.float64).eps
     rng = np.random.default_rng(5)
     for tau in -np.geomspace(sb.a, sb.b, 5):
-        w = rng.standard_normal(ctx.rsys.n_r)
+        w = rng.standard_normal(n)
         z = ctx.shifted_solve(float(tau), w)
         r = tau * ctx.apply_Er(z) + ctx.apply_Ar(z) - w
-        assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(w)
+        floor = eps * np.linalg.norm(abs(tau) * (abs_e @ abs(z)) + abs_a @ abs(z))
+        assert np.linalg.norm(r) <= FLOOR_FACTOR * floor
 
 
 def test_desk_spectral_bounds_bracket(desk):
@@ -296,8 +295,9 @@ def test_desk_nested_dissection_order_beats_colamd(desk):
     assert np.array_equal(ctx._order[-m:], np.arange(n_edges, n_edges + m))
     shifts = desk.shifts.shifts
     for shift in (float(shifts.max()), float(shifts.min()), 1e6j):
-        mat, fact = ctx._shift_factorization(shift)
+        fact = ctx.shifted_lu(shift)
         assert np.array_equal(fact.perm, ctx._order)
+        mat = (ctx._lemma3_K + shift * ctx._lemma3_M).tocsc()
         assert fact._lu.nnz < factorize(mat)._lu.nnz
         w = ctx.B_r[:, 0]
         z = ctx.shifted_solve(shift, w)

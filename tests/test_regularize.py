@@ -51,14 +51,13 @@ def test_reduced_gradient_desk(desk):
 def test_kernel_incidence_grounded_potentials():
     # conducting component touching eliminated nodes: trivial kernel
     g1 = _csr([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [1.0, 0.0, 0.0]])  # last row grounds
-    z, prov = kernel_incidence(g1)
-    assert prov == "graph" and z.shape == (3, 0)
+    z = kernel_incidence(g1)
+    assert z.shape == (3, 0)
 
 
 def test_kernel_incidence_path_node_side():
     g = _csr([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
-    z, prov = kernel_incidence(g)
-    assert prov == "graph"
+    z = kernel_incidence(g)
     assert z.shape == (3, 1)
     v = z.toarray().ravel()
     assert np.array_equal(v, [1, 1, 1]) or np.array_equal(v, [-1, -1, -1])
@@ -67,21 +66,19 @@ def test_kernel_incidence_path_node_side():
 def test_kernel_incidence_cycle_edge_side():
     # 3-node cycle, node-edge incidence (3 x 3), kernel = the loop
     b = _csr([[1.0, 0.0, -1.0], [-1.0, 1.0, 0.0], [0.0, -1.0, 1.0]])
-    y, prov = kernel_incidence(b)
-    assert prov == "graph" and y.shape == (3, 1)
+    y = kernel_incidence(b)
+    assert y.shape == (3, 1)
     chk = b @ y
     chk.eliminate_zeros()
     assert chk.nnz == 0
 
 
-def test_kernel_incidence_fallback():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((3, 5))
-    a[2] = a[0] + a[1]
-    ns, prov = kernel_incidence(sp.csr_matrix(a))
-    assert prov == "dense-svd"
-    assert ns.shape[1] == 5 - np.linalg.matrix_rank(a)
-    assert np.abs((a @ ns.toarray())).max() < 1e-12
+def test_kernel_incidence_rejects_non_incidence():
+    for a in (np.random.default_rng(0).standard_normal((3, 5)),   # no structure
+              [[1.0, -1.0, 1.0], [0.0, 1.0, -1.0], [1.0, 0.0, 1.0]],  # 3 per row
+              [[2.0, -2.0], [0.0, 1.0]]):             # entries outside {-1, +1}
+        with pytest.raises(ValueError, match="incidence structure"):
+            kernel_incidence(sp.csr_matrix(np.asarray(a)))
 
 
 def test_kernel_bases_toy_c2():
@@ -91,8 +88,7 @@ def test_kernel_bases_toy_c2():
     # via a hand-built incidence complex: nodes {0,1,2}, edges (0,1),(0,2),(1,2)
     # simpler: direct span checks on a 2-edge kernel problem
     g2z1 = _csr(np.array([[1.0], [-1.0]]))      # ker(C2) = im of this
-    yhat, prov = kernel_incidence(sp.csc_matrix(g2z1.T))
-    assert prov == "graph"
+    yhat = kernel_incidence(sp.csc_matrix(g2z1.T))
     v = yhat.toarray().ravel()
     assert v[0] == v[1] != 0                     # spans (1, 1)
     chk = c2 @ g2z1
@@ -102,7 +98,6 @@ def test_kernel_bases_toy_c2():
 
 def test_kernel_bases_desk(desk):
     bases, sysm = desk.bases, desk.system
-    assert bases.provenance == "graph"
     c2y = sysm.C2 @ bases.Y_C2.astype(float)
     c2y.eliminate_zeros()
     assert c2y.nnz == 0
@@ -111,7 +106,7 @@ def test_kernel_bases_desk(desk):
     factorize(stacked)    # raises SingularMatrixError if singular
     # exactness of the defining products in integer arithmetic
     g = reduced_gradient(desk.inc)
-    z1, _ = kernel_incidence(g[: desk.inc.n1])
+    z1 = kernel_incidence(g[: desk.inc.n1])
     quotient = g[desk.inc.n1:] @ z1
     chk = quotient.T @ bases.Yhat_C2
     chk.eliminate_zeros()
@@ -158,7 +153,7 @@ def toy_with_kernel():
                            X=x, C1=c1, C2=c2, R=np.array([[1.0]]), n1=1, n2=2, m=1)
     y = _csr(np.array([[1.0], [-1.0]]))
     yh = _csr(np.array([[1.0], [1.0]]))
-    return sysm, KernelBases(Y_C2=y, Yhat_C2=yh, k2=1, provenance="graph")
+    return sysm, KernelBases(Y_C2=y, Yhat_C2=yh, k2=1)
 
 
 @pytest.mark.parametrize("case", ["toy", "synthetic", "toy_with_kernel", "desk"])
@@ -178,7 +173,7 @@ def test_cotree_rows_are_identity(case, request):
 def test_build_regularized_needs_identity_rows():
     sysm, bases = toy_with_kernel()
     yh = _csr(np.array([[1.0], [1.0]]) / np.sqrt(2.0))
-    bad = KernelBases(Y_C2=bases.Y_C2, Yhat_C2=yh, k2=1, provenance="dense-svd")
+    bad = KernelBases(Y_C2=bases.Y_C2, Yhat_C2=yh, k2=1)
     with pytest.raises(ValueError, match="identity row"):
         build_regularized(sysm, bad)
 
@@ -219,7 +214,7 @@ def test_theorem1_reports_kernel_outside_basis():
                            X=x, C1=c1, C2=c2, R=np.array([[1.0]]), n1=1, n2=3, m=1)
     y = _csr(np.array([[1.0], [-1.0], [0.0]]))
     yh = _csr(np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
-    rep = theorem1_check(sysm, KernelBases(Y_C2=y, Yhat_C2=yh, k2=1, provenance="graph"))
+    rep = theorem1_check(sysm, KernelBases(Y_C2=y, Yhat_C2=yh, k2=1))
     assert rep["kernel_pass"]
     assert rep["kernel_intersection_dim"] == 2
     assert not rep["dimension_pass"] and not rep["pass"]
@@ -240,8 +235,7 @@ def test_theorem1_e_residual_matches_dense_product():
     sysm = AssembledSystem(M11=_csr([[3.0]]), Mnu=_csr(np.diag([2.0, 5.0])),
                            Upsilon=ups, X=x, C1=c1, C2=c2, R=r, n1=1, n2=3, m=2)
     y = _csr(np.random.default_rng(4).standard_normal((3, 2)))
-    bases = KernelBases(Y_C2=y, Yhat_C2=_csr(np.eye(3)[:, :1]), k2=2,
-                        provenance="dense-svd")
+    bases = KernelBases(Y_C2=y, Yhat_C2=_csr(np.eye(3)[:, :1]), k2=2)
     rep = theorem1_check(sysm, bases, dense_intersection=False)
     xd = x.toarray()
     dense = xd @ np.linalg.inv(r) @ (xd[1:].T @ y.toarray())
