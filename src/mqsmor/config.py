@@ -96,12 +96,12 @@ class RunConfig:
             r3=self.geometry.r3, r4=self.geometry.r4,
             z3=self.geometry.z3, z4=self.geometry.z4,
         )
-        for key in ("mor.tol_adi", "mor.eps_shift", "analysis.t_final",
-                    "analysis.freq_min", "analysis.freq_max"):
+        for key in ("mor.tol_adi", "mor.eps_shift", "mor.lanczos_tol",
+                    "analysis.t_final", "analysis.freq_min", "analysis.freq_max"):
             if not self[key] > 0:
                 raise ConfigError(f"{key} must be positive")
         for key in ("analysis.steps", "analysis.freq_points", "oracle.dense_cap",
-                    "mor.maxit_adi", "analysis.passivity_samples"):
+                    "mor.maxit_adi", "mor.lanczos_maxit", "analysis.passivity_samples"):
             if not self[key] >= 1:
                 raise ConfigError(f"{key} must be >= 1")
         if self["mor.order"] < 0 or self["mor.tol_hsv"] < 0:

@@ -158,7 +158,8 @@ def nested_dissection(pattern, xyz, last=()):
     ``last`` indices, unknowns coupled to too much of the graph to be
     separated (such as winding currents), go at the very end in the given
     order.  Deterministic: the split is by value at the median, and every
-    part keeps ascending index order.
+    part keeps ascending index order.  The graph is carried down the
+    recursion as an edge list, each part keeping the edges inside it.
     """
     n = pattern.shape[0]
     if pattern.shape[1] != n:
@@ -173,19 +174,22 @@ def nested_dissection(pattern, xyz, last=()):
     inner = np.ones(n, dtype=bool)
     inner[last] = False
     a = sp.csr_matrix(pattern)
-    graph = (abs(a) + abs(a.T)).tocsr()
+    graph = (abs(a) + abs(a.T)).tocoo()
+    # each undirected edge once, between two inner unknowns, renumbered
+    keep = (graph.row < graph.col) & inner[graph.row] & inner[graph.col]
+    local = np.cumsum(inner) - 1
     idx = np.flatnonzero(inner)
-    graph = graph[idx][:, idx].tocsr()
     out = []
-    _dissect(idx, graph, xyz[idx], out)
+    _dissect(idx, local[graph.row[keep]], local[graph.col[keep]], xyz[idx], out)
     out.append(last)
     return np.concatenate(out)
 
 
-def _dissect(idx, graph, pts, out):
+def _dissect(idx, head, tail, pts, out):
     """Append the nested-dissection order of the unknowns ``idx`` to ``out``.
 
-    ``graph`` and ``pts`` are restricted to ``idx`` (local numbering).
+    ``head``/``tail`` list the edges between unknowns of ``idx`` and ``pts``
+    their points, both in local numbering (positions in ``idx``).
     """
     span = np.ptp(pts, axis=0) if idx.size > _ND_LEAF else np.zeros(1)
     if not span.max() > 0:
@@ -197,17 +201,23 @@ def _dissect(idx, graph, pts, out):
     left = key < med
     if not left.any():
         left = key <= med
-    lo, hi = np.flatnonzero(left), np.flatnonzero(~left)
-    cross = graph[lo][:, hi]
-    b_lo = cross.getnnz(axis=1) > 0
-    b_hi = cross.getnnz(axis=0) > 0
-    if b_lo.sum() <= b_hi.sum():
-        sep, lo = lo[b_lo], lo[~b_lo]
-    else:
-        sep, hi = hi[b_hi], hi[~b_hi]
-    for part in (lo, hi):
-        _dissect(idx[part], graph[part][:, part], pts[part], out)
-    out.append(idx[sep])
+    # boundary vertices: endpoints of the edges that cross the cut
+    cross = left[head] != left[tail]
+    ends = np.concatenate([head[cross], tail[cross]])
+    boundary = np.zeros(idx.size, dtype=bool)
+    boundary[ends] = True
+    b_lo, b_hi = boundary & left, boundary & ~left
+    # part of each unknown: 0 left, 1 right, 2 separator
+    part = np.where(left, 0, 1)
+    part[b_lo if b_lo.sum() <= b_hi.sum() else b_hi] = 2
+    inside = part[head] == part[tail]
+    head, tail = head[inside], tail[inside]
+    for p in (0, 1):
+        members = part == p
+        rank = np.cumsum(members) - 1
+        own = part[head] == p
+        _dissect(idx[members], rank[head[own]], rank[tail[own]], pts[members], out)
+    out.append(idx[part == 2])
 
 
 def dense_sym_eig(a, sym_rtol=1e-12):

@@ -109,18 +109,11 @@ class Mesh:
             raise ValueError("degenerate tetrahedron: volume <= 0")
         self.tets_sorted = np.sort(self.tets, axis=1)
         allv = self.tets_sorted
-        pair = np.stack(
-            [np.stack([allv[:, a], allv[:, b]], axis=1) for a, b in _TET_EDGE_PAIRS],
-            axis=1,
-        ).reshape(-1, 2)
-        self.edges, inv = np.unique(pair, axis=0, return_inverse=True)
+        pair = np.stack([allv[:, [a, b]] for a, b in _TET_EDGE_PAIRS], axis=1)
+        self.edges, inv = _unique_rows(pair.reshape(-1, 2), n_n)
         self.tet_edge_ids = inv.reshape(-1, 6)
-        tri = np.stack(
-            [np.stack([allv[:, a], allv[:, b], allv[:, c]], axis=1)
-             for a, b, c in _TET_FACE_TRIPLES],
-            axis=1,
-        ).reshape(-1, 3)
-        self.faces, finv = np.unique(tri, axis=0, return_inverse=True)
+        tri = np.stack([allv[:, [a, b, c]] for a, b, c in _TET_FACE_TRIPLES], axis=1)
+        self.faces, finv = _unique_rows(tri.reshape(-1, 3), n_n)
         self.tet_face_ids = finv.reshape(-1, 4)
 
         counts = np.bincount(self.tet_face_ids.ravel(), minlength=self.faces.shape[0])
@@ -135,8 +128,6 @@ class Mesh:
         self.edge_boundary = (
             self.node_boundary[self.edges[:, 0]] & self.node_boundary[self.edges[:, 1]]
         )
-        if self.edges.size and self.edges.max() >= n_n:
-            raise RuntimeError("an edge references a node outside the mesh")
 
     @property
     def n_nodes(self):
@@ -149,6 +140,26 @@ class Mesh:
     @property
     def n_faces(self):
         return self.faces.shape[0]
+
+
+def _unique_rows(rows, n_nodes):
+    """``np.unique(rows, axis=0, return_inverse=True)`` for rows of node ids
+    in ``range(n_nodes)``: each row is one int64 key in base ``n_nodes``,
+    whose order is the rows' lexicographic order, so the unique rows, their
+    order and the inverse ids are the same, found by a 1-D unique."""
+    width, n_nodes = rows.shape[1], int(n_nodes)
+    if n_nodes ** width > 2 ** 63:
+        raise ValueError(f"{n_nodes} nodes: a key of {width} node ids overflows int64")
+    if rows.size and (rows.min() < 0 or rows.max() >= n_nodes):
+        raise ValueError("a row references a node outside the mesh")
+    keys = np.zeros(rows.shape[0], dtype=np.int64)
+    for j in range(width):
+        keys = keys * n_nodes + rows[:, j]
+    uniq, inv = np.unique(keys, return_inverse=True)
+    out = np.empty((uniq.shape[0], width), dtype=rows.dtype)
+    for j in reversed(range(width)):
+        uniq, out[:, j] = np.divmod(uniq, n_nodes)
+    return out, inv
 
 
 def tet_volumes(nodes, tets):

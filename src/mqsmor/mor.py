@@ -109,10 +109,13 @@ def lr_adi(ctx: OperatorContext, shifts: ShiftSet, tol=1e-12, maxit=80,
 
     Shifts are cycled when exhausted.  Stops at the normalized residual
     tolerance, at ``maxit`` steps, or when a full shift cycle brought no
-    residual decrease (warning, partial factor returned).  The shifted
-    solves run through ``ctx.shifted_solves``, which factors the next
-    shifts ahead on worker threads; up to ``ops.LU_LANES`` look-ahead LUs
-    go unused when the iteration stops early.
+    residual decrease (warning, partial factor returned).  Each shift cycle
+    runs through its own ``ctx.shifted_solves`` sequence, which factors the
+    next shifts of the cycle ahead on worker threads.  The shift count is
+    chosen so that one cycle reaches the tolerance, so no LU is built past
+    the end of the cycle; up to ``ops.LU_LANES`` look-ahead LUs go unused
+    when the iteration stops inside a cycle, and a run that needs another
+    cycle waits, unoverlapped, for that cycle's first LU.
     """
     b = ctx.B_r
     n_r, m = b.shape
@@ -124,30 +127,33 @@ def lr_adi(ctx: OperatorContext, shifts: ShiftSet, tol=1e-12, maxit=80,
     hist = []
     snaps = {}
     j_count = len(shifts)
-    taus = [float(shifts.shifts[k % j_count]) for k in range(maxit)]
-    solves = ctx.shifted_solves(taus)
-    next(solves)
     status = "maxit"
-    k = 0
-    try:
-        for k, tau in enumerate(taus):
-            f = solves.send(res_mat)
-            res_mat = res_mat - 2.0 * tau * ctx.apply_Er(f)
-            cols.append(np.sqrt(-2.0 * tau) * f)
-            hist.append(float(np.linalg.norm(res_mat.T @ res_mat) / bnorm))
-            if k + 1 in snapshot_steps:
-                snaps[k + 1] = res_mat.copy()
-            if hist[-1] <= tol:
-                status = "converged"
-                break
-            if k + 1 >= 2 * j_count and hist[-1] >= hist[-1 - j_count]:
-                status = "stagnated"
-                warnings.warn("LR-ADI stagnated over a full shift cycle; returning partial factor")
-                break
-    finally:
-        solves.close()
+    k = 0       # steps done
+    while status == "maxit" and k < maxit:
+        cycle = [float(tau) for tau in shifts.shifts[: maxit - k]]
+        solves = ctx.shifted_solves(cycle)
+        next(solves)
+        try:
+            for tau in cycle:
+                f = solves.send(res_mat)
+                res_mat = res_mat - 2.0 * tau * ctx.apply_Er(f)
+                cols.append(np.sqrt(-2.0 * tau) * f)
+                hist.append(float(np.linalg.norm(res_mat.T @ res_mat) / bnorm))
+                k += 1
+                if k in snapshot_steps:
+                    snaps[k] = res_mat.copy()
+                if hist[-1] <= tol:
+                    status = "converged"
+                    break
+                if k >= 2 * j_count and hist[-1] >= hist[-1 - j_count]:
+                    status = "stagnated"
+                    warnings.warn("LR-ADI stagnated over a full shift cycle; "
+                                  "returning partial factor")
+                    break
+        finally:
+            solves.close()
     z = np.hstack(cols)
-    return LowRankFactor(z, np.array(hist), k + 1, status, snaps)
+    return LowRankFactor(z, np.array(hist), k, status, snaps)
 
 
 @dataclass

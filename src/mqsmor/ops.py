@@ -6,11 +6,14 @@ every solve runs in edge coordinates: a right-hand side w2 becomes the edge
 vector with w2 on the cotree rows and zeros elsewhere (Yhat^T maps it back
 to w2), and a solution x2 maps to z2 = x2[cotree].
 
-Two matrices are factored once per context: M11 and the Lemma-2 saddle
-matrix [[-K22, X2, Y_C2], [X2^T, 0, 0], [Y_C2^T, 0, 0]], which give the
-projector Pi_inf and the reflexive-inverse product E_r^- A_r.  Shifted
-systems (tau E_r + A_r) z = w, real or complex, are solved through the
-Lemma-3 bordered matrix tau Mb + Kb of dimension n1 + n2 + m + k2.
+Two matrices are factored on first use, once per context and on the
+calling thread: M11 and the Lemma-2 saddle matrix [[-K22, X2, Y_C2],
+[X2^T, 0, 0], [Y_C2^T, 0, 0]], which give the projector Pi_inf and the
+reflexive-inverse product E_r^- A_r.  A context that only serves shifted
+solves (frequency sweeps, simulation) never factors them, and LR-ADI's
+lanes never touch them.  Shifted systems (tau E_r + A_r) z = w, real or
+complex, are solved through the Lemma-3 bordered matrix tau Mb + Kb of
+dimension n1 + n2 + m + k2.
 
 All shifted bordered matrices share one sparsity pattern, so one
 nested-dissection ordering, computed per context from the edge midpoints
@@ -24,11 +27,13 @@ LU it is given or builds its own and drops it on return.  Only ``simulate``
 reuses an LU, over its time steps; a sweep point or a passivity sample
 builds and frees one, so no older LU is alive when the next is built.
 LR-ADI's real shifts run through ``shifted_solves``: while the caller
-works on one step, the next two shifts are factored on two persistent
-single-thread lanes (``LU_LANES``), each of which solves its step and frees
-its LU on its own thread, because SuperLU frees an LU's memory only on the
-thread that built it.  Complex shifts (frequency sweeps, passivity scans)
-stay serial on the calling thread.
+works on one step, the next two shifts of the sequence are factored on two
+persistent single-thread lanes (``LU_LANES``), each of which solves its
+step and frees its LU on its own thread, because SuperLU frees an LU's
+memory only on the thread that built it.  ``lr_adi`` opens one sequence
+per shift cycle, so no LU is factored past the end of a cycle.  Complex
+shifts (frequency sweeps, passivity scans) stay serial on the calling
+thread.
 
 The quasi-Weierstrass counts n_s, n_0, n_inf come from the incidence
 complex (n_0 = N - k2 with N interior nodes) and cost nothing; dense
@@ -127,7 +132,6 @@ class OperatorContext:
     def __init__(self, rsys: RegularizedSystem):
         self.rsys = rsys
         n1, n2, k2, m = rsys.n1, rsys.n2, rsys.k2, rsys.m
-        self.m11_fact = factorize(rsys.M11) if n1 else None
         mnu_c1 = rsys.Mnu @ rsys.C1
         mnu_c2 = rsys.Mnu @ rsys.C2
         k11 = (rsys.C1.T @ mnu_c1).tocsr()
@@ -162,14 +166,13 @@ class OperatorContext:
         self._lemma3_K = sp.bmat(kb, format="csc")
         self._lemma3_M = sp.bmat(mb, format="csc")
         self._order = None
-        lemma2_order = None
         if rsys.edge_xyz is not None:
             self._order = nested_dissection(
                 self._lemma3_K + self._lemma3_M, self._bordered_points(),
                 last=np.arange(n1 + n2, n1 + n2 + m))
-            lemma2_order = self._order[self._order >= n1] - n1
         self._lemma2_mat = sp.bmat(lemma2, format="csc")
-        self._lemma2_fact = factorize(self._lemma2_mat, perm=lemma2_order)
+        self._lus = None
+        self._lus_lock = threading.Lock()
         self.B_r = rsys.B_r()
         self._counts = None
 
@@ -182,6 +185,20 @@ class OperatorContext:
         counts = np.asarray(support.sum(axis=0)).ravel()
         centroids = (support.T @ r.edge_xyz[r.n1:]) / np.maximum(counts, 1)[:, None]
         return np.vstack([r.edge_xyz, np.full((r.m, 3), np.nan), centroids])
+
+    def _context_lus(self):
+        """(M11 LU, Lemma-2 LU), factored by the first caller on its own
+        thread; the Lemma-2 matrix takes the bordered order restricted to the
+        unknowns after x1."""
+        with self._lus_lock:
+            if self._lus is None:
+                n1 = self.rsys.n1
+                order = self._order
+                if order is not None:
+                    order = order[order >= n1] - n1
+                self._lus = (factorize(self.rsys.M11) if n1 else None,
+                             factorize(self._lemma2_mat, perm=order))
+            return self._lus
 
     # -- basic applies ----------------------------------------------------
 
@@ -198,7 +215,7 @@ class OperatorContext:
         return sol
 
     def _m11_solve(self, b):
-        return self._solve_refined(self.rsys.M11, self.m11_fact, b)
+        return self._solve_refined(self.rsys.M11, self._context_lus()[0], b)
 
     def _to_edges(self, w2):
         """Edge vector q2 with Yhat^T q2 = w2: w2 on the cotree rows."""
@@ -212,7 +229,8 @@ class OperatorContext:
         r = self.rsys
         tail = (r.m + r.k2,) + w2.shape[1:]
         rhs = np.concatenate([self._to_edges(w2), np.zeros(tail, dtype=w2.dtype)])
-        return self._solve_refined(self._lemma2_mat, self._lemma2_fact, rhs)[r.cotree]
+        return self._solve_refined(self._lemma2_mat, self._context_lus()[1],
+                                   rhs)[r.cotree]
 
     # -- projector and reflexive-inverse products --------------------------
 
@@ -304,7 +322,8 @@ class OperatorContext:
         LU of step k + 1 does not depend on the right-hand side of step k, so
         the next LU_LANES shifts are factored ahead on the lanes while the
         caller works; each lane solves its own step and frees its LU on its
-        own thread.  At most LU_LANES bordered LUs are alive at once.
+        own thread.  At most LU_LANES bordered LUs are alive at once, and no
+        LU is built past the last of ``shifts``.
         Closing the generator (``close``, or an exception raised through it)
         hands every pending step a ``None`` right-hand side, waits for the
         lanes to free their look-ahead LUs and trims the heap, so lane
@@ -363,7 +382,8 @@ class OperatorContext:
         Lanczos runs on v -> E_r^- A_r v in the E_r inner product, started at
         the first column of E_r^- B_r (which lies in the Pi subspace); near-
         zero Ritz values coming from numerical drift into the n_0 directions
-        are excluded by a relative threshold.
+        are excluded by a relative threshold.  Raises ValueError when Lanczos
+        returns no Ritz value (``maxit`` < 1).
         """
         start = self.apply_EinvB()[:, 0]
         if not np.linalg.norm(start) > 0:
@@ -372,6 +392,8 @@ class OperatorContext:
             self.apply_EinvA, start, maxit=maxit, tol=tol, metric=self.rsys.apply_Er
         )
         ritz = res.ritz
+        if ritz is None:
+            raise ValueError(f"Lanczos returned no Ritz values (maxit = {maxit})")
         scale = np.abs(ritz).max()
         neg = ritz[ritz < -1e-8 * scale]
         if neg.size == 0:

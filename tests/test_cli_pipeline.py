@@ -231,6 +231,20 @@ def test_config_rejects_nonpositive_passivity_samples(tmp_path, samples):
     assert main(["verify", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("mor.lanczos_maxit", 0, "must be >= 1"),
+    ("mor.lanczos_maxit", -2, "must be >= 1"),
+    ("mor.lanczos_tol", 0.0, "must be positive"),
+    ("mor.lanczos_tol", -1e-9, "must be positive"),
+])
+def test_config_rejects_bad_lanczos_settings(tmp_path, key, value, message):
+    with pytest.raises(ConfigError, match=f"{key} {message}"):
+        RunConfig({key: value})
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"{key} = {value}\n")
+    assert main(["reduce", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+
 VERIFY_LINES = ("theorem1_common_kernel", "theorem2_spectrum", "sec32_BtEinvB_equals_Rinv",
                 "lemma1_alg2_vs_oracle", "theorem4_gramian_identity",
                 "theorem3_passivity_full", "reduced_passivity", "bound_dominates_hinf")

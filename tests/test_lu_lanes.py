@@ -1,6 +1,8 @@
 """Shifted-LU lifetimes and LR-ADI's look-ahead LU lanes: each LU is freed on
 the thread that built it, errors surface as in a serial loop, and the results
-equal a serial loop over ``shifted_solve`` bit for bit."""
+equal a serial loop over ``shifted_solve`` bit for bit.  Each stage builds
+only the LUs it solves with: LR-ADI's look-ahead ends with the shift cycle,
+and the context's M11 and Lemma-2 LUs are built on first use."""
 
 import os
 import subprocess
@@ -13,8 +15,11 @@ import pytest
 
 import mqsmor.ops as ops
 from mqsmor.analysis import simulate
+from mqsmor.config import RunConfig
 from mqsmor.lacore import SingularMatrixError, factorize
 from mqsmor.mor import ShiftSet, lr_adi
+from mqsmor.ops import OperatorContext
+from mqsmor.pipeline import run_pipeline
 
 # the synthetic system has one finite eigenvalue, near -1.1; these shifts
 # are far from it, so LR-ADI needs many steps
@@ -23,15 +28,17 @@ SLOW = ShiftSet(np.array([-5.0, -9.0]), 0.5, (5.0, 9.0))
 
 def track_factorize(monkeypatch, fail_on=None, error=None):
     """Patch ``ops.factorize`` to record, per LU, the thread that built it,
-    the thread that freed it and how many LUs were alive with it when it was
-    built.  A call on the matrix ``fail_on`` builds its LU, keeps it in a
-    local and raises ``error``, as ``factorize`` does on a small pivot."""
+    the thread that freed it, how many LUs were alive with it when it was
+    built and whether it is complex.  A call on the matrix ``fail_on``
+    builds its LU, keeps it in a local and raises ``error``, as
+    ``factorize`` does on a small pivot."""
     records = []
 
     def tracking(mat, *args, **kwargs):
         alive = sum(rec["freed"] is None for rec in records)
         fact = factorize(mat, *args, **kwargs)
-        rec = {"built": threading.get_ident(), "freed": None, "alive": alive + 1}
+        rec = {"built": threading.get_ident(), "freed": None, "alive": alive + 1,
+               "complex": np.iscomplexobj(mat)}
 
         def freed():
             rec["freed"] = threading.get_ident()
@@ -142,25 +149,85 @@ def test_error_in_lane_solve_frees_lu_on_its_lane(synthetic, monkeypatch):
     assert_freed_by_builders(records)
 
 
-def test_lanes_equal_serial_loop_on_synthetic(synthetic):
+def test_lanes_equal_serial_loop_on_synthetic(synthetic, monkeypatch):
+    """SLOW runs over several two-shift cycles, one stopped by ``maxit`` and
+    one converged inside a cycle, equal the serial loop bit for bit.  The
+    look-ahead builds no LU past the end of the cycle in which the run
+    stops, nor past ``maxit``."""
     ctx = synthetic[3]
     for shifts, kwargs in ((SLOW, {"tol": 1e-30, "maxit": 7}),
                            (SLOW, {"tol": 1e-6, "maxit": 80})):
-        lanes = lr_adi(ctx, shifts, **kwargs)
         serial = serial_lr_adi(ctx, shifts, **kwargs)
+        records = track_factorize(monkeypatch)
+        lanes = lr_adi(ctx, shifts, **kwargs)
         assert np.array_equal(lanes.Z, serial.Z)
         assert np.array_equal(lanes.history, serial.history)
         assert lanes.status == serial.status
+        assert lanes.iterations > 2 * len(shifts)
+        cycles = -(-lanes.iterations // len(shifts))
+        assert len(records) == min(kwargs["maxit"], cycles * len(shifts))
+        assert_freed_by_builders(records)
 
 
-def test_lanes_equal_serial_loop_on_desk(desk):
+def test_context_lus_built_on_first_use(desk, monkeypatch):
+    """A new context factors nothing; its first ``apply_EinvA`` builds the
+    M11 and Lemma-2 LUs once each, on the calling thread, and later products
+    reuse them.  The products equal those of a context built earlier."""
+    v = np.random.default_rng(5).standard_normal(desk.rsys.n_r)
+    einv_a, pi_inf = desk.ctx.apply_EinvA(v), desk.ctx.apply_Pi_inf(v)
+    records = track_factorize(monkeypatch)
+    ctx = OperatorContext(desk.rsys)
+    assert records == []
+    first = ctx.apply_EinvA(v)
+    assert len(records) == 2
+    assert all(rec["built"] == threading.get_ident() for rec in records)
+    assert np.array_equal(first, einv_a)
+    assert np.array_equal(ctx.apply_Pi_inf(v), pi_inf)
+    assert np.array_equal(ctx.apply_EinvA(v), first)
+    assert len(records) == 2
+
+
+@pytest.fixture(scope="module")
+def desk_reduced(tmp_path_factory):
+    """A run directory holding the desk's ``reduce`` artifacts, and a config
+    with a 3-point sweep and 4 time steps."""
+    cfg = RunConfig({"analysis.freq_points": 3, "analysis.steps": 4})
+    out = tmp_path_factory.mktemp("lanes") / "run"
+    run_pipeline(cfg, "reduce", out_dir=str(out))
+    return cfg, out
+
+
+@pytest.mark.parametrize("stage,complex_lus,real_lus", [
+    ("freqresp", 3, 0),
+    ("simulate", 0, 1),
+])
+def test_desk_stage_builds_only_its_shifted_lus(desk_reduced, monkeypatch, stage,
+                                                complex_lus, real_lus):
+    """``freqresp`` builds one complex LU per point and ``simulate`` one real
+    LU; neither factors the context's M11 or Lemma-2 matrix."""
+    cfg, out = desk_reduced
+    records = track_factorize(monkeypatch)
+    run_pipeline(cfg, stage, out_dir=str(out))
+    assert sum(rec["complex"] for rec in records) == complex_lus
+    assert sum(not rec["complex"] for rec in records) == real_lus
+    assert max(rec["alive"] for rec in records) == 1
+
+
+def test_lanes_equal_serial_loop_on_desk(desk, monkeypatch):
+    """The desk converges at the last of its 31 Wachspress shifts: the lanes
+    build exactly those 31 LUs, each freed on its lane, and equal the serial
+    loop bit for bit."""
     cfg = desk.config
     kwargs = {"tol": cfg["mor.tol_adi"], "maxit": cfg["mor.maxit_adi"]}
-    lanes = lr_adi(desk.ctx, desk.shifts, **kwargs)
     serial = serial_lr_adi(desk.ctx, desk.shifts, **kwargs)
+    records = track_factorize(monkeypatch)
+    lanes = lr_adi(desk.ctx, desk.shifts, **kwargs)
     assert lanes.status == serial.status == "converged"
     assert np.array_equal(lanes.Z, serial.Z)
     assert np.array_equal(lanes.history, serial.history)
+    assert lanes.iterations == len(desk.shifts) == 31
+    assert len(records) == 31 and not any(rec["complex"] for rec in records)
+    assert_freed_by_builders(records)
 
 
 def test_shifted_solves_equals_shifted_solve(synthetic):

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -5,11 +6,16 @@ import sys
 import numpy as np
 import pytest
 
+from mqsmor.config import default_config
+
 from mqsmor.mesh import (
+    _TET_EDGE_PAIRS,
+    _TET_FACE_TRIPLES,
     AIR,
     COIL,
     IRON,
     GeometrySpec,
+    _unique_rows,
     build_incidence,
     eliminate_boundary,
     generate_mesh,
@@ -168,3 +174,42 @@ def test_missing_face_edge_raises_under_python_O():
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     run = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=120)
     assert run.returncode == 3
+
+
+def _axis0_complex(mesh):
+    """Edges, faces and their per-tet ids by ``np.unique(axis=0)``, the
+    form the keyed unique replaced."""
+    v = mesh.tets_sorted
+    pair = np.stack([v[:, list(e)] for e in _TET_EDGE_PAIRS], axis=1).reshape(-1, 2)
+    tri = np.stack([v[:, list(f)] for f in _TET_FACE_TRIPLES], axis=1).reshape(-1, 3)
+    edges, inv = np.unique(pair, axis=0, return_inverse=True)
+    faces, finv = np.unique(tri, axis=0, return_inverse=True)
+    return edges, faces, inv.reshape(-1, 6), finv.reshape(-1, 4)
+
+
+@pytest.mark.parametrize("resolution", [9, 18])
+def test_keyed_complex_equals_axis0_unique(resolution):
+    """The desk geometry at its own resolution and at 18: edges, faces,
+    per-tet ids and their dtypes are those of ``np.unique(axis=0)``."""
+    spec = dataclasses.replace(default_config().geometry, resolution=resolution)
+    mesh = generate_mesh(spec)
+    got = (mesh.edges, mesh.faces, mesh.tet_edge_ids, mesh.tet_face_ids)
+    for a, b in zip(got, _axis0_complex(mesh)):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+def test_unique_rows_rejects_overflowing_keys_and_bad_ids():
+    top = 2 ** 21 - 1
+    rows = np.array([[top, top, top], [0, 1, 2], [top, top, top]])
+    # (2^21)^3 = 2^63: the largest key, 2^63 - 1, still fits
+    keys, inv = _unique_rows(rows, 2 ** 21)
+    assert np.array_equal(keys, [[0, 1, 2], [top, top, top]])
+    assert np.array_equal(inv, [1, 0, 1])
+    with pytest.raises(ValueError, match="overflows int64"):
+        _unique_rows(rows, 2 ** 21 + 1)
+    assert np.array_equal(_unique_rows(np.array([[0, 1]]), 2 ** 31)[0], [[0, 1]])
+    with pytest.raises(ValueError, match="outside the mesh"):
+        _unique_rows(np.array([[0, 3]]), 3)
+    with pytest.raises(ValueError, match="outside the mesh"):
+        _unique_rows(np.array([[-1, 2]]), 3)

@@ -101,6 +101,11 @@ def test_spectral_bounds_validation():
         SpectralBounds(a=3.0, b=2.0)
 
 
+def test_spectral_bounds_without_ritz_values(synthetic):
+    with pytest.raises(ValueError, match="no Ritz values"):
+        synthetic[3].spectral_bounds(maxit=0)
+
+
 def test_k2_zero_bordered_equals_direct(toy):
     _, _, rsys, ctx = toy
     e, a = dense_operator(rsys)
