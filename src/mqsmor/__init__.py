@@ -54,7 +54,6 @@ from .mor import (
     ShiftSet,
     balanced_truncate,
     error_bound,
-    hankel_values,
     hinf_error,
     lr_adi,
     reduced_order,

@@ -23,7 +23,16 @@ import numpy as np
 import scipy.sparse as sp
 
 from .lacore import csr_from_coo, is_positive_definite
-from .mesh import AIR, COIL, IRON, IncidenceSet, Mesh, tet_volumes
+from .mesh import (
+    AIR,
+    COIL,
+    IRON,
+    TET_EDGE_PAIRS,
+    TET_FACE_TRIPLES,
+    IncidenceSet,
+    Mesh,
+    tet_volumes,
+)
 
 # degree-2 rule: 4 points, barycentric (a,b,b,b) permutations, weight 1/4
 _QA = 0.5854101966249684544614
@@ -38,10 +47,8 @@ QUAD_LAMBDA = np.array(
 )
 QUAD_WEIGHT = 0.25
 
-EDGE_PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-FACE_TRIPLES = [(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)]
-
-# local face-edge incidence for a sorted tet, same sign rule as mesh.C
+# local face-edge incidence for a sorted tet in the mesh's local numbering,
+# same sign rule as mesh.C
 C_LOCAL = np.array(
     [
         [0, 0, 0, 1, -1, 1],
@@ -174,12 +181,9 @@ class AssembledSystem:
         return (c.T @ (self.Mnu @ c)).tocsr()
 
 
-def _tet_geometry(mesh, tets=None):
-    """Per-tet vertex coords, barycentric gradients and (positive) volumes."""
-    if tets is None:
-        tets = mesh.tets_sorted
-    p = mesh.nodes[tets]
-    return _geometry_from_coords(p)
+def _tet_geometry(mesh):
+    """(Positive) volumes and barycentric gradients of the sorted tets."""
+    return _geometry_from_coords(mesh.nodes[mesh.tets_sorted])
 
 
 def _geometry_from_coords(p):
@@ -197,7 +201,7 @@ def element_edge_mass(p):
     vol, grads = _geometry_from_coords(p)
     lam = QUAD_LAMBDA
     vals = np.empty((p.shape[0], 4, 6, 3))
-    for e, (a, b) in enumerate(EDGE_PAIRS):
+    for e, (a, b) in enumerate(TET_EDGE_PAIRS):
         vals[:, :, e, :] = (
             lam[None, :, a, None] * grads[:, None, b, :]
             - lam[None, :, b, None] * grads[:, None, a, :]
@@ -211,7 +215,7 @@ def _face_basis_at_quad(grads):
     lam = QUAD_LAMBDA
     cross = np.cross(grads[:, :, None, :], grads[:, None, :, :])  # (T,4,4,3)
     vals = np.empty((grads.shape[0], 4, 4, 3))
-    for fidx, (a, b, c) in enumerate(FACE_TRIPLES):
+    for fidx, (a, b, c) in enumerate(TET_FACE_TRIPLES):
         vals[:, :, fidx, :] = 2.0 * (
             lam[None, :, a, None] * cross[:, None, b, c, :]
             + lam[None, :, b, None] * cross[:, None, c, a, :]
@@ -232,7 +236,7 @@ def element_curl_curl(p):
     """6x6 curl-curl matrices assembled directly from curl(phi_e) = 2 ga x gb."""
     vol, grads = _geometry_from_coords(p)
     curls = np.empty((p.shape[0], 6, 3))
-    for e, (a, b) in enumerate(EDGE_PAIRS):
+    for e, (a, b) in enumerate(TET_EDGE_PAIRS):
         curls[:, e, :] = 2.0 * np.cross(grads[:, a, :], grads[:, b, :])
     kc = np.einsum("tex,tfx->tef", curls, curls)
     return kc * vol[:, None, None]

@@ -29,8 +29,10 @@ REGION_NAMES = {AIR: "air", IRON: "iron", COIL: "coil"}
 REGION_CODES = {v: k for k, v in REGION_NAMES.items()}
 
 _KUHN_PERMS = list(itertools.permutations(range(3)))
-_TET_EDGE_PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-_TET_FACE_TRIPLES = [(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)]
+# local numbering of a sorted tet's edges and faces; the signs of mesh.C and
+# of assembly.C_LOCAL both follow it
+TET_EDGE_PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+TET_FACE_TRIPLES = [(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)]
 
 
 @dataclass(frozen=True)
@@ -109,10 +111,10 @@ class Mesh:
             raise ValueError("degenerate tetrahedron: volume <= 0")
         self.tets_sorted = np.sort(self.tets, axis=1)
         allv = self.tets_sorted
-        pair = np.stack([allv[:, [a, b]] for a, b in _TET_EDGE_PAIRS], axis=1)
+        pair = np.stack([allv[:, [a, b]] for a, b in TET_EDGE_PAIRS], axis=1)
         self.edges, inv = _unique_rows(pair.reshape(-1, 2), n_n)
         self.tet_edge_ids = inv.reshape(-1, 6)
-        tri = np.stack([allv[:, [a, b, c]] for a, b, c in _TET_FACE_TRIPLES], axis=1)
+        tri = np.stack([allv[:, [a, b, c]] for a, b, c in TET_FACE_TRIPLES], axis=1)
         self.faces, finv = _unique_rows(tri.reshape(-1, 3), n_n)
         self.tet_face_ids = finv.reshape(-1, 4)
 

@@ -15,10 +15,9 @@ the spectral interval [a, b].
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.special import ellipj, ellipk, ellipkm1
 
 from .lacore import dense_sym_eig
@@ -88,23 +87,22 @@ def wachspress_shifts(a, b, eps):
 class LowRankFactor:
     """Tall factor Z with G_c approx Z Z^T, plus the residual history.
 
-    ``snapshots`` maps an iteration number k to the residual matrix R_k;
-    the corresponding partial factor is the first k*m columns of Z.
+    ``history[k-1]`` is the normalized residual ||R_k^T R_k||_F /
+    ||B_r^T B_r||_F after k steps, which is also the normalized Lyapunov
+    residual of the partial factor made of the first k*m columns of Z.
     """
 
     Z: np.ndarray
     history: np.ndarray
     iterations: int
     status: str     # converged | maxit | stagnated
-    snapshots: dict = None
 
     @property
     def n_c(self):
         return self.Z.shape[1]
 
 
-def lr_adi(ctx: OperatorContext, shifts: ShiftSet, tol=1e-12, maxit=80,
-           snapshot_steps=()):
+def lr_adi(ctx: OperatorContext, shifts: ShiftSet, tol=1e-12, maxit=80):
     """LR-ADI iteration for the controllability Gramian factor.
 
     Shifts are cycled when exhausted.  Stops at the normalized residual
@@ -121,11 +119,10 @@ def lr_adi(ctx: OperatorContext, shifts: ShiftSet, tol=1e-12, maxit=80,
     n_r, m = b.shape
     bnorm = np.linalg.norm(b.T @ b)
     if bnorm == 0:
-        return LowRankFactor(np.zeros((n_r, 0)), np.array([0.0]), 0, "converged", {})
+        return LowRankFactor(np.zeros((n_r, 0)), np.array([0.0]), 0, "converged")
     res_mat = b.copy()
     cols = []
     hist = []
-    snaps = {}
     j_count = len(shifts)
     status = "maxit"
     k = 0       # steps done
@@ -140,8 +137,6 @@ def lr_adi(ctx: OperatorContext, shifts: ShiftSet, tol=1e-12, maxit=80,
                 cols.append(np.sqrt(-2.0 * tau) * f)
                 hist.append(float(np.linalg.norm(res_mat.T @ res_mat) / bnorm))
                 k += 1
-                if k in snapshot_steps:
-                    snaps[k] = res_mat.copy()
                 if hist[-1] <= tol:
                     status = "converged"
                     break
@@ -153,7 +148,7 @@ def lr_adi(ctx: OperatorContext, shifts: ShiftSet, tol=1e-12, maxit=80,
         finally:
             solves.close()
     z = np.hstack(cols)
-    return LowRankFactor(z, np.array(hist), k, status, snaps)
+    return LowRankFactor(z, np.array(hist), k, status)
 
 
 @dataclass
@@ -167,8 +162,8 @@ class ReducedModel:
     ell: int
     n_s: int
     m: int
-    error_bound: float | None = None
-    hinf_error: float | None = None
+    error_bound: float
+    hinf_error: float
 
 
 def _hankel(ctx: OperatorContext, z):
@@ -177,13 +172,10 @@ def _hankel(ctx: OperatorContext, z):
     return dense_sym_eig(0.5 * (h + h.T))
 
 
-def hankel_values(ctx: OperatorContext, zc: LowRankFactor) -> np.ndarray:
-    """Hankel values of the low-rank Gramian factor, descending."""
-    return _hankel(ctx, zc.Z)[0]
-
-
-def _tail_bound(hankel, n_s, ell):
-    """``error_bound`` of an order-``ell`` model with these Hankel values."""
+def error_bound(hankel, n_s, ell) -> float:
+    """Truncated-tail balanced-truncation bound of an order-``ell`` model,
+    2 (lam_{l+1} + ... + lam_{nc-1} + (n_s - l + 1) lam_{nc}), from the
+    Hankel values ``hankel`` (descending) of a converged factor."""
     lam = np.clip(hankel, 0.0, None)
     n_c = lam.shape[0]
     tail = lam[ell: n_c - 1].sum() if ell < n_c - 1 else 0.0
@@ -195,22 +187,37 @@ def reduced_order(hankel, n_s, target) -> int:
     n_c when none does.  The bound never grows with the order."""
     n_c = len(hankel)
     return next((ell for ell in range(1, n_c + 1)
-                 if _tail_bound(hankel, n_s, ell) <= target), n_c)
+                 if error_bound(hankel, n_s, ell) <= target), n_c)
 
 
-def balanced_truncate(ctx: OperatorContext, zc: LowRankFactor, ell) -> ReducedModel:
-    """Balanced truncation of order ``ell`` from the low-rank Gramian factor.
+def balanced_truncate(ctx: OperatorContext, zc: LowRankFactor, ell=None,
+                      target=None) -> ReducedModel:
+    """Balanced truncation from a converged low-rank Gramian factor.
 
-    Hankel values are the eigenvalues of -Z^T A_r Z; the projection matrix is
+    Raises RuntimeError unless ``zc.status`` is "converged": the error bound
+    holds only for the Hankel values of a converged factor, so none is ever
+    reported from an unconverged one.  The Hankel values are the eigenvalues
+    of -Z^T A_r Z; without ``ell`` the order is the smallest whose error
+    bound meets ``target`` (``reduced_order``).  The projection matrix is
     V = Z U_1 Lambda_1^{-1/2}; the reduced matrices are evaluated columnwise
     through the structured E_r^- A_r products.  The identity reduced-E is
-    asserted via the Lambda normalization.
+    asserted via the Lambda normalization.  The model carries its error
+    bound and its closed-form H-infinity error.
     """
+    if zc.status != "converged":
+        raise RuntimeError(
+            f"LR-ADI ended with status {zc.status!r} after {zc.iterations} "
+            f"steps, last residual {zc.history[-1]:.3e}; no certified model")
     z = zc.Z
     if z.shape[1] == 0:
         raise ValueError("empty low-rank factor")
+    if ell is None and target is None:
+        raise ValueError("give the reduced order or an error-bound target")
     lam, u = _hankel(ctx, z)
     n_c = lam.shape[0]
+    n_s = ctx.dimension_counts()["n_s"]
+    if ell is None:
+        ell = reduced_order(lam, n_s, target)
     if not 1 <= ell <= n_c:
         raise ValueError(f"reduced order {ell} out of range 1..{n_c}")
     if lam[ell - 1] <= 0:
@@ -231,29 +238,20 @@ def balanced_truncate(ctx: OperatorContext, zc: LowRankFactor, ell) -> ReducedMo
     except np.linalg.LinAlgError as exc:
         raise RuntimeError("reduced A is not negative definite") from exc
     b_red = -av.T @ ctx.apply_EinvB()
-    model = ReducedModel(
-        A=a_red, B=b_red, C=b_red.T.copy(), hankel=lam, ell=ell,
-        n_s=ctx.dimension_counts()["n_s"], m=ctx.rsys.m,
+    return ReducedModel(
+        A=a_red, B=b_red, C=b_red.T.copy(), hankel=lam, ell=ell, n_s=n_s, m=ctx.rsys.m,
+        error_bound=error_bound(lam, n_s, ell),
+        hinf_error=hinf_error(a_red, b_red, ctx.rsys.R),
     )
-    model.error_bound = error_bound(model)
-    model.hinf_error = hinf_error(model, ctx.rsys.R)
-    return model
 
 
-def error_bound(model: ReducedModel) -> float:
-    """Truncated-tail balanced-truncation bound
-    2 (lam_{l+1} + ... + lam_{nc-1} + (n_s - l + 1) lam_{nc})."""
-    if model.n_s is None:
-        raise ValueError("n_s unknown; dimension counts are required for the bound")
-    return _tail_bound(model.hankel, model.n_s, model.ell)
-
-
-def hinf_error(model: ReducedModel, R) -> float:
-    """Closed-form H-infinity error || R^{-1} + B^T A^{-1} B ||_2."""
+def hinf_error(A, B, R) -> float:
+    """Closed-form H-infinity error || R^{-1} + B^T A^{-1} B ||_2 of the
+    reduced model (A, B, C = B^T)."""
     R = np.atleast_2d(np.asarray(R, dtype=float))
     try:
-        np.linalg.cholesky(-model.A)
+        np.linalg.cholesky(-A)
     except np.linalg.LinAlgError as exc:
         raise ValueError("reduced A must be negative definite") from exc
-    mat = np.linalg.inv(R) + model.B.T @ np.linalg.solve(model.A, model.B)
+    mat = np.linalg.inv(R) + B.T @ np.linalg.solve(A, B)
     return float(np.linalg.norm(mat, 2))

@@ -119,7 +119,6 @@ class SpectralBounds:
     a: float   # = -lambda_max(E_r, A_r)
     b: float   # = -lambda_min(E_r, A_r)
     iterations: int = 0
-    converged: bool = True
 
     def __post_init__(self):
         if not (0 < self.a <= self.b):
@@ -383,7 +382,9 @@ class OperatorContext:
         the first column of E_r^- B_r (which lies in the Pi subspace); near-
         zero Ritz values coming from numerical drift into the n_0 directions
         are excluded by a relative threshold.  Raises ValueError when Lanczos
-        returns no Ritz value (``maxit`` < 1).
+        returns no Ritz value (``maxit`` < 1), and RuntimeError when it does
+        not converge within ``maxit`` steps: shifts from unconverged bounds
+        would not support a certified model.
         """
         start = self.apply_EinvB()[:, 0]
         if not np.linalg.norm(start) > 0:
@@ -398,10 +399,14 @@ class OperatorContext:
         neg = ritz[ritz < -1e-8 * scale]
         if neg.size == 0:
             raise RuntimeError("no negative Ritz value found")
-        return SpectralBounds(
-            a=float(-neg.max()), b=float(-neg.min()),
-            iterations=res.iterations, converged=res.converged,
-        )
+        bounds = SpectralBounds(a=float(-neg.max()), b=float(-neg.min()),
+                                iterations=res.iterations)
+        if not res.converged:
+            raise RuntimeError(
+                f"Lanczos spectral bounds did not converge in {bounds.iterations} "
+                f"iterations (a={bounds.a:.6e}, b={bounds.b:.6e}); "
+                "no certified model")
+        return bounds
 
     # -- dimension bookkeeping ----------------------------------------------
 

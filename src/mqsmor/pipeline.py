@@ -12,6 +12,11 @@ stamp matches, and rebuilds them otherwise.  The mesh is regenerated from
 ``geometry.*`` on every call and never read back: that costs no more than
 parsing ``mesh.txt``.
 
+``reduce`` makes no checks of its own: ``OperatorContext.spectral_bounds``
+raises when Lanczos does not converge and ``balanced_truncate`` when the
+LR-ADI factor has not, so an error bound never comes from an unconverged
+Gramian factor and the stage then writes nothing.
+
 Every artifact is written to a temporary file in its directory and renamed
 into place, so an interrupted call leaves each file whole or absent.  A
 stage's stamped key-value file is removed before its artifacts are written
@@ -48,14 +53,7 @@ from .assembly import AssembledSystem, build_system, edge_midpoints
 from .config import RunConfig
 from .lacore import read_matrix_market, write_matrix_market
 from .mesh import build_incidence, eliminate_boundary, generate_mesh, write_mesh
-from .mor import (
-    ReducedModel,
-    balanced_truncate,
-    hankel_values,
-    lr_adi,
-    reduced_order,
-    wachspress_shifts,
-)
+from .mor import ReducedModel, balanced_truncate, lr_adi, wachspress_shifts
 from .ops import OperatorContext, trim_heap
 from .oracle import build_dense_oracle, dense_gramians
 from .regularize import KernelBases, build_regularized, kernel_bases, theorem1_check
@@ -172,23 +170,10 @@ class PipelineState:
         ctx = self.ctx()
         bounds = ctx.spectral_bounds(maxit=cfg["mor.lanczos_maxit"],
                                      tol=cfg["mor.lanczos_tol"])
-        if not bounds.converged:
-            raise RuntimeError(
-                f"Lanczos spectral bounds did not converge in {bounds.iterations} "
-                f"iterations (a={bounds.a:.6e}, b={bounds.b:.6e}); "
-                "no certified model")
         shifts = wachspress_shifts(bounds.a, bounds.b, cfg["mor.eps_shift"])
-        zc = lr_adi(ctx, shifts, tol=cfg["mor.tol_adi"], maxit=cfg["mor.maxit_adi"])
-        if zc.status != "converged":
-            raise RuntimeError(
-                f"LR-ADI ended with status {zc.status!r} after {zc.iterations} "
-                f"steps, last residual {zc.history[-1]:.3e} > tol "
-                f"{cfg['mor.tol_adi']:.3e}; no certified model")
-        self._cache["zc"] = zc
-        # mor.order, or the smallest order whose error bound meets the target
-        ell = cfg["mor.order"] or reduced_order(
-            hankel_values(ctx, zc), ctx.dimension_counts()["n_s"], cfg.tol_hsv)
-        return balanced_truncate(ctx, zc, ell)
+        zc = self._cache["zc"] = lr_adi(ctx, shifts, tol=cfg["mor.tol_adi"],
+                                        maxit=cfg["mor.maxit_adi"])
+        return balanced_truncate(ctx, zc, cfg["mor.order"] or None, target=cfg.tol_hsv)
 
 
 class RunManifest:

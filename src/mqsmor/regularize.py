@@ -200,7 +200,7 @@ class KernelBases:
     n_nodes: int | None = None
 
 
-def kernel_bases(inc: IncidenceSet, n1: int | None = None) -> KernelBases:
+def kernel_bases(inc: IncidenceSet) -> KernelBases:
     """Kernel bases from the incidence complex via Z1 = ker(G1).
 
     Y_C2 is a maximal independent column subset of G2 @ Z1 (one column per
@@ -208,8 +208,7 @@ def kernel_bases(inc: IncidenceSet, n1: int | None = None) -> KernelBases:
     Yhat_C2 is the circulation kernel of (G2 Z1)^T.
     """
     g = reduced_gradient(inc)
-    n1 = inc.n1 if n1 is None else n1
-    g1, g2 = g[:n1], g[n1:]
+    g1, g2 = g[:inc.n1], g[inc.n1:]
     n2 = g2.shape[0]
     z1 = kernel_incidence(g1)
     quotient = (g2 @ z1).tocsc()

@@ -112,16 +112,18 @@ def test_criterion_05_lr_adi_convergence_and_residual_identity(desk):
     b = ctx.B_r
     m = b.shape[1]
     worst = 0.0
-    for k, r_k in sorted(zc.snapshots.items()):
+    # history[k-1] ||B_r^T B_r||_F is ||R_k^T R_k||_F
+    checkpoints = [k for k in (5, 10, 15) if k <= zc.iterations]
+    for k in checkpoints:
         z = zc.Z[:, : k * m]
         ez, az = ctx.apply_Er(z), ctx.apply_Ar(z)
         resid = ez @ az.T
         resid += resid.T.copy()
         resid += b @ b.T
         lhs = np.linalg.norm(resid)
-        rhs = np.linalg.norm(r_k.T @ r_k)
+        rhs = zc.history[k - 1] * np.linalg.norm(b.T @ b)
         worst = max(worst, abs(lhs - rhs) / rhs)
-    ok = conv_ok and worst <= 1e-8 and len(zc.snapshots) == 3
+    ok = conv_ok and worst <= 1e-8 and len(checkpoints) == 3
     _report(5, ok, (f"residual {zc.history.min():.1e} in n_c={zc.n_c} cols; "
                     f"identity mismatch {worst:.1e} at 3 checkpoints"))
 

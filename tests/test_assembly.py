@@ -4,8 +4,6 @@ import scipy.sparse as sp
 
 from mqsmor.assembly import (
     C_LOCAL,
-    EDGE_PAIRS,
-    FACE_TRIPLES,
     MaterialSpec,
     WindingSpec,
     _geometry_from_coords,
@@ -18,7 +16,17 @@ from mqsmor.assembly import (
     element_face_mass,
 )
 from mqsmor.lacore import is_positive_definite
-from mqsmor.mesh import AIR, COIL, IRON, GeometrySpec, build_incidence, eliminate_boundary, generate_mesh
+from mqsmor.mesh import (
+    AIR,
+    COIL,
+    IRON,
+    TET_EDGE_PAIRS,
+    TET_FACE_TRIPLES,
+    GeometrySpec,
+    build_incidence,
+    eliminate_boundary,
+    generate_mesh,
+)
 
 
 def random_tet(rng):
@@ -38,8 +46,8 @@ def symbolic_edge_mass(p):
     vol, g = vol[0], g[0]
     li = lam_integrals(vol)
     m = np.zeros((6, 6))
-    for i, (a, b) in enumerate(EDGE_PAIRS):
-        for j, (c, d) in enumerate(EDGE_PAIRS):
+    for i, (a, b) in enumerate(TET_EDGE_PAIRS):
+        for j, (c, d) in enumerate(TET_EDGE_PAIRS):
             m[i, j] = ((g[b] @ g[d]) * li[a, c] - (g[b] @ g[c]) * li[a, d]
                        - (g[a] @ g[d]) * li[b, c] + (g[a] @ g[c]) * li[b, d])
     return m
@@ -51,8 +59,8 @@ def symbolic_face_mass(p):
     li = lam_integrals(vol)
     cr = {(a, b): np.cross(g[a], g[b]) for a in range(4) for b in range(4)}
     m = np.zeros((4, 4))
-    for i, fa in enumerate(FACE_TRIPLES):
-        for j, fb in enumerate(FACE_TRIPLES):
+    for i, fa in enumerate(TET_FACE_TRIPLES):
+        for j, fb in enumerate(TET_FACE_TRIPLES):
             s = 0.0
             for (a, b, c) in [(fa[0], fa[1], fa[2]), (fa[1], fa[2], fa[0]),
                               (fa[2], fa[0], fa[1])]:
@@ -68,7 +76,7 @@ def symbolic_face_moment(p):
     vol, g = _geometry_from_coords(p[None])
     vol, g = vol[0], g[0]
     out = np.zeros((4, 3))
-    for i, (a, b, c) in enumerate(FACE_TRIPLES):
+    for i, (a, b, c) in enumerate(TET_FACE_TRIPLES):
         out[i] = 2.0 * (np.cross(g[b], g[c]) + np.cross(g[c], g[a])
                         + np.cross(g[a], g[b])) * vol / 4.0
     return out

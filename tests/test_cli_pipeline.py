@@ -12,7 +12,8 @@ from mqsmor.assembly import build_system
 from mqsmor.cli import main
 from mqsmor.config import ConfigError, RunConfig, default_config, parse_config
 from mqsmor.lacore import read_matrix_market
-from mqsmor.pipeline import RunManifest, run_pipeline
+from mqsmor.mor import error_bound, reduced_order
+from mqsmor.pipeline import RunManifest, _read_kv, run_pipeline
 
 
 def test_parse_empty_file_gives_defaults(tmp_path):
@@ -289,6 +290,41 @@ def test_cli_refuses_unconverged_adi_factor(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'maxit'" in err and "last residual" in err
     assert not (out / "reduce" / "reduced.txt").exists()
+
+
+def test_cli_refuses_unconverged_lanczos_bounds(tmp_path, capsys):
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("mor.lanczos_maxit = 20\n")
+    out = tmp_path / "run"
+    assert main(["reduce", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "did not converge in 20 iterations" in capsys.readouterr().err
+    assert not (out / "reduce" / "reduced.txt").exists()
+
+
+def _reduce_with(tmp_path, text):
+    """(reduced.txt as a dict, Hankel values from hankel.csv) of a ``reduce``
+    call under the config ``text``."""
+    cfg = tmp_path / "mor.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "run"
+    assert main(["reduce", "--config", str(cfg), "--out", str(out)]) == 0
+    info = _read_kv(out / "reduce" / "reduced.txt")
+    hankel = np.loadtxt(out / "reduce" / "hankel.csv", delimiter=",", skiprows=1)[:, 1]
+    return info, hankel
+
+
+def test_reduce_with_fixed_order(tmp_path):
+    info, hankel = _reduce_with(tmp_path, "mor.order = 4\n")
+    assert int(info["ell"]) == 4
+    assert float(info["error_bound"]) == error_bound(hankel, int(info["n_s"]), 4)
+    assert float(info["hinf_error"]) <= float(info["error_bound"])
+
+
+def test_reduce_with_error_bound_target(tmp_path):
+    info, hankel = _reduce_with(tmp_path, "mor.tol_hsv = 1e-6\n")
+    ell, n_s = int(info["ell"]), int(info["n_s"])
+    assert ell == reduced_order(hankel, n_s, 1e-6)
+    assert float(info["error_bound"]) == error_bound(hankel, n_s, ell) <= 1e-6
 
 
 def test_manifest_golden_dimensions(tmp_path):

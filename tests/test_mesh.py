@@ -9,11 +9,11 @@ import pytest
 from mqsmor.config import default_config
 
 from mqsmor.mesh import (
-    _TET_EDGE_PAIRS,
-    _TET_FACE_TRIPLES,
     AIR,
     COIL,
     IRON,
+    TET_EDGE_PAIRS,
+    TET_FACE_TRIPLES,
     GeometrySpec,
     _unique_rows,
     build_incidence,
@@ -180,8 +180,8 @@ def _axis0_complex(mesh):
     """Edges, faces and their per-tet ids by ``np.unique(axis=0)``, the
     form the keyed unique replaced."""
     v = mesh.tets_sorted
-    pair = np.stack([v[:, list(e)] for e in _TET_EDGE_PAIRS], axis=1).reshape(-1, 2)
-    tri = np.stack([v[:, list(f)] for f in _TET_FACE_TRIPLES], axis=1).reshape(-1, 3)
+    pair = np.stack([v[:, list(e)] for e in TET_EDGE_PAIRS], axis=1).reshape(-1, 2)
+    tri = np.stack([v[:, list(f)] for f in TET_FACE_TRIPLES], axis=1).reshape(-1, 3)
     edges, inv = np.unique(pair, axis=0, return_inverse=True)
     faces, finv = np.unique(tri, axis=0, return_inverse=True)
     return edges, faces, inv.reshape(-1, 6), finv.reshape(-1, 4)

@@ -4,12 +4,10 @@ import scipy.linalg
 from scipy.optimize import minimize
 
 from mqsmor.mor import (
-    ReducedModel,
     ShiftSet,
     adi_rational_max,
     balanced_truncate,
     error_bound,
-    hankel_values,
     hinf_error,
     lr_adi,
     reduced_order,
@@ -89,11 +87,13 @@ def test_lr_adi_desk_converges_within_60_columns(desk):
 
 
 def test_lr_adi_residual_identity_checkpoints(desk):
-    """Dense check || E Z Z^T A + A Z Z^T E + B B^T ||_F = || R_k^T R_k ||_F."""
+    """Dense check || E Z Z^T A + A Z Z^T E + B B^T ||_F = || R_k^T R_k ||_F
+    for the first k*m columns of Z."""
     ctx, zc = desk.ctx, desk.zc
     b = ctx.B_r
     m = b.shape[1]
-    for k, r_k in sorted(desk.zc.snapshots.items()):
+    assert zc.iterations >= 15
+    for k in (5, 10, 15):
         z = zc.Z[:, : k * m]
         ez = ctx.apply_Er(z)
         az = ctx.apply_Ar(z)
@@ -101,7 +101,8 @@ def test_lr_adi_residual_identity_checkpoints(desk):
         resid += resid.T.copy()
         resid += b @ b.T
         lhs = np.linalg.norm(resid)
-        rhs = np.linalg.norm(r_k.T @ r_k)
+        # history[k-1] ||B_r^T B_r||_F is ||R_k^T R_k||_F
+        rhs = zc.history[k - 1] * np.linalg.norm(b.T @ b)
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
 
@@ -126,9 +127,31 @@ def test_balanced_truncate_errors(toy):
     zc = lr_adi(ctx, shifts, tol=1e-14, maxit=5)
     with pytest.raises(ValueError, match="order"):
         balanced_truncate(ctx, zc, ell=5)
+    with pytest.raises(ValueError, match="target"):
+        balanced_truncate(ctx, zc)
     zc.Z = zc.Z[:, :0]
     with pytest.raises(ValueError, match="empty"):
         balanced_truncate(ctx, zc, ell=1)
+
+
+@pytest.mark.parametrize("status", ["maxit", "stagnated"])
+def test_balanced_truncate_refuses_unconverged_status(toy, status):
+    _, _, _, ctx = toy
+    zc = lr_adi(ctx, ShiftSet(np.array([-2.0]), 0.0, (2.0, 2.0)), tol=1e-14, maxit=5)
+    zc.status = status
+    with pytest.raises(RuntimeError, match=f"'{status}'"):
+        balanced_truncate(ctx, zc, ell=1)
+
+
+def test_balanced_truncate_refuses_unconverged_desk_factor(desk):
+    """Four LR-ADI steps leave the residual near 1; the Hankel values of such
+    a factor would give an error bound far below the true H-infinity error."""
+    zc = lr_adi(desk.ctx, desk.shifts, tol=desk.config["mor.tol_adi"], maxit=4)
+    assert zc.status == "maxit" and zc.history[-1] > 0.5
+    with pytest.raises(RuntimeError, match="'maxit'.*last residual"):
+        balanced_truncate(desk.ctx, zc, ell=4)
+    with pytest.raises(RuntimeError, match="'maxit'"):
+        balanced_truncate(desk.ctx, zc, target=desk.config.tol_hsv)
 
 
 def test_balanced_truncate_desk_structure(desk):
@@ -139,19 +162,10 @@ def test_balanced_truncate_desk_structure(desk):
     assert model.hinf_error <= model.error_bound
 
 
-def test_error_bound_requires_ns(desk):
-    model = desk.model
-    import dataclasses
-    broken = dataclasses.replace(model, n_s=None)
-    with pytest.raises(ValueError):
-        error_bound(broken)
-
-
 def _first_order_meeting_bound(hankel, n_s, target):
     """Brute force: scan ``error_bound`` over every order."""
     for ell in range(1, len(hankel) + 1):
-        model = ReducedModel(A=None, B=None, C=None, hankel=hankel, ell=ell, n_s=n_s, m=1)
-        if error_bound(model) <= target:
+        if error_bound(hankel, n_s, ell) <= target:
             return ell
     return len(hankel)
 
@@ -172,27 +186,22 @@ def test_reduced_order_matches_bound_scan_with_zero_tail(hankel, n_s):
 
 def test_reduced_order_matches_bound_scan_on_desk(desk):
     model = desk.model
-    hankel = hankel_values(desk.ctx, desk.zc)
-    assert np.array_equal(hankel, model.hankel)
+    hankel = model.hankel
+    assert len(hankel) == desk.zc.n_c
     target = desk.config.tol_hsv
     assert target == pytest.approx(1e-10, rel=1e-12)
     assert model.ell == reduced_order(hankel, model.n_s, target) == 10
     assert model.error_bound == pytest.approx(4.6999577e-11, rel=1e-7)
-    bounds = [error_bound(ReducedModel(A=None, B=None, C=None, hankel=hankel, ell=ell,
-                                       n_s=model.n_s, m=1))
-              for ell in range(1, len(hankel) + 1)]
+    assert model.error_bound == error_bound(hankel, model.n_s, model.ell)
+    bounds = [error_bound(hankel, model.n_s, ell) for ell in range(1, len(hankel) + 1)]
     for target in [desk.config.tol_hsv] + bounds + [0.5 * b for b in bounds]:
         assert reduced_order(hankel, model.n_s, target) == \
             _first_order_meeting_bound(hankel, model.n_s, target)
 
 
 def test_hinf_error_requires_negative_definite():
-    from mqsmor.mor import ReducedModel
-    bad = ReducedModel(A=np.array([[1.0]]), B=np.array([[1.0]]),
-                       C=np.array([[1.0]]), hankel=np.array([1.0]),
-                       ell=1, n_s=1, m=1)
     with pytest.raises(ValueError):
-        hinf_error(bad, np.array([[1.0]]))
+        hinf_error(np.array([[1.0]]), np.array([[1.0]]), np.array([[1.0]]))
 
 
 def test_reduced_gramians_balanced(desk):

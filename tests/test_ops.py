@@ -208,6 +208,12 @@ def test_desk_spectral_bounds_bracket(desk):
     assert sb.b >= -lam.min() * 0.99
 
 
+def test_desk_spectral_bounds_refuse_unconverged_lanczos(desk):
+    # the desk's Lanczos needs 44 steps to converge
+    with pytest.raises(RuntimeError, match="did not converge in 20 iterations"):
+        desk.ctx.spectral_bounds(maxit=20, tol=desk.config["mor.lanczos_tol"])
+
+
 def test_desk_reflexive_inverse_triple(desk):
     oracle = desk.oracle
     e = oracle.E_dense
