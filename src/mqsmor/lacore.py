@@ -25,7 +25,7 @@ from scipy.linalg import blas, lapack
 
 
 class SingularMatrixError(RuntimeError):
-    """Raised when a factorization meets a singular-to-working-precision pivot."""
+    """Raised when SuperLU finds a matrix exactly singular (a zero pivot)."""
 
 
 def csr_from_coo(rows, cols, vals, shape, dtype=None):
@@ -43,9 +43,12 @@ def csr_from_coo(rows, cols, vals, shape, dtype=None):
 
 
 class Factorization:
-    """Sparse LU of a square matrix, with singular pivots rejected up front.
+    """Sparse LU of a square matrix: SuperLU's own factor and nothing else.
 
-    When built with a symmetric permutation ``perm`` the LU is of
+    No copy of L or U is made, so the object costs what SuperLU's L and U
+    cost.  A factorization is not checked beyond SuperLU's exact-singularity
+    test: a solve is certified by its residual, which its caller computes
+    (``ops``).  When built with a symmetric permutation ``perm`` the LU is of
     ``S[perm][:, perm]``; ``solve`` permutes the right-hand side and
     un-permutes the solution, so callers always see ``S x = b``.
 
@@ -77,22 +80,21 @@ class Factorization:
         return self._lu_solve(np.asarray(b, dtype=self.dtype))
 
 
-def factorize(s, pivot_rtol=1e-13, perm=None):
+def factorize(s, perm=None):
     """LU-factorize a square sparse matrix (real or complex).
 
     Partial pivoting throughout.  Without ``perm`` SuperLU picks a COLAMD
     column ordering for this matrix; with ``perm`` (a permutation of
     ``range(n)``, e.g. from ``nested_dissection``) the symmetric permutation
     ``S[perm][:, perm]`` is factored in that natural order instead, so one
-    ordering can serve every matrix of a shared sparsity pattern.  A pivot
-    smaller than ``pivot_rtol`` times the largest pivot raises
-    SingularMatrixError naming the pivot index.
+    ordering can serve every matrix of a shared sparsity pattern.  SuperLU's
+    "exactly singular" error becomes SingularMatrixError; a nearly singular
+    matrix factors, and its solves show it in their residuals.
 
-    The pivot check reads ``lu.U``, and scipy's SuperLU object then builds
-    CSC copies of L and U that it keeps for its lifetime, about as large as
-    the LU itself.  On the desk's bordered matrix that costs about 12 MB and
-    10 ms per real LU, and 38 MB and 30 ms per complex LU at the ends of the
-    frequency sweep.
+    The pivots are not read: reading ``lu.U`` (or ``lu.L``) makes scipy's
+    SuperLU object build CSC copies of L and U and keep them for its
+    lifetime, about as large as the LU itself (on the desk's bordered
+    matrix, 12 MB and 10 ms per real LU, 38 MB and 30 ms per complex LU).
     """
     if s.shape[0] != s.shape[1]:
         raise ValueError(f"matrix must be square, got {s.shape}")
@@ -112,11 +114,6 @@ def factorize(s, pivot_rtol=1e-13, perm=None):
         if "singular" in str(exc).lower():
             raise SingularMatrixError(f"singular matrix: {exc}") from exc
         raise
-    d = np.abs(lu.U.diagonal())
-    dmax = d.max() if d.size else 0.0
-    if d.size and (dmax == 0.0 or d.min() <= pivot_rtol * dmax):
-        k = int(np.argmin(d)) if dmax > 0 else 0
-        raise SingularMatrixError(f"singular matrix at pivot index {k}")
     return Factorization(lu, s.shape, dtype, perm)
 
 

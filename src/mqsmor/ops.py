@@ -35,6 +35,14 @@ per shift cycle, so no LU is factored past the end of a cycle.  Complex
 shifts (frequency sweeps, passivity scans) stay serial on the calling
 thread.
 
+Every solve is certified by its own residual, not by the LU's pivots:
+``shifted_solve`` and the M11 and Lemma-2 solves raise RuntimeError when
+the iterate they return has a relative residual above SOLVE_RESIDUAL_FLOOR,
+as a solve at a shift on the spectrum does.  No pivot is read, so an LU
+costs only SuperLU's own storage (``lacore.factorize``).  Importing the
+module pins glibc's mmap and trim thresholds, so freed LU memory goes back
+to the OS from whichever thread's arena it came from.
+
 The quasi-Weierstrass counts n_s, n_0, n_inf come from the incidence
 complex (n_0 = N - k2 with N interior nodes) and cost nothing; dense
 kernel counts are left to hand-built inputs without a node count and to
@@ -66,21 +74,51 @@ from .regularize import RegularizedSystem
 
 LU_REFINE_STEPS = 1       # iterative refinement after each M11 / Lemma-2 solve
 SHIFT_REFINE_STEPS = 2    # refinement on the true shifted residual
+SOLVE_RESIDUAL_FLOOR = 1e-8   # largest relative residual a solve may return
 DENSE_COUNT_CAP = 8000    # largest n_r for the dense rank count
 LU_LANES = 2              # threads that build LR-ADI's look-ahead LUs
 
+HEAP_MMAP_THRESHOLD = 32 << 20   # glibc heap thresholds, pinned at import
+HEAP_TRIM_THRESHOLD = 16 << 20
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3     # glibc ``mallopt`` parameters
 
-def _find_malloc_trim():
+
+def _libc_heap_functions():
+    """(``malloc_trim``, ``mallopt``) from one lookup in the C library the
+    process runs on, each None where that library has no such function."""
     try:
-        trim = ctypes.CDLL(None).malloc_trim
-    except (AttributeError, OSError, TypeError):
-        return None
-    trim.argtypes = [ctypes.c_size_t]
-    trim.restype = ctypes.c_int
-    return trim
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):
+        return None, None
+    found = []
+    for name, argtypes in (("malloc_trim", [ctypes.c_size_t]),
+                           ("mallopt", [ctypes.c_int, ctypes.c_int])):
+        fn = getattr(libc, name, None)
+        if fn is not None:
+            fn.argtypes, fn.restype = argtypes, ctypes.c_int
+        found.append(fn)
+    return tuple(found)
 
 
-_MALLOC_TRIM = _find_malloc_trim()
+_MALLOC_TRIM, _MALLOPT = _libc_heap_functions()
+
+
+def _pin_heap_thresholds():
+    """Fix glibc's mmap threshold at HEAP_MMAP_THRESHOLD and its trim
+    threshold at HEAP_TRIM_THRESHOLD; a no-op where libc has no ``mallopt``.
+
+    Left alone, glibc raises both thresholds when a large mapped block is
+    freed (up to 32 and 64 MiB), so a freed LU's memory stays at the top of
+    the arena it came from.  ``malloc_trim`` shrinks only the main arena's
+    top, so what an LU lane freed stayed resident.  With both fixed, every
+    block below 32 MiB comes from a heap, and a heap's free top above
+    16 MiB goes back to the OS when a block is freed, in every arena."""
+    if _MALLOPT is not None:
+        _MALLOPT(_M_MMAP_THRESHOLD, HEAP_MMAP_THRESHOLD)
+        _MALLOPT(_M_TRIM_THRESHOLD, HEAP_TRIM_THRESHOLD)
+
+
+_pin_heap_thresholds()
 _lanes = []
 _lanes_lock = threading.Lock()
 os.register_at_fork(after_in_child=_lanes.clear)
@@ -96,10 +134,20 @@ def _lane_pool():
 
 
 def trim_heap():
-    """Give freed heap memory back to the OS (glibc ``malloc_trim``, which
-    trims every thread's arena); a no-op where libc has no such function."""
+    """Give freed heap memory back to the OS (glibc ``malloc_trim``: the top
+    of the main arena and the free pages inside every arena); a no-op where
+    libc has no such function."""
     if _MALLOC_TRIM is not None:
         _MALLOC_TRIM(0)
+
+
+def _certify_solve(what, resid_norm, rhs_norm):
+    """Raise RuntimeError unless the residual of a solve is at most
+    SOLVE_RESIDUAL_FLOOR relative to its right-hand side (a NaN fails)."""
+    if not resid_norm <= SOLVE_RESIDUAL_FLOOR * rhs_norm:
+        rel = resid_norm / rhs_norm if rhs_norm > 0 else np.inf
+        raise RuntimeError(f"{what}: relative residual {rel:.3e} above the "
+                           f"floor {SOLVE_RESIDUAL_FLOOR:.0e}")
 
 
 def _clear_traceback_frames(exc):
@@ -207,14 +255,18 @@ class OperatorContext:
     def apply_Ar(self, v):
         return self.rsys.apply_Ar(v)
 
-    def _solve_refined(self, mat, fact, rhs):
+    def _solve_refined(self, what, mat, fact, rhs):
+        """``mat``^{-1} ``rhs`` from the LU ``fact`` and LU_REFINE_STEPS of
+        iterative refinement, certified by its residual (``_certify_solve``)."""
         sol = fact.solve(rhs)
         for _ in range(LU_REFINE_STEPS):
             sol = sol + fact.solve(rhs - mat @ sol)
+        _certify_solve(what, np.linalg.norm(rhs - mat @ sol), np.linalg.norm(rhs))
         return sol
 
     def _m11_solve(self, b):
-        return self._solve_refined(self.rsys.M11, self._context_lus()[0], b)
+        return self._solve_refined("M11 solve", self.rsys.M11,
+                                   self._context_lus()[0], b)
 
     def _to_edges(self, w2):
         """Edge vector q2 with Yhat^T q2 = w2: w2 on the cotree rows."""
@@ -228,8 +280,8 @@ class OperatorContext:
         r = self.rsys
         tail = (r.m + r.k2,) + w2.shape[1:]
         rhs = np.concatenate([self._to_edges(w2), np.zeros(tail, dtype=w2.dtype)])
-        return self._solve_refined(self._lemma2_mat, self._context_lus()[1],
-                                   rhs)[r.cotree]
+        return self._solve_refined("Lemma-2 solve", self._lemma2_mat,
+                                   self._context_lus()[1], rhs)[r.cotree]
 
     # -- projector and reflexive-inverse products --------------------------
 
@@ -295,10 +347,12 @@ class OperatorContext:
         ``lu`` is ``shifted_lu(shift)``, for a caller that solves at one shift
         many times; without it the solve builds an LU and drops it on return.
         The raw bordered solve is polished by iterative refinement on the
-        true shifted residual in the reduced coordinates.  Refinement stops
-        once that residual is at most 1e-13 relative or after
-        SHIFT_REFINE_STEPS steps, whichever comes first; a solve that stops
-        short of 1e-13 returns its last iterate and reports nothing.
+        true shifted residual in the reduced coordinates, until that
+        residual is at most 1e-13 relative or after SHIFT_REFINE_STEPS steps.
+        The iterate returned has a relative residual
+        ||w - (tau E_r + A_r) z|| / ||w|| (Frobenius norms) of at most
+        SOLVE_RESIDUAL_FLOOR; otherwise RuntimeError names the shift and the
+        residual, as at a shift on or next to the spectrum.
         """
         r = self.rsys
         if lu is None:
@@ -306,11 +360,13 @@ class OperatorContext:
         w = np.asarray(w)
         z = self._shifted_solve_raw(w, lu)
         wn = np.linalg.norm(w)
-        for _ in range(SHIFT_REFINE_STEPS):
+        for step in range(SHIFT_REFINE_STEPS + 1):
             resid = w - (shift * r.apply_Er(z) + r.apply_Ar(z))
-            if np.linalg.norm(resid) <= 1e-13 * wn:
+            rn = np.linalg.norm(resid)
+            if rn <= 1e-13 * wn or step == SHIFT_REFINE_STEPS:
                 break
             z = z + self._shifted_solve_raw(resid, lu)
+        _certify_solve(f"shifted solve at shift {shift}", rn, wn)
         return z
 
     def shifted_solves(self, shifts):

@@ -30,8 +30,8 @@ def track_factorize(monkeypatch, fail_on=None, error=None):
     """Patch ``ops.factorize`` to record, per LU, the thread that built it,
     the thread that freed it, how many LUs were alive with it when it was
     built and whether it is complex.  A call on the matrix ``fail_on``
-    builds its LU, keeps it in a local and raises ``error``, as
-    ``factorize`` does on a small pivot."""
+    builds its LU, keeps it in a local and raises ``error`` while that LU
+    is alive, as a solve refused for its residual does on a lane."""
     records = []
 
     def tracking(mat, *args, **kwargs):
@@ -111,7 +111,7 @@ def test_maxit_frees_every_lu_on_its_lane(synthetic, monkeypatch):
 
 
 @pytest.mark.parametrize("error,expected", [
-    (SingularMatrixError("singular matrix at pivot index 0"), RuntimeError),
+    (SingularMatrixError("singular matrix: Factor is exactly singular"), RuntimeError),
     (MemoryError("Unable to allocate"), MemoryError),
 ])
 def test_error_at_third_shift_frees_lus_and_lanes(synthetic, monkeypatch, error, expected):

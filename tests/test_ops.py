@@ -1,7 +1,15 @@
+import json
+import os
+import re
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import mqsmor.ops as ops
 from mqsmor.assembly import MaterialSpec, WindingSpec, build_system
 from mqsmor.lacore import SingularMatrixError, factorize, lanczos_extremal
 from mqsmor.mesh import AIR, IRON, GeometrySpec, Mesh, build_incidence, eliminate_boundary, generate_mesh
@@ -56,12 +64,10 @@ def test_toy_shifted_solve(toy):
 
 
 @pytest.mark.parametrize("error,expected", [
-    (SingularMatrixError("singular matrix at pivot index 0"), RuntimeError),
+    (SingularMatrixError("singular matrix: Factor is exactly singular"), RuntimeError),
     (MemoryError("Unable to allocate"), MemoryError),
 ])
 def test_shifted_lu_reports_only_singularity(toy, monkeypatch, error, expected):
-    import mqsmor.ops as ops
-
     def failing(*args, **kwargs):
         raise error
 
@@ -199,6 +205,132 @@ def test_desk_shifted_residual(desk):
         r = tau * ctx.apply_Er(z) + ctx.apply_Ar(z) - w
         floor = eps * np.linalg.norm(abs(tau) * (abs_e @ abs(z)) + abs_a @ abs(z))
         assert np.linalg.norm(r) <= FLOOR_FACTOR * floor
+
+
+# The worst relative residuals over a default `mqsmor all` run are 3.4e-13
+# for shifted solves and 2.3e-16 for M11 / Lemma-2 solves; random right-hand
+# sides at the smallest Wachspress shift reach 2e-10 (the rounding floor in
+# the test above).  SOLVE_RESIDUAL_FLOOR = 1e-8 sits 50x above the worst of
+# these and below the 7.5e-7 that a solve at the shift +b reaches.
+
+
+def test_desk_shifted_solve_refuses_shift_on_spectrum(desk):
+    """+b, the Lanczos bound, is a shift on the spectrum of the pencil: its
+    LU factors, but the refined solve stops at a relative residual of
+    7.5e-7 and is refused.  +a, the other bound, still solves to 1.5e-10."""
+    ctx, sb = desk.ctx, desk.bounds
+    w = ctx.B_r
+    with pytest.raises(RuntimeError, match=re.escape(
+            f"shifted solve at shift {sb.b}: relative residual ")):
+        ctx.shifted_solve(sb.b, w)
+    z = ctx.shifted_solve(sb.a, w)
+    r = w - (sb.a * ctx.apply_Er(z) + ctx.apply_Ar(z))
+    assert np.linalg.norm(r) <= 1e-9 * np.linalg.norm(w)
+
+
+def test_synthetic_shifted_solve_refuses_shift_on_spectrum(synthetic):
+    """At tau = -lambda for the synthetic system's one finite eigenvalue
+    lambda, and 1e-12 or 1e-9 relative away from it, the bordered matrix
+    factors but no solve reaches the floor; at twice that shift it does."""
+    _, _, rsys, ctx, oracle = synthetic
+    lam = float(oracle.finite_eigenvalues().real[0])
+    w = ctx.B_r
+    for tau in (-lam, -lam * (1 + 1e-12), -lam * (1 + 1e-9)):
+        with pytest.raises(RuntimeError, match=re.escape(
+                f"shifted solve at shift {tau}: relative residual ")):
+            ctx.shifted_solve(tau, w)
+    z = ctx.shifted_solve(-2 * lam, w)
+    r = w - (-2 * lam * rsys.apply_Er(z) + rsys.apply_Ar(z))
+    assert np.linalg.norm(r) <= 1e-13 * np.linalg.norm(w)
+
+
+@pytest.mark.parametrize("other", [-1.5, -100.0])
+def test_shifted_solve_refuses_lu_of_another_shift(toy, synthetic, other):
+    """Refinement with the LU of another shift leaves a residual far above
+    the floor after SHIFT_REFINE_STEPS steps, and the solve is refused."""
+    for ctx in (toy[3], synthetic[3]):
+        w = np.ones(ctx.rsys.n_r)
+        with pytest.raises(RuntimeError, match=r"shifted solve at shift -1\.0: "
+                           r"relative residual \S+ above the floor 1e-08"):
+            ctx.shifted_solve(-1.0, w, ctx.shifted_lu(other))
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_context_solve_refuses_wrong_lu(synthetic, which):
+    """An M11 or Lemma-2 solve whose LU is of twice the matrix ends one
+    refinement step at a relative residual of 1/4 and is refused."""
+    ctx = synthetic[3]
+    v = np.ones(ctx.rsys.n_r)
+    ctx.apply_EinvA(v)
+    lus = list(ctx._context_lus())
+    mat = ctx.rsys.M11 if which == 0 else ctx._lemma2_mat
+    lus[which] = factorize(2.0 * mat, perm=lus[which].perm)
+    ctx._lus = tuple(lus)
+    name = ("M11", "Lemma-2")[which]
+    with pytest.raises(RuntimeError, match=f"{name} solve: relative residual 2.500e-01"):
+        ctx.apply_EinvA(v)
+
+
+@pytest.mark.parametrize("shift", ["-b", "-1e6j"])
+def test_desk_shifted_lu_keeps_no_csc_copies(desk, shift):
+    """A shifted LU holds SuperLU's factor only.  Reading its pivots would
+    make SciPy keep CSC copies of L and U: NumPy arrays of nnz(L+U) values
+    and row indices, which tracemalloc sees (24 MiB at -b, 41 MiB at -1e6 i
+    on the desk), while SuperLU's own storage is not traced.  Building the
+    LU traces under 5 MiB of temporaries (the bordered matrix and its
+    permuted copy); the bound is a quarter of the copies."""
+    tau = -desk.bounds.b if shift == "-b" else -1e6j
+    tracemalloc.start()
+    try:
+        lu = desk.ctx.shifted_lu(tau)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    copies = lu._lu.nnz * (np.dtype(lu.dtype).itemsize + 4)
+    assert peak <= copies / 4
+
+
+_LIBC_PROBE = """
+import ctypes, json, sys
+import numpy, scipy.io, scipy.linalg, scipy.sparse.linalg
+calls = []
+
+class Libc:
+    def __init__(self, name, *args, **kwargs):
+        if sys.argv[1] == "glibc":
+            self.malloc_trim = lambda pad: calls.append(["malloc_trim", pad])
+            self.mallopt = lambda param, value: calls.append(["mallopt", param, value])
+
+ctypes.CDLL = Libc
+import mqsmor
+from mqsmor import ops
+ops.trim_heap()
+print(json.dumps(calls))
+"""
+
+
+@pytest.mark.parametrize("libc", ["glibc", "bare"])
+def test_heap_calls_follow_the_c_library(libc):
+    """One lookup in the C library finds ``malloc_trim`` and ``mallopt``.
+    With both, importing the package pins the mmap and trim thresholds and
+    ``trim_heap`` trims; with neither (a monkeypatched ``ctypes.CDLL``), the
+    package imports and both calls do nothing."""
+    src = os.path.dirname(os.path.dirname(ops.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _LIBC_PROBE, libc], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    calls = json.loads(out.stdout.strip().splitlines()[-1])
+    expected = [["mallopt", -3, 32 << 20], ["mallopt", -1, 16 << 20],
+                ["malloc_trim", 0]]
+    assert calls == (expected if libc == "glibc" else [])
+
+
+@pytest.mark.skipif(ops._MALLOPT is None, reason="libc has no mallopt")
+def test_libc_accepts_the_heap_thresholds():
+    # glibc refuses (returns 0 for) an mmap threshold above 32 MiB on 64 bits
+    assert ops._MALLOPT(ops._M_MMAP_THRESHOLD, ops.HEAP_MMAP_THRESHOLD) == 1
+    assert ops._MALLOPT(ops._M_TRIM_THRESHOLD, ops.HEAP_TRIM_THRESHOLD) == 1
 
 
 def test_desk_spectral_bounds_bracket(desk):

@@ -103,7 +103,10 @@ def test_kernel_bases_desk(desk):
     assert c2y.nnz == 0
     stacked = sp.hstack([bases.Yhat_C2, bases.Y_C2]).astype(float).tocsc()
     assert stacked.shape[0] == stacked.shape[1]
-    factorize(stacked)    # raises SingularMatrixError if singular
+    # SuperLU finds no zero pivot, and a known solution comes back
+    x = np.random.default_rng(0).standard_normal(stacked.shape[0])
+    err = factorize(stacked).solve(stacked @ x) - x
+    assert np.linalg.norm(err) <= 1e-10 * np.linalg.norm(x)
     # exactness of the defining products in integer arithmetic
     g = reduced_gradient(desk.inc)
     z1 = kernel_incidence(g[: desk.inc.n1])
