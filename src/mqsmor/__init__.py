@@ -71,4 +71,4 @@ from .analysis import (
 from .oracle import DenseOracle, build_dense_oracle, dense_gramians
 from .config import ConfigError, RunConfig, default_config, parse_config
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

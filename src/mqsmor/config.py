@@ -43,7 +43,7 @@ _DEFAULTS = {
     "winding.cross_section": ("float", 2.0e-4),
     "mor.tol_adi": ("float", 1.0e-12),
     "mor.maxit_adi": ("int", 80),
-    "mor.eps_shift": ("float", 1.0e-12),
+    "mor.eps_shift": ("float", 0.1),      # predicted reduction per shift cycle
     "mor.order": ("int", 0),            # 0 = choose from the error bound
     "mor.tol_hsv": ("float", 0.0),      # error-bound target; 0 = auto: 1e-8 * ||R^-1||
     "mor.lanczos_maxit": ("int", 150),

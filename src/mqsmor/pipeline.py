@@ -163,7 +163,8 @@ class PipelineState:
         arrays["hankel"] = arrays["hankel"][:, 1]
         return ReducedModel(
             **arrays, ell=int(info["ell"]), n_s=int(info["n_s"]), m=int(info["m"]),
-            error_bound=float(info["error_bound"]), hinf_error=float(info["hinf_error"]))
+            **{k: float(info[k]) for k in ("error_bound", "hinf_error", "paper_bound",
+                                           "delta")})
 
     def _build_model(self):
         cfg = self.config
@@ -402,6 +403,8 @@ def _stage_reduce(state):
         ("ell", model.ell), ("m", model.m), ("n_s", model.n_s),
         ("error_bound", float(model.error_bound)),
         ("hinf_error", float(model.hinf_error)),
+        ("paper_bound", float(model.paper_bound)),
+        ("delta", float(model.delta)),
     ])
     _record_counts(state, state.ctx().dimension_counts())
 

@@ -1,4 +1,5 @@
 import filecmp
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from mqsmor.assembly import build_system
 from mqsmor.cli import main
 from mqsmor.config import ConfigError, RunConfig, default_config, parse_config
 from mqsmor.lacore import read_matrix_market
-from mqsmor.mor import error_bound, reduced_order
+from mqsmor.mor import error_bound, reduced_order, tail_bound
 from mqsmor.pipeline import RunManifest, _read_kv, run_pipeline
 
 
@@ -314,17 +315,23 @@ def _reduce_with(tmp_path, text):
 
 
 def test_reduce_with_fixed_order(tmp_path):
+    """``reduced.txt`` holds the certified bound, the exact DC error, the
+    paper's truncated-tail value and Delta = tr(R^{-1})/2 - sum of the
+    Hankel values; R = 100 on the desk."""
     info, hankel = _reduce_with(tmp_path, "mor.order = 4\n")
     assert int(info["ell"]) == 4
-    assert float(info["error_bound"]) == error_bound(hankel, int(info["n_s"]), 4)
+    assert float(info["error_bound"]) == error_bound(hankel, 1 / 100.0, 4)
     assert float(info["hinf_error"]) <= float(info["error_bound"])
+    assert float(info["paper_bound"]) == tail_bound(hankel, int(info["n_s"]), 4)
+    assert float(info["delta"]) == math.fsum([0.005, *(-hankel)])
 
 
 def test_reduce_with_error_bound_target(tmp_path):
     info, hankel = _reduce_with(tmp_path, "mor.tol_hsv = 1e-6\n")
-    ell, n_s = int(info["ell"]), int(info["n_s"])
-    assert ell == reduced_order(hankel, n_s, 1e-6)
-    assert float(info["error_bound"]) == error_bound(hankel, n_s, ell) <= 1e-6
+    ell = int(info["ell"])
+    assert ell == reduced_order(hankel, 1 / 100.0, 1e-6)
+    assert float(info["error_bound"]) == error_bound(hankel, 1 / 100.0, ell) <= 1e-6
+    assert float(info["hinf_error"]) <= float(info["error_bound"])
 
 
 def test_manifest_golden_dimensions(tmp_path):

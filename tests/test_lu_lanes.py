@@ -1,8 +1,12 @@
-"""Shifted-LU lifetimes and LR-ADI's look-ahead LU lanes: each LU is freed on
-the thread that built it, errors surface as in a serial loop, and the results
-equal a serial loop over ``shifted_solve`` bit for bit.  Each stage builds
-only the LUs it solves with: LR-ADI's look-ahead ends with the shift cycle,
-and the context's M11 and Lemma-2 LUs are built on first use."""
+"""Shifted-LU lifetimes: every LU is built and freed on the calling thread
+and lives no longer than its caller holds it.  LR-ADI keeps one LU per
+shift over its shift cycles and drops them all when it returns or raises;
+its result equals that of a fresh LU at every step bit for bit.  Each stage
+builds only the LUs it solves with, and the context's M11 and Lemma-2 LUs
+are built on first use.  (The file and several of its tests keep the names
+they had when LR-ADI's look-ahead LUs ran on worker threads, its "lanes",
+so that the ids of the tests stay; they now check that LR-ADI starts no
+such thread and leaves no LU behind.)"""
 
 import os
 import subprocess
@@ -21,6 +25,7 @@ from mqsmor.mor import ShiftSet, lr_adi
 from mqsmor.ops import OperatorContext
 from mqsmor.pipeline import run_pipeline
 
+
 # the synthetic system has one finite eigenvalue, near -1.1; these shifts
 # are far from it, so LR-ADI needs many steps
 SLOW = ShiftSet(np.array([-5.0, -9.0]), 0.5, (5.0, 9.0))
@@ -28,10 +33,10 @@ SLOW = ShiftSet(np.array([-5.0, -9.0]), 0.5, (5.0, 9.0))
 
 def track_factorize(monkeypatch, fail_on=None, error=None):
     """Patch ``ops.factorize`` to record, per LU, the thread that built it,
-    the thread that freed it, how many LUs were alive with it when it was
-    built and whether it is complex.  A call on the matrix ``fail_on``
-    builds its LU, keeps it in a local and raises ``error`` while that LU
-    is alive, as a solve refused for its residual does on a lane."""
+    the thread that freed it (None while it is alive), how many LUs were
+    alive with it when it was built and whether it is complex.  A call on
+    the matrix ``fail_on`` builds its LU, keeps it in a local and raises
+    ``error`` while that LU is alive."""
     records = []
 
     def tracking(mat, *args, **kwargs):
@@ -53,27 +58,21 @@ def track_factorize(monkeypatch, fail_on=None, error=None):
     return records
 
 
-def assert_freed_by_builders(records):
-    assert records
+def assert_freed_on_calling_thread(records):
     main = threading.get_ident()
-    for rec in records:
-        assert rec["built"] != main
-        assert rec["freed"] == rec["built"]
+    assert records
+    assert all(rec["built"] == rec["freed"] == main for rec in records)
 
 
 def serial_lr_adi(ctx, shifts, **kwargs):
-    """``lr_adi`` driven by a plain loop over ``ctx.shifted_solve``."""
-
-    def serial(taus):
-        w = yield
-        for tau in taus:
-            w = yield ctx.shifted_solve(tau, w)
-
-    ctx.shifted_solves = serial
+    """``lr_adi`` with every step's ``shifted_solve(tau, w)`` building its
+    own LU; the LUs ``lr_adi`` keeps go unused."""
+    solve = ctx.shifted_solve
+    ctx.shifted_solve = lambda tau, w, lu: solve(tau, w)
     try:
         return lr_adi(ctx, shifts, **kwargs)
     finally:
-        del ctx.shifted_solves
+        del ctx.shifted_solve
 
 
 def test_shifted_lus_live_only_while_their_caller_holds_them(toy, monkeypatch):
@@ -88,85 +87,6 @@ def test_shifted_lus_live_only_while_their_caller_holds_them(toy, monkeypatch):
     assert len(records) == 5
     assert max(rec["alive"] for rec in records) == 1
     assert all(rec["freed"] == rec["built"] for rec in records)
-
-
-def test_converged_early_frees_unused_lookahead_on_lanes(synthetic, monkeypatch):
-    ctx = synthetic[3]
-    records = track_factorize(monkeypatch)
-    shifts = ShiftSet(np.array([-1.1005291005291007, -2.0, -3.0]), 0.5, (1.1, 3.0))
-    zc = lr_adi(ctx, shifts, tol=1e-12, maxit=80)
-    assert zc.status == "converged" and zc.iterations == 1
-    # the LUs of steps 2 and 3 were built ahead and never used
-    assert len(records) == zc.iterations + ops.LU_LANES
-    assert_freed_by_builders(records)
-
-
-def test_maxit_frees_every_lu_on_its_lane(synthetic, monkeypatch):
-    ctx = synthetic[3]
-    records = track_factorize(monkeypatch)
-    zc = lr_adi(ctx, SLOW, tol=1e-30, maxit=4)
-    assert zc.status == "maxit" and zc.iterations == 4
-    assert len(records) == 4
-    assert_freed_by_builders(records)
-
-
-@pytest.mark.parametrize("error,expected", [
-    (SingularMatrixError("singular matrix: Factor is exactly singular"), RuntimeError),
-    (MemoryError("Unable to allocate"), MemoryError),
-])
-def test_error_at_third_shift_frees_lus_and_lanes(synthetic, monkeypatch, error, expected):
-    ctx = synthetic[3]
-    shifts = ShiftSet(np.array([-5.0, -7.0, -9.0]), 0.5, (5.0, 9.0))
-    third = (ctx._lemma3_K + -9.0 * ctx._lemma3_M).toarray()
-    records = track_factorize(monkeypatch, fail_on=third, error=error)
-    with pytest.raises(expected) as info:
-        lr_adi(ctx, shifts, tol=1e-30, maxit=10)
-    if expected is RuntimeError:
-        assert str(info.value) == "singular bordered matrix at shift -9.0"
-    else:
-        assert info.value is error
-    assert_freed_by_builders(records)
-    # the lanes are free again: a second run on the same context completes
-    records = track_factorize(monkeypatch)
-    zc = lr_adi(ctx, SLOW, tol=1e-30, maxit=6)
-    assert zc.status == "maxit" and zc.iterations == 6
-    assert_freed_by_builders(records)
-
-
-def test_error_in_lane_solve_frees_lu_on_its_lane(synthetic, monkeypatch):
-    """A solve that fails after its lane built the LU: the error reaches the
-    caller without the LU, which its lane has freed."""
-    ctx = synthetic[3]
-    records = track_factorize(monkeypatch)
-
-    def failing(w, fact):
-        raise ArithmeticError("solve failed")
-
-    monkeypatch.setattr(ctx, "_shifted_solve_raw", failing)
-    with pytest.raises(ArithmeticError, match="solve failed"):
-        lr_adi(ctx, SLOW, tol=1e-30, maxit=4)
-    assert len(records) == ops.LU_LANES
-    assert_freed_by_builders(records)
-
-
-def test_lanes_equal_serial_loop_on_synthetic(synthetic, monkeypatch):
-    """SLOW runs over several two-shift cycles, one stopped by ``maxit`` and
-    one converged inside a cycle, equal the serial loop bit for bit.  The
-    look-ahead builds no LU past the end of the cycle in which the run
-    stops, nor past ``maxit``."""
-    ctx = synthetic[3]
-    for shifts, kwargs in ((SLOW, {"tol": 1e-30, "maxit": 7}),
-                           (SLOW, {"tol": 1e-6, "maxit": 80})):
-        serial = serial_lr_adi(ctx, shifts, **kwargs)
-        records = track_factorize(monkeypatch)
-        lanes = lr_adi(ctx, shifts, **kwargs)
-        assert np.array_equal(lanes.Z, serial.Z)
-        assert np.array_equal(lanes.history, serial.history)
-        assert lanes.status == serial.status
-        assert lanes.iterations > 2 * len(shifts)
-        cycles = -(-lanes.iterations // len(shifts))
-        assert len(records) == min(kwargs["maxit"], cycles * len(shifts))
-        assert_freed_by_builders(records)
 
 
 def test_context_lus_built_on_first_use(desk, monkeypatch):
@@ -213,39 +133,157 @@ def test_desk_stage_builds_only_its_shifted_lus(desk_reduced, monkeypatch, stage
     assert max(rec["alive"] for rec in records) == 1
 
 
-def test_lanes_equal_serial_loop_on_desk(desk, monkeypatch):
-    """The desk converges at the last of its 31 Wachspress shifts: the lanes
-    build exactly those 31 LUs, each freed on its lane, and equal the serial
-    loop bit for bit."""
+def _desk_lr_adi(desk):
     cfg = desk.config
-    kwargs = {"tol": cfg["mor.tol_adi"], "maxit": cfg["mor.maxit_adi"]}
-    serial = serial_lr_adi(desk.ctx, desk.shifts, **kwargs)
+    return lr_adi(desk.ctx, desk.shifts, tol=cfg["mor.tol_adi"], maxit=cfg["mor.maxit_adi"])
+
+
+def test_desk_lr_adi_keeps_one_lu_per_shift(desk, monkeypatch):
+    """The desk's four shifts, cycled to the tolerance, are factored once
+    each on the calling thread; all four are dropped when ``lr_adi``
+    returns."""
     records = track_factorize(monkeypatch)
-    lanes = lr_adi(desk.ctx, desk.shifts, **kwargs)
-    assert lanes.status == serial.status == "converged"
-    assert np.array_equal(lanes.Z, serial.Z)
-    assert np.array_equal(lanes.history, serial.history)
-    assert lanes.iterations == len(desk.shifts) == 31
-    assert len(records) == 31 and not any(rec["complex"] for rec in records)
-    assert_freed_by_builders(records)
+    zc = _desk_lr_adi(desk)
+    assert zc.status == "converged" and zc.iterations > 2 * len(desk.shifts)
+    assert len(records) == len(desk.shifts) == 4
+    assert max(rec["alive"] for rec in records) <= len(desk.shifts)
+    assert not any(rec["complex"] for rec in records)
+    assert_freed_on_calling_thread(records)
 
 
-def test_shifted_solves_equals_shifted_solve(synthetic):
+def test_desk_lr_adi_drops_its_lus_when_a_solve_raises(desk, monkeypatch):
+    """A solve that fails in the second shift cycle, inside
+    ``shifted_solve``, whose frame holds a kept LU: the error reaches the
+    caller, and every LU is freed."""
+    records = track_factorize(monkeypatch)
+    raw = desk.ctx._shifted_solve_raw
+    calls = []
+
+    def failing(w, fact):
+        calls.append(1)
+        if len(calls) == 2 * len(desk.shifts) + 3:
+            raise ArithmeticError("solve failed")
+        return raw(w, fact)
+
+    monkeypatch.setattr(desk.ctx, "_shifted_solve_raw", failing)
+    with pytest.raises(ArithmeticError, match="solve failed"):
+        _desk_lr_adi(desk)
+    assert len(records) == len(desk.shifts)
+    assert_freed_on_calling_thread(records)
+
+
+def test_lanes_equal_serial_loop_on_desk(desk, monkeypatch):
+    """Reusing a shift's LU gives the bits of a solve that builds its own."""
+    fresh = serial_lr_adi(desk.ctx, desk.shifts, tol=desk.config["mor.tol_adi"],
+                          maxit=desk.config["mor.maxit_adi"])
+    records = track_factorize(monkeypatch)
+    kept = _desk_lr_adi(desk)
+    assert len(records) == len(desk.shifts)
+    assert fresh.status == kept.status == "converged"
+    assert np.array_equal(fresh.Z, kept.Z)
+    assert np.array_equal(fresh.history, kept.history)
+
+
+def test_one_cycle_shifts_keep_no_lu(synthetic, monkeypatch):
+    """With ``rho <= tol`` one cycle is predicted to converge, so no shift
+    is kept for another cycle: at most one LU is alive, also past the cycle."""
     ctx = synthetic[3]
-    rng = np.random.default_rng(3)
-    taus = [-5.0, -9.0, -5.0, -2.5]
-    solves = ctx.shifted_solves(taus)
-    next(solves)
-    for tau in taus:
-        w = rng.standard_normal((ctx.rsys.n_r, 2))
-        assert np.array_equal(solves.send(w), ctx.shifted_solve(tau, w))
-    with pytest.raises(StopIteration):
-        solves.send(w)
+    records = track_factorize(monkeypatch)
+    shifts = ShiftSet(np.array([-5.0, -9.0]), 1e-31, (5.0, 9.0))
+    zc = lr_adi(ctx, shifts, tol=1e-30, maxit=7)
+    assert zc.status == "maxit" and zc.iterations == 7
+    assert len(records) == 7
+    assert max(rec["alive"] for rec in records) == 1
+    assert_freed_on_calling_thread(records)
+
+
+def test_converged_early_frees_unused_lookahead_on_lanes(synthetic, monkeypatch):
+    """A run that converges at its first step builds the LU of that step
+    only, none ahead for the other shifts, and frees it."""
+    ctx = synthetic[3]
+    records = track_factorize(monkeypatch)
+    shifts = ShiftSet(np.array([-1.1005291005291007, -2.0, -3.0]), 0.5, (1.1, 3.0))
+    zc = lr_adi(ctx, shifts, tol=1e-12, maxit=80)
+    assert zc.status == "converged" and zc.iterations == 1
+    assert len(records) == zc.iterations
+    assert_freed_on_calling_thread(records)
+
+
+def test_maxit_frees_every_lu_on_its_lane(synthetic, monkeypatch):
+    """Stopped by ``maxit`` in its second cycle, LR-ADI has built one LU per
+    shift, kept both, and frees both."""
+    ctx = synthetic[3]
+    records = track_factorize(monkeypatch)
+    zc = lr_adi(ctx, SLOW, tol=1e-30, maxit=4)
+    assert zc.status == "maxit" and zc.iterations == 4
+    assert len(records) == len(SLOW.shifts) == 2
+    assert max(rec["alive"] for rec in records) == 2
+    assert_freed_on_calling_thread(records)
+
+
+@pytest.mark.parametrize("error,expected", [
+    (SingularMatrixError("singular matrix: Factor is exactly singular"), RuntimeError),
+    (MemoryError("Unable to allocate"), MemoryError),
+])
+def test_error_at_third_shift_frees_lus_and_lanes(synthetic, monkeypatch, error, expected):
+    """An LU that fails at the third shift, while it and the two kept LUs
+    are alive: the error reaches the caller and all three are freed.  The
+    context stays usable: a second run on it completes."""
+    ctx = synthetic[3]
+    shifts = ShiftSet(np.array([-5.0, -7.0, -9.0]), 0.5, (5.0, 9.0))
+    third = ctx._bordered(-9.0).toarray()
+    records = track_factorize(monkeypatch, fail_on=third, error=error)
+    with pytest.raises(expected) as info:
+        lr_adi(ctx, shifts, tol=1e-30, maxit=10)
+    if expected is RuntimeError:
+        assert str(info.value) == "singular bordered matrix at shift -9.0"
+    else:
+        assert info.value is error
+    assert len(records) == 3
+    assert_freed_on_calling_thread(records)
+    records = track_factorize(monkeypatch)
+    zc = lr_adi(ctx, SLOW, tol=1e-30, maxit=6)
+    assert zc.status == "maxit" and zc.iterations == 6
+    assert len(records) == 2
+    assert_freed_on_calling_thread(records)
+
+
+def test_error_in_lane_solve_frees_lu_on_its_lane(synthetic, monkeypatch):
+    """A solve that fails after its LU was built: the error reaches the
+    caller without the LU, which is freed on the calling thread."""
+    ctx = synthetic[3]
+    records = track_factorize(monkeypatch)
+
+    def failing(w, fact):
+        raise ArithmeticError("solve failed")
+
+    monkeypatch.setattr(ctx, "_shifted_solve_raw", failing)
+    with pytest.raises(ArithmeticError, match="solve failed"):
+        lr_adi(ctx, SLOW, tol=1e-30, maxit=4)
+    assert len(records) == 1
+    assert_freed_on_calling_thread(records)
+
+
+def test_lanes_equal_serial_loop_on_synthetic(synthetic, monkeypatch):
+    """SLOW runs over several two-shift cycles, one stopped by ``maxit`` and
+    one converged inside a cycle, equal a fresh LU at every step bit for
+    bit, and build only the LUs of the two shifts."""
+    ctx = synthetic[3]
+    for kwargs in ({"tol": 1e-30, "maxit": 7}, {"tol": 1e-6, "maxit": 80}):
+        serial = serial_lr_adi(ctx, SLOW, **kwargs)
+        records = track_factorize(monkeypatch)
+        kept = lr_adi(ctx, SLOW, **kwargs)
+        assert np.array_equal(kept.Z, serial.Z)
+        assert np.array_equal(kept.history, serial.history)
+        assert kept.status == serial.status
+        assert kept.iterations > 2 * len(SLOW.shifts)
+        assert len(records) == len(SLOW.shifts)
+        assert_freed_on_calling_thread(records)
 
 
 def test_consumer_error_leaves_no_lane_blocked():
     """An exception raised in LR-ADI's own loop, uncaught, ends the
-    interpreter: no lane is left waiting for a right-hand side."""
+    interpreter: LR-ADI leaves no thread behind that could keep it alive."""
     code = ("from conftest import make_synthetic_system\n"
             "from mqsmor.mor import ShiftSet, lr_adi\n"
             "from mqsmor.ops import OperatorContext\n"
@@ -268,9 +306,8 @@ def test_consumer_error_leaves_no_lane_blocked():
 
 
 def test_concurrent_runs_share_the_lanes(synthetic):
-    """LR-ADI runs from more threads than cores, under a short switch
-    interval, share the two lanes without deadlock and each equals the
-    serial loop."""
+    """LR-ADI runs on one context from more threads than cores, under a
+    short switch interval, each equal a fresh LU at every step."""
     ctx = synthetic[3]
     expected = serial_lr_adi(ctx, SLOW, tol=1e-30, maxit=12)
     results = [None] * 4

@@ -1,8 +1,14 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.optimize import minimize
+from scipy.special import ellipk, ellipkm1
 
+from mqsmor.assembly import build_system
+from mqsmor.config import RunConfig
+from mqsmor.mesh import build_incidence, eliminate_boundary, generate_mesh
 from mqsmor.mor import (
     ShiftSet,
     adi_rational_max,
@@ -11,9 +17,13 @@ from mqsmor.mor import (
     hinf_error,
     lr_adi,
     reduced_order,
+    rounding_allowance,
     wachspress_shifts,
 )
 from mqsmor.lacore import dense_sym_eig
+from mqsmor.ops import OperatorContext
+from mqsmor.oracle import build_dense_oracle, dense_gramians
+from mqsmor.regularize import build_regularized, kernel_bases
 
 
 def test_wachspress_point_spectrum():
@@ -115,10 +125,12 @@ def test_balanced_truncate_toy_exact(toy):
     assert model.hankel[0] == pytest.approx(0.5, abs=1e-13)
     assert model.hinf_error <= 1e-12
     assert np.array_equal(model.C, model.B.T)
-    # degenerate-tail bound formula with ell = n_c
-    assert model.error_bound == pytest.approx(
-        2.0 * (model.n_s - 1 + 1) * model.hankel[-1], rel=1e-12)
-    assert model.error_bound >= 0.0
+    # tr(R^{-1}) = 1 = 2 sigma_1: the exact order-1 reduction has a bound of
+    # rounding size, where the paper's formula reads 2 (n_s - 1 + 1) sigma_1
+    assert model.error_bound == error_bound(model.hankel, 1.0, 1)
+    assert model.hinf_error <= model.error_bound <= 1e-14
+    assert model.paper_bound == pytest.approx(1.0, rel=1e-12)
+    assert abs(model.delta) <= rounding_allowance(1, 1.0)
 
 
 def test_balanced_truncate_errors(toy):
@@ -144,10 +156,12 @@ def test_balanced_truncate_refuses_unconverged_status(toy, status):
 
 
 def test_balanced_truncate_refuses_unconverged_desk_factor(desk):
-    """Four LR-ADI steps leave the residual near 1; the Hankel values of such
-    a factor would give an error bound far below the true H-infinity error."""
+    """Four LR-ADI steps, one cycle of the desk's four shifts, leave the
+    residual at 0.083, far above the tolerance; the Hankel values of such a
+    factor miss part of the Gramian, so no model is made from them."""
     zc = lr_adi(desk.ctx, desk.shifts, tol=desk.config["mor.tol_adi"], maxit=4)
-    assert zc.status == "maxit" and zc.history[-1] > 0.5
+    assert len(desk.shifts) == 4
+    assert zc.status == "maxit" and zc.history[-1] == pytest.approx(0.083, rel=0.05)
     with pytest.raises(RuntimeError, match="'maxit'.*last residual"):
         balanced_truncate(desk.ctx, zc, ell=4)
     with pytest.raises(RuntimeError, match="'maxit'"):
@@ -162,26 +176,26 @@ def test_balanced_truncate_desk_structure(desk):
     assert model.hinf_error <= model.error_bound
 
 
-def _first_order_meeting_bound(hankel, n_s, target):
+def _first_order_meeting_bound(hankel, trace_rinv, target):
     """Brute force: scan ``error_bound`` over every order."""
     for ell in range(1, len(hankel) + 1):
-        if error_bound(hankel, n_s, ell) <= target:
+        if error_bound(hankel, trace_rinv, ell) <= target:
             return ell
     return len(hankel)
 
 
-@pytest.mark.parametrize("hankel, n_s", [
-    ([3.0, 1.0, 0.0, 0.0], 10),
+@pytest.mark.parametrize("hankel, trace_rinv", [
+    ([3.0, 1.0, 0.5, 0.25], 10),
     ([2.0, 0.5, 0.25, 0.0, 0.0, 0.0], 6),
     ([1.0, 1e-3, 1e-9, 0.0], 4),
-    ([5.0, 0.0], 2),
-    ([5.0], 3),
+    ([1.0, 0.0], 2),
+    ([1.5], 3),
 ])
-def test_reduced_order_matches_bound_scan_with_zero_tail(hankel, n_s):
+def test_reduced_order_matches_bound_scan_with_zero_tail(hankel, trace_rinv):
     hankel = np.array(hankel)
     for target in (0.0, 1e-12, 1e-3, 0.3, 0.5, 1.0, 2.0, 10.0, 100.0):
-        assert reduced_order(hankel, n_s, target) == \
-            _first_order_meeting_bound(hankel, n_s, target)
+        assert reduced_order(hankel, trace_rinv, target) == \
+            _first_order_meeting_bound(hankel, trace_rinv, target)
 
 
 def test_reduced_order_matches_bound_scan_on_desk(desk):
@@ -190,18 +204,46 @@ def test_reduced_order_matches_bound_scan_on_desk(desk):
     assert len(hankel) == desk.zc.n_c
     target = desk.config.tol_hsv
     assert target == pytest.approx(1e-10, rel=1e-12)
-    assert model.ell == reduced_order(hankel, model.n_s, target) == 10
-    assert model.error_bound == pytest.approx(4.6999577e-11, rel=1e-7)
-    assert model.error_bound == error_bound(hankel, model.n_s, model.ell)
-    bounds = [error_bound(hankel, model.n_s, ell) for ell in range(1, len(hankel) + 1)]
+    trace_rinv = 1 / 100.0
+    assert model.ell == reduced_order(hankel, trace_rinv, target) == 10
+    assert model.error_bound == pytest.approx(4.7005991e-11, rel=1e-7)
+    assert model.error_bound == error_bound(hankel, trace_rinv, model.ell)
+    bounds = [error_bound(hankel, trace_rinv, ell) for ell in range(1, len(hankel) + 1)]
     for target in [desk.config.tol_hsv] + bounds + [0.5 * b for b in bounds]:
-        assert reduced_order(hankel, model.n_s, target) == \
-            _first_order_meeting_bound(hankel, model.n_s, target)
+        assert reduced_order(hankel, trace_rinv, target) == \
+            _first_order_meeting_bound(hankel, trace_rinv, target)
+
+
+def test_error_bound_is_rounded_exact_sum():
+    """tr(R^{-1}) - 2 (s_1 + ... + s_ell) is summed without cancellation
+    error, and the allowance n_c^2 eps tr(R^{-1}) is added on top."""
+    hankel = np.array([0.5 - 2.0 ** -60, 2.0 ** -58, 2.0 ** -70])
+    exact = Fraction(1) - 2 * sum(Fraction(h) for h in hankel[:2])
+    assert error_bound(hankel, 1.0, 2) == float(exact) + 9 * np.finfo(float).eps
+    assert rounding_allowance(3, 1.0) == 9 * np.finfo(float).eps
 
 
 def test_hinf_error_requires_negative_definite():
     with pytest.raises(ValueError):
         hinf_error(np.array([[1.0]]), np.array([[1.0]]), np.array([[1.0]]))
+
+
+def test_hinf_error_is_exact_for_the_float64_model():
+    """R^{-1} + B^T A^{-1} B in rational arithmetic, rounded once: here the
+    float64 evaluation loses every digit to cancellation."""
+    a, b, r = np.array([[-1.0]]), np.array([[0.1]]), np.array([[100.0]])
+    exact = Fraction(1, 100) - Fraction(0.1) ** 2
+    assert hinf_error(a, b, r) == abs(float(exact)) != 0.0
+    assert abs(0.01 + (b.T @ np.linalg.solve(a, b))[0, 0]) != abs(float(exact))
+    # m = 2: the exact matrix, rounded once, then its 2-norm
+    a2 = np.array([[-3.0, 1.0], [1.0, -2.0]])
+    b2 = np.array([[1.0, 0.5], [0.25, 1.0]])
+    r2 = np.array([[2.0, 0.0], [0.0, 4.0]])
+    inv_a = [[Fraction(-2, 5), Fraction(-1, 5)], [Fraction(-1, 5), Fraction(-3, 5)]]
+    mat = [[Fraction(int(i == j), int(r2[i, i])) + sum(
+        Fraction(b2[k, i]) * inv_a[k][l] * Fraction(b2[l, j])
+        for k in range(2) for l in range(2)) for j in range(2)] for i in range(2)]
+    assert hinf_error(a2, b2, r2) == np.linalg.norm(np.array(mat, dtype=float), 2)
 
 
 def test_reduced_gramians_balanced(desk):
@@ -216,10 +258,89 @@ def test_reduced_gramians_balanced(desk):
 
 def test_gramian_factor_consistency_with_oracle(desk):
     """G_o = (E^- A Z_c)(E^- A Z_c)^T against the dense oracle Gramian."""
-    from mqsmor.oracle import dense_gramians
+    from mqsmor.oracle import build_dense_oracle, dense_gramians
     ctx, oracle = desk.ctx, desk.oracle
     zo = ctx.apply_EinvA(desk.zc.Z)
     _, go = dense_gramians(oracle)
     go_dense = go.toarray()
     diff = zo @ zo.T - go_dense
     assert np.linalg.norm(diff) <= 1e-6 * np.linalg.norm(go_dense)
+
+
+def _oracle_cases(toy, synthetic, desk):
+    yield toy[3], build_dense_oracle(toy[3], cap=100)
+    yield synthetic[3], synthetic[4]
+    yield desk.ctx, desk.oracle
+
+
+def _hankel_from_oracle(ctx, oracle):
+    """Hankel values of the system from the oracle's dense Gramian, the
+    eigenvalues (descending) of L^T G_c L with L L^T = -W1^T A_r W1, and
+    tr(R^{-1})."""
+    g_c = dense_gramians(oracle)[0].core
+    s = -oracle.W1.T @ oracle.AW1
+    low = np.linalg.cholesky(0.5 * (s + s.T))
+    sigma = np.linalg.eigvalsh(low.T @ (0.5 * (g_c + g_c.T)) @ low)[::-1]
+    return sigma, float(np.trace(ctx.rsys.Rinv))
+
+
+def test_hankel_values_sum_to_half_trace_of_rinv(toy, synthetic, desk):
+    """sum_i sigma_i = tr(R^{-1})/2 on the toy, synthetic and desk systems."""
+    for ctx, oracle in _oracle_cases(toy, synthetic, desk):
+        sigma, trace_rinv = _hankel_from_oracle(ctx, oracle)
+        assert sigma.sum() == pytest.approx(trace_rinv / 2, rel=1e-10)
+
+
+def test_factor_hankel_values_lie_below_the_systems(desk):
+    """s_i <= sigma_i for the desk's LR-ADI factor, within the rounding
+    allowance and the dense Gramian's own noise (its most negative
+    eigenvalue, 7e-13 on the desk); Delta >= 0 within the allowance."""
+    sigma, trace_rinv = _hankel_from_oracle(desk.ctx, desk.oracle)
+    model = desk.model
+    allowance = rounding_allowance(len(model.hankel), trace_rinv)
+    noise = max(-sigma.min(), 0.0)
+    assert noise <= 1e-12
+    assert len(sigma) >= len(model.hankel)
+    assert np.all(model.hankel <= sigma[:len(model.hankel)] + allowance + noise)
+    assert model.delta >= -allowance
+    assert model.delta == pytest.approx(trace_rinv / 2 - model.hankel.sum(), abs=1e-17)
+
+
+def _shifts_of_count(a, b, count):
+    """Wachspress shifts on [a, b] with exactly ``count`` shifts: the
+    ``eps`` at the middle of the range that gives that count."""
+    mc = (a / b) ** 2
+    c = ellipkm1(mc) / (2.0 * ellipk(mc) * np.pi)
+    shifts = wachspress_shifts(a, b, 4.0 * np.exp(-(count - 0.5) / c))
+    assert len(shifts) == count
+    return shifts
+
+
+@pytest.mark.parametrize("count", range(3, 11))
+def test_bound_dominates_exact_dc_error_on_desk(desk, count):
+    cfg = desk.config
+    shifts = _shifts_of_count(desk.bounds.a, desk.bounds.b, count)
+    zc = lr_adi(desk.ctx, shifts, tol=cfg["mor.tol_adi"], maxit=cfg["mor.maxit_adi"])
+    model = balanced_truncate(desk.ctx, zc, target=cfg.tol_hsv)
+    assert model.hinf_error <= model.error_bound <= cfg.tol_hsv
+    assert model.delta >= -rounding_allowance(zc.n_c, 0.01)
+
+
+def test_bound_dominates_exact_dc_error_on_box10():
+    """The resolution-10 box of the benchmark's box10-reduce workload."""
+    cfg = RunConfig({
+        "geometry.resolution": 10,
+        "geometry.r1": 0.0126, "geometry.r2": 0.0252,
+        "geometry.r3": 0.0378, "geometry.r4": 0.0504,
+        "geometry.z1": -0.0504, "geometry.z2": 0.0504,
+        "geometry.z3": -0.0252, "geometry.z4": 0.0252,
+    })
+    mesh = generate_mesh(cfg.geometry)
+    inc = eliminate_boundary(build_incidence(mesh), mesh)
+    system = build_system(mesh, inc, cfg.material, cfg.winding)
+    ctx = OperatorContext(build_regularized(system, kernel_bases(inc)))
+    bounds = ctx.spectral_bounds(maxit=cfg["mor.lanczos_maxit"], tol=cfg["mor.lanczos_tol"])
+    shifts = wachspress_shifts(bounds.a, bounds.b, cfg["mor.eps_shift"])
+    zc = lr_adi(ctx, shifts, tol=cfg["mor.tol_adi"], maxit=cfg["mor.maxit_adi"])
+    model = balanced_truncate(ctx, zc, target=cfg.tol_hsv)
+    assert model.hinf_error <= model.error_bound <= cfg.tol_hsv

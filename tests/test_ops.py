@@ -77,6 +77,22 @@ def test_shifted_lu_reports_only_singularity(toy, monkeypatch, error, expected):
     assert ("singular bordered matrix" in str(info.value)) == (expected is RuntimeError)
 
 
+def test_bordered_matrix_is_symmetric(toy, synthetic, desk):
+    """With its winding rows divided by the shift, the bordered matrix is
+    symmetric, real or complex: its winding rows equal its winding columns
+    exactly, and the rest up to the rounding of the sparse products
+    C^T M_nu C.  Shift 0 lies on the spectrum."""
+    for ctx in (toy[3], synthetic[3], desk.ctx):
+        r = ctx.rsys
+        winding = np.arange(r.n1 + r.n2, r.n1 + r.n2 + r.m)
+        for shift in (-1.0, -3.7e5, 2.5j, -1e-3 + 1e6j):
+            mat = ctx._bordered(shift)
+            assert (mat[winding] != mat[:, winding].T).nnz == 0
+            assert abs(mat - mat.T).max() <= 2 * np.finfo(float).eps * abs(mat).max()
+        with pytest.raises(RuntimeError, match="shift 0"):
+            ctx.shifted_lu(0.0)
+
+
 def test_toy_cr(toy):
     _, _, _, ctx = toy
     assert np.allclose(ctx.apply_Cr(np.array([0.0, 1.0])), [2.0], atol=1e-12)
@@ -311,26 +327,17 @@ print(json.dumps(calls))
 
 @pytest.mark.parametrize("libc", ["glibc", "bare"])
 def test_heap_calls_follow_the_c_library(libc):
-    """One lookup in the C library finds ``malloc_trim`` and ``mallopt``.
-    With both, importing the package pins the mmap and trim thresholds and
-    ``trim_heap`` trims; with neither (a monkeypatched ``ctypes.CDLL``), the
-    package imports and both calls do nothing."""
+    """One lookup in the C library finds ``malloc_trim``: with it,
+    ``trim_heap`` trims, and importing the package changes no heap setting;
+    without it (a monkeypatched ``ctypes.CDLL``), the package imports and
+    ``trim_heap`` does nothing."""
     src = os.path.dirname(os.path.dirname(ops.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", _LIBC_PROBE, libc], env=env,
                          capture_output=True, text=True, check=True, timeout=120)
     calls = json.loads(out.stdout.strip().splitlines()[-1])
-    expected = [["mallopt", -3, 32 << 20], ["mallopt", -1, 16 << 20],
-                ["malloc_trim", 0]]
-    assert calls == (expected if libc == "glibc" else [])
-
-
-@pytest.mark.skipif(ops._MALLOPT is None, reason="libc has no mallopt")
-def test_libc_accepts_the_heap_thresholds():
-    # glibc refuses (returns 0 for) an mmap threshold above 32 MiB on 64 bits
-    assert ops._MALLOPT(ops._M_MMAP_THRESHOLD, ops.HEAP_MMAP_THRESHOLD) == 1
-    assert ops._MALLOPT(ops._M_TRIM_THRESHOLD, ops.HEAP_TRIM_THRESHOLD) == 1
+    assert calls == ([["malloc_trim", 0]] if libc == "glibc" else [])
 
 
 def test_desk_spectral_bounds_bracket(desk):
@@ -440,7 +447,7 @@ def test_desk_nested_dissection_order_beats_colamd(desk):
     for shift in (float(shifts.max()), float(shifts.min()), 1e6j):
         fact = ctx.shifted_lu(shift)
         assert np.array_equal(fact.perm, ctx._order)
-        mat = (ctx._lemma3_K + shift * ctx._lemma3_M).tocsc()
+        mat = ctx._bordered(shift)
         assert fact._lu.nnz < factorize(mat)._lu.nnz
         w = ctx.B_r[:, 0]
         z = ctx.shifted_solve(shift, w)
