@@ -127,8 +127,11 @@ def lr_adi(ctx: OperatorContext, shifts: ShiftSet, tol=1e-12, maxit=80):
     cycle, no shift repeats and each LU is dropped after its step.  At most
     J LUs are alive at once, and none outlives the call, also when a step
     raises (the frames of its traceback, and of the errors chained to it,
-    are cleared).
+    are cleared).  ``maxit`` below 1 raises ValueError before any LU is
+    built.
     """
+    if maxit < 1:
+        raise ValueError(f"LR-ADI needs maxit >= 1, got maxit = {maxit}")
     b = ctx.B_r
     n_r, m = b.shape
     bnorm = np.linalg.norm(b.T @ b)

@@ -24,16 +24,18 @@ the Lemma-2 matrix.  Systems without mesh coordinates use SuperLU's COLAMD.
 A shifted LU belongs to its caller and lives no longer than the caller
 holds it: ``shifted_lu`` returns one, and ``shifted_solve`` solves with the
 LU it is given or builds its own and drops it on return.  ``simulate``
-reuses one LU over its time steps and LR-ADI one per shift over its shift
-cycles; a sweep point or a passivity sample builds and frees one, so no
-older LU is alive when the next is built.  Every LU is built and used on
-the calling thread.
+reuses one LU over its time steps, and starts each step's solve from the
+span of earlier states, so that most steps need one LU solve or none;
+LR-ADI reuses one LU per shift over its shift cycles; a sweep point or a
+passivity sample builds and frees one, so no older LU is alive when the
+next is built.  Every LU is built and used on the calling thread.
 
 Every solve is certified by its own residual, not by the LU's pivots:
-``shifted_solve`` and the M11 and Lemma-2 solves raise RuntimeError when
-the iterate they return has a relative residual above SOLVE_RESIDUAL_FLOOR,
-as a solve at a shift on the spectrum does.  No pivot is read, so an LU
-costs only SuperLU's own storage (``lacore.factorize``).
+``shifted_solve`` (also one that returns its given start unrefined) and
+the M11 and Lemma-2 solves raise RuntimeError when the iterate they
+return has a relative residual above SOLVE_RESIDUAL_FLOOR, as a solve at
+a shift on the spectrum does.  No pivot is read, so an LU costs only
+SuperLU's own storage (``lacore.factorize``).
 
 The quasi-Weierstrass counts n_s, n_0, n_inf come from the incidence
 complex (n_0 = N - k2 with N interior nodes) and cost nothing; dense
@@ -61,6 +63,7 @@ from .regularize import RegularizedSystem
 
 LU_REFINE_STEPS = 1       # iterative refinement after each M11 / Lemma-2 solve
 SHIFT_REFINE_STEPS = 2    # refinement on the true shifted residual
+SHIFT_RESIDUAL_TARGET = 1e-13   # relative residual that ends the refinement
 SOLVE_RESIDUAL_FLOOR = 1e-8   # largest relative residual a solve may return
 DENSE_COUNT_CAP = 8000    # largest n_r for the dense rank count
 
@@ -292,34 +295,59 @@ class OperatorContext:
         sol = fact.solve(rhs)
         return np.concatenate([sol[: r.n1], sol[r.n1 + r.cotree]])
 
-    def shifted_solve(self, shift, w, lu=None):
+    def _shifted_residual(self, shift, w, z):
+        """w - (tau E_r + A_r) z and its Frobenius norm."""
+        r = self.rsys
+        resid = w - (shift * r.apply_Er(z) + r.apply_Ar(z))
+        return resid, np.linalg.norm(resid)
+
+    def shifted_solve(self, shift, w, lu=None, start=None, *, resid_out=None):
         """(tau E_r + A_r)^{-1} w via the bordered system in edge coordinates.
 
         Valid for real tau < 0 and complex shifts off the nonpositive real
         spectrum of the pencil; supports one rhs or a matrix of rhs columns.
         ``lu`` is ``shifted_lu(shift)``, for a caller that solves at one shift
-        many times; without it the solve builds an LU and drops it on return.
-        The raw bordered solve is polished by iterative refinement on the
-        true shifted residual in the reduced coordinates, until that
-        residual is at most 1e-13 relative or after SHIFT_REFINE_STEPS steps.
+        many times; without it the solve builds an LU when it first needs
+        one and drops it on return.  The raw bordered solve is polished by
+        iterative refinement on the true shifted residual in the reduced
+        coordinates, until that residual is at most SHIFT_RESIDUAL_TARGET
+        relative or after SHIFT_REFINE_STEPS steps.
+
+        ``start`` is an optional first iterate.  Its residual is computed
+        afresh: a start that meets SHIFT_RESIDUAL_TARGET is returned itself,
+        with no LU solve; a start no better than zero (residual not below
+        ||w||, or NaN) is discarded and the solve runs as without one; any
+        other start is refined by the same steps in place of the raw solve.
+
         The iterate returned has a relative residual
         ||w - (tau E_r + A_r) z|| / ||w|| (Frobenius norms) of at most
         SOLVE_RESIDUAL_FLOOR; otherwise RuntimeError names the shift and the
-        residual, as at a shift on or next to the spectrum.
+        residual, as at a shift on or next to the spectrum.  ``resid_out``,
+        an array of w's shape, receives that residual.
         """
-        r = self.rsys
-        if lu is None:
-            lu = self.shifted_lu(shift)
         w = np.asarray(w)
-        z = self._shifted_solve_raw(w, lu)
         wn = np.linalg.norm(w)
-        for step in range(SHIFT_REFINE_STEPS + 1):
-            resid = w - (shift * r.apply_Er(z) + r.apply_Ar(z))
-            rn = np.linalg.norm(resid)
-            if rn <= 1e-13 * wn or step == SHIFT_REFINE_STEPS:
+        z = None
+        if start is not None:
+            z = np.asarray(start)
+            resid, rn = self._shifted_residual(shift, w, z)
+            if not (rn < wn or rn <= SHIFT_RESIDUAL_TARGET * wn):
+                z = None
+        if z is None:
+            if lu is None:
+                lu = self.shifted_lu(shift)
+            z = self._shifted_solve_raw(w, lu)
+            resid, rn = self._shifted_residual(shift, w, z)
+        for _ in range(SHIFT_REFINE_STEPS):
+            if rn <= SHIFT_RESIDUAL_TARGET * wn:
                 break
+            if lu is None:
+                lu = self.shifted_lu(shift)
             z = z + self._shifted_solve_raw(resid, lu)
+            resid, rn = self._shifted_residual(shift, w, z)
         _certify_solve(f"shifted solve at shift {shift}", rn, wn)
+        if resid_out is not None:
+            resid_out[...] = resid
         return z
 
     # -- spectral bounds ---------------------------------------------------

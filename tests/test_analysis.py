@@ -3,6 +3,8 @@ import functools
 import numpy as np
 import pytest
 
+import mqsmor.analysis as analysis
+import mqsmor.ops as ops
 from mqsmor.analysis import (
     frequency_response,
     passivity_scan,
@@ -11,6 +13,7 @@ from mqsmor.analysis import (
     transfer_full,
     transfer_reduced,
 )
+from mqsmor.lacore import Factorization
 from mqsmor.mor import ShiftSet, balanced_truncate, lr_adi
 
 
@@ -123,6 +126,107 @@ def test_output_form_equivalence_along_trajectory(synthetic):
         y_cr = ctx.apply_Cr(x_new)
         assert np.abs(y_bd - y_cr).max() <= 1e-10 * max(np.abs(y_bd).max(), 1e-10)
         x = x_new
+
+
+def plain_simulate(ctx, u, t_final, steps):
+    """Outputs of the full-model implicit Euler with one plain
+    ``shifted_solve`` per step, no start, on one LU."""
+    rsys = ctx.rsys
+    h = t_final / steps
+    x = np.zeros(rsys.n_r)
+    lu = ctx.shifted_lu(-1.0 / h)
+    y = [rsys.Rinv @ u(0.0)]
+    for k in range(1, steps + 1):
+        uk = u(k * h)
+        rhs = rsys.apply_Er(x) + h * (ctx.B_r @ uk)
+        x_new = ctx.shifted_solve(-1.0 / h, -rhs / h, lu)
+        y.append(-ctx.B_r.T @ (x_new - x) / h + rsys.Rinv @ uk)
+        x = x_new
+    return np.array(y)
+
+
+def record_simulation(monkeypatch, ctx):
+    """Record every ``shifted_solve`` of a simulation as (shift, w, z), the
+    basis size after every ``_StateBasis.add`` and the number of LU
+    solves."""
+    solves, sizes, lu_calls = [], [], [0]
+    solve, add, lu_solve = ctx.shifted_solve, analysis._StateBasis.add, Factorization.solve
+
+    def recording_solve(shift, w, *args, **kwargs):
+        z = solve(shift, w, *args, **kwargs)
+        solves.append((shift, w.copy(), z.copy()))
+        return z
+
+    def recording_add(self, z, image):
+        add(self, z, image)
+        sizes.append(self.size)
+
+    def counting(self, b):
+        lu_calls[0] += 1
+        return lu_solve(self, b)
+
+    monkeypatch.setattr(ctx, "shifted_solve", recording_solve)
+    monkeypatch.setattr(analysis._StateBasis, "add", recording_add)
+    monkeypatch.setattr(Factorization, "solve", counting)
+    return solves, sizes, lu_calls
+
+
+def assert_certified(ctx, solves):
+    for shift, w, z in solves:
+        r = w - (shift * ctx.apply_Er(z) + ctx.apply_Ar(z))
+        assert np.linalg.norm(r) <= ops.SHIFT_RESIDUAL_TARGET * np.linalg.norm(w)
+
+
+def test_desk_simulate_from_earlier_states_matches_plain_solves(desk, monkeypatch):
+    """200 desk steps started from the span of earlier states give the
+    outputs of plain per-step solves to 1e-12 relative (2e-13 measured),
+    every state meets the residual target, and the bordered LU solves 101
+    times, where the plain loop solves 400 times; the basis stays within
+    STATE_BASIS_CAP."""
+    ctx, cfg = desk.ctx, desk.config
+    u = lambda t: np.atleast_1d(cfg.drive(t))
+    t_final = cfg["analysis.t_final"]
+    y_plain = plain_simulate(ctx, u, t_final, 200)
+    solves, sizes, lu_calls = record_simulation(monkeypatch, ctx)
+    _, y = simulate(ctx, u, t_final, 200)
+    monkeypatch.undo()
+    assert np.abs(y - y_plain).max() <= 1e-12 * np.abs(y_plain).max()
+    assert len(solves) == 200
+    assert_certified(ctx, solves)
+    assert lu_calls[0] <= 150
+    assert 0 < max(sizes) <= analysis.STATE_BASIS_CAP
+
+
+def test_simulate_basis_stops_at_the_cap(desk, monkeypatch):
+    """With the cap lowered to 3, the desk basis fills to 3 and grows no
+    further; the outputs still match plain solves and every state meets the
+    residual target."""
+    ctx = desk.ctx
+    u = lambda t: np.array([np.cos(300.0 * t) + 0.3 * np.sin(2000.0 * t)])
+    y_plain = plain_simulate(ctx, u, 0.02, 40)
+    monkeypatch.setattr(analysis, "STATE_BASIS_CAP", 3)
+    solves, sizes, _ = record_simulation(monkeypatch, ctx)
+    _, y = simulate(ctx, u, 0.02, 40)
+    monkeypatch.undo()
+    assert np.abs(y - y_plain).max() <= 1e-12 * np.abs(y_plain).max()
+    assert_certified(ctx, solves)
+    assert sizes[:3] == [1, 2, 3] and max(sizes) == 3 and len(sizes) > 3
+
+
+def test_simulate_within_a_small_state_space(synthetic, monkeypatch):
+    """The synthetic system has one finite eigenvalue, so one kept state
+    spans its trajectory: after the first step every start meets the
+    target and no LU solves again."""
+    ctx = synthetic[3]
+    u = lambda t: np.array([np.cos(2.0 * t)])
+    y_plain = plain_simulate(ctx, u, 2.0, 40)
+    solves, sizes, lu_calls = record_simulation(monkeypatch, ctx)
+    _, y = simulate(ctx, u, 2.0, 40)
+    monkeypatch.undo()
+    assert np.abs(y - y_plain).max() <= 1e-12 * np.abs(y_plain).max()
+    assert_certified(ctx, solves)
+    assert sizes == [1]
+    assert lu_calls[0] <= ops.SHIFT_REFINE_STEPS + 1
 
 
 def test_passivity_toy_real_axis(toy):

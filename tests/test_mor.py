@@ -89,6 +89,17 @@ def test_lr_adi_zero_input(toy):
     assert zc.n_c == 0 and zc.history[-1] == 0.0
 
 
+@pytest.mark.parametrize("maxit", [0, -1])
+def test_lr_adi_refuses_maxit_below_one(toy, monkeypatch, maxit):
+    """``maxit`` < 1 is refused by name before any LU is built."""
+    ctx = toy[3]
+    built = []
+    monkeypatch.setattr(ctx, "shifted_lu", lambda shift: built.append(shift))
+    with pytest.raises(ValueError, match=f"maxit >= 1, got maxit = {maxit}"):
+        lr_adi(ctx, ShiftSet(np.array([-2.0]), 0.0, (2.0, 2.0)), maxit=maxit)
+    assert built == []
+
+
 def test_lr_adi_desk_converges_within_60_columns(desk):
     zc = desk.zc
     assert zc.status == "converged"

@@ -11,7 +11,7 @@ import scipy.sparse as sp
 
 import mqsmor.ops as ops
 from mqsmor.assembly import MaterialSpec, WindingSpec, build_system
-from mqsmor.lacore import SingularMatrixError, factorize, lanczos_extremal
+from mqsmor.lacore import Factorization, SingularMatrixError, factorize, lanczos_extremal
 from mqsmor.mesh import AIR, IRON, GeometrySpec, Mesh, build_incidence, eliminate_boundary, generate_mesh
 from mqsmor.ops import OperatorContext, SpectralBounds
 from mqsmor.oracle import SparsePencil, build_dense_oracle
@@ -269,6 +269,90 @@ def test_shifted_solve_refuses_lu_of_another_shift(toy, synthetic, other):
         with pytest.raises(RuntimeError, match=r"shifted solve at shift -1\.0: "
                            r"relative residual \S+ above the floor 1e-08"):
             ctx.shifted_solve(-1.0, w, ctx.shifted_lu(other))
+
+
+def count_lu_solves(monkeypatch):
+    """Patch ``Factorization.solve`` to count its calls; returns the count."""
+    calls = [0]
+    solve = Factorization.solve
+
+    def counting(self, b):
+        calls[0] += 1
+        return solve(self, b)
+
+    monkeypatch.setattr(Factorization, "solve", counting)
+    return calls
+
+
+def test_shifted_solve_returns_a_start_that_meets_the_target(toy, synthetic, monkeypatch):
+    """A start whose residual meets SHIFT_RESIDUAL_TARGET comes back as it
+    is: no LU is built and the LU passed in solves nothing.  ``resid_out``
+    receives its residual."""
+    for ctx in (toy[3], synthetic[3]):
+        w = np.linspace(1.0, 2.0, ctx.rsys.n_r)
+        z = ctx.shifted_solve(-1.5, w)
+        r = w - (-1.5 * ctx.apply_Er(z) + ctx.apply_Ar(z))
+        assert np.linalg.norm(r) <= ops.SHIFT_RESIDUAL_TARGET * np.linalg.norm(w)
+        lu = ctx.shifted_lu(-1.5)
+        calls = count_lu_solves(monkeypatch)
+        monkeypatch.setattr(ops, "factorize", None)     # building an LU fails
+        resid = np.full_like(w, np.nan)
+        for given in (None, lu):
+            assert ctx.shifted_solve(-1.5, w, given, z, resid_out=resid) is z
+            assert np.array_equal(resid, r)
+        assert calls[0] == 0
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("scale", [-10.0, 3.0, np.nan])
+def test_shifted_solve_discards_a_start_worse_than_zero(toy, synthetic, desk, scale):
+    """A start whose residual is not below ||w|| (the solution times -10 or
+    3, or NaN) is discarded: the result equals that of a solve without a
+    start bit for bit."""
+    cases = [(toy[3], -1.5), (synthetic[3], -1.5), (desk.ctx, -3750.0)]
+    for ctx, shift in cases:
+        w = np.linspace(1.0, 2.0, ctx.rsys.n_r)
+        lu = ctx.shifted_lu(shift)
+        plain = ctx.shifted_solve(shift, w, lu)
+        start = scale * plain
+        resid = np.empty_like(w)
+        z = ctx.shifted_solve(shift, w, lu, start, resid_out=resid)
+        assert np.array_equal(z, plain)
+        assert np.array_equal(resid, w - (shift * ctx.apply_Er(z) + ctx.apply_Ar(z)))
+
+
+def test_shifted_solve_from_a_start_refines_with_one_lu_solve(desk, monkeypatch):
+    """A start with a residual between the target and ||w|| is refined.  At
+    the default time step's shift, B_r solved plainly takes two LU solves;
+    that solution perturbed by 1e-8 (residual 1.4e-8) takes one and meets
+    the target."""
+    ctx, shift, w = desk.ctx, -3750.0, desk.ctx.B_r[:, 0]
+    lu = ctx.shifted_lu(shift)
+    calls = count_lu_solves(monkeypatch)
+    z = ctx.shifted_solve(shift, w, lu)
+    assert calls[0] == 2
+    start = z * (1.0 + 1e-8 * np.cos(np.arange(z.size)))
+    zs = ctx.shifted_solve(shift, w, lu, start)
+    assert calls[0] == 3
+    r = w - (shift * ctx.apply_Er(zs) + ctx.apply_Ar(zs))
+    assert np.linalg.norm(r) <= ops.SHIFT_RESIDUAL_TARGET * np.linalg.norm(w)
+    assert np.linalg.norm(zs - z) <= 1e-10 * np.linalg.norm(z)
+
+
+def test_shifted_solve_from_a_start_refuses_shift_next_to_spectrum(synthetic):
+    """A start with half of w's residual, at a shift 1e-9 relative from the
+    synthetic system's finite eigenvalue, is refined but not to the floor:
+    the solve is refused as one without a start is."""
+    _, _, rsys, ctx, oracle = synthetic
+    lam = float(oracle.finite_eigenvalues().real[0])
+    tau = -lam * (1 + 1e-9)
+    w = ctx.B_r[:, 0]
+    start = 0.5 * np.linalg.solve(tau * oracle.E_dense + oracle.A_dense, w)
+    r0 = w - (tau * rsys.apply_Er(start) + rsys.apply_Ar(start))
+    assert 0.1 < np.linalg.norm(r0) / np.linalg.norm(w) < 0.9
+    with pytest.raises(RuntimeError, match=re.escape(
+            f"shifted solve at shift {tau}: relative residual ")):
+        ctx.shifted_solve(tau, w, start=start)
 
 
 @pytest.mark.parametrize("which", [0, 1])
