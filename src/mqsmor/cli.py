@@ -8,7 +8,9 @@ ValueError or numpy LinAlgError); any other exception is a program error and
 ends with its traceback (exit code 1).
 
 CSV column contracts:
-    freqresp/freqresp.csv      omega, abs_H, abs_H_reduced, abs_error
+    freqresp/freqresp.csv      omega, abs_H, abs_H_reduced, abs_error, h_bound
+                               (h_bound: certified ||H - H_k||_2 of the full
+                               model's value, nan where an LU computed it)
     simulate/simulation.csv    t, u, y, y_reduced, rel_error
     reduce/residual_history.csv  iteration, residual
     reduce/hankel.csv          index, hankel_value

@@ -26,9 +26,11 @@ holds it: ``shifted_lu`` returns one, and ``shifted_solve`` solves with the
 LU it is given or builds its own and drops it on return.  ``simulate``
 reuses one LU over its time steps, and starts each step's solve from the
 span of earlier states, so that most steps need one LU solve or none;
-LR-ADI reuses one LU per shift over its shift cycles; a sweep point or a
-passivity sample builds and frees one, so no older LU is alive when the
-next is built.  Every LU is built and used on the calling thread.
+LR-ADI reuses one LU per shift over its shift cycles; a frequency sweep
+builds one real LU for its Krylov space and frees it before any point
+falls back to its own complex LU; a passivity sample builds and frees one,
+so no older LU is alive when the next is built.  Every LU is built and
+used on the calling thread.
 
 Every solve is certified by its own residual, not by the LU's pivots:
 ``shifted_solve`` (also one that returns its given start unrefined) and

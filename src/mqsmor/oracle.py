@@ -31,7 +31,6 @@ uses (-Y_sigma^T A_r Y_sigma)^{-1/2} and the infinite block of W^T A_r W is
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -315,45 +314,22 @@ class FactoredGramian:
         return self.W1 @ self.core @ self.W1.T
 
 
-def _lyapunov_solver(a):
-    """Solver of a X + X a^T = q for several real q that share one real
-    Schur form of ``a``; per right-hand side it runs the steps of
-    ``scipy.linalg.solve_continuous_lyapunov`` (Bartels-Stewart)."""
-    r, u = scipy.linalg.schur(a, output="real")
-    trsyl = scipy.linalg.get_lapack_funcs("trsyl", (r,))
-
-    def solve(q):
-        y, scale, info = trsyl(r, r, u.T.dot(q.dot(u)), tranb="T")
-        if info < 0:
-            raise ValueError(f"?TRSYL: illegal value in argument number {-info}")
-        if info == 1:
-            warnings.warn("Lyapunov operator has an eigenvalue pair whose sum is "
-                          "very close to or exactly zero; the solution is obtained "
-                          "via perturbing the coefficients", RuntimeWarning,
-                          stacklevel=2)
-        y *= scale
-        return u.dot(y).dot(u.T)
-
-    return solve
-
-
 def dense_gramians(oracle: DenseOracle):
-    """Solve the projected Lyapunov equations in W1 coordinates.
+    """Solve the projected Lyapunov equations in W1 coordinates, in closed form.
 
-    Both equations reduce to E11 G A11 + A11 G E11 = -Q on the n_s block;
-    with H = E11 G E11 and F = E11^{-1} A11 this is the standard Lyapunov
-    equation F^T H + H F = -Q, solved for both right-hand sides from one
-    Schur form of F^T.
+    Both equations reduce to E11 G A11 + A11 G E11 = -Q on the n_s block.
+    The symmetric-definite eigendecomposition of (A11, E11) gives V with
+    V^T E11 V = I and V^T A11 V = Lambda (all lambda_i < 0), so G = V X V^T
+    with X_ij = -q~_ij / (lambda_i + lambda_j), q~ = V^T Q V.  For G_c,
+    q~ = b~ b~^T with b~ = V^T B1; for G_o, C_r W1 = -B1^T E11^{-1} A11 and
+    E11^{-1} = V V^T give q~ = (Lambda b~)(Lambda b~)^T.
     """
-    e11, a11, b1 = oracle.E11, oracle.A11, oracle.B1
-    f = np.linalg.solve(e11, a11)
-    c1 = -(b1.T @ f)                              # C_r W1 = -B1^T E11^{-1} A11
-    solve = _lyapunov_solver(f.T)
-    h_c = solve(-(b1 @ b1.T))
-    h_o = solve(-(c1.T @ c1))
-    e_inv = np.linalg.inv(e11)
-    g_c = e_inv @ h_c @ e_inv
-    g_o = e_inv @ h_o @ e_inv
-    g_c = 0.5 * (g_c + g_c.T)
-    g_o = 0.5 * (g_o + g_o.T)
-    return FactoredGramian(oracle.W1, g_c), FactoredGramian(oracle.W1, g_o)
+    lam, v = scipy.linalg.eigh(0.5 * (oracle.A11 + oracle.A11.T),
+                               0.5 * (oracle.E11 + oracle.E11.T))
+    denom = lam[:, None] + lam[None, :]
+    bt = v.T @ oracle.B1
+    out = []
+    for b in (bt, lam[:, None] * bt):
+        g = v @ (-(b @ b.T) / denom) @ v.T
+        out.append(FactoredGramian(oracle.W1, 0.5 * (g + g.T)))
+    return tuple(out)

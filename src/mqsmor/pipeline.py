@@ -181,7 +181,8 @@ class RunManifest:
     """Config echo, derived dimensions, timings and artifact list.
 
     ``counts_source`` records whether n_s, n0 and n_inf came from the
-    incidence topology or from dense algebra.
+    incidence topology or from dense algebra; ``info`` holds a stage's own
+    figures, written as ``<stage>.<name>``.
     """
 
     def __init__(self, config, out_dir, seed):
@@ -190,11 +191,15 @@ class RunManifest:
         self.seed = seed
         self.dimensions = {}
         self.counts_source = None
+        self.info = {}
         self.timings = []
         self.artifacts = []
 
     def add_dims(self, **kw):
         self.dimensions.update(kw)
+
+    def add_info(self, stage, **kw):
+        self.info.update({f"{stage}.{k}": v for k, v in kw.items()})
 
     def check_identities(self):
         """Raise ValueError when the dimensions, with those merged from the
@@ -225,6 +230,8 @@ class RunManifest:
             return
         dims = {k[4:]: int(v) for k, v in entries if k.startswith("dim.")}
         self.dimensions = {**dims, **self.dimensions}
+        info = {k: v for k, v in entries if k.partition(".")[0] in STAGES}
+        self.info = {**info, **self.info}
         times = {k[5:]: float(v) for k, v in entries if k.startswith("time.")}
         self.timings = list({**times, **dict(self.timings)}.items())
         old = [v for k, v in entries if k == "artifact"]
@@ -240,6 +247,7 @@ class RunManifest:
                                   for k in sorted(self.dimensions)]
         if self.counts_source is not None:
             items.append(("counts_source", self.counts_source))
+        items += sorted(self.info.items())
         items += [(f"time.{stage}", f"{dt:.3f}") for stage, dt in self.timings]
         return _kv_text(items + [("artifact", art) for art in self.artifacts])
 
@@ -415,12 +423,17 @@ def _stage_freqresp(state):
                           cfg["analysis.freq_points"])
     fr = frequency_response(state.ctx(), state.model(), omegas)
     rows = [
-        (float(w), float(a), float(b), float(e))
-        for w, a, b, e in zip(omegas, fr.magnitude_full(), fr.magnitude_reduced(),
-                              fr.abs_error)
+        (float(w), float(a), float(b), float(e), float(h))
+        for w, a, b, e, h in zip(omegas, fr.magnitude_full(), fr.magnitude_reduced(),
+                                 fr.abs_error, fr.h_bound)
     ]
     _write_stage(state, "freqresp", {
-        "freqresp.csv": _csv_text("omega,abs_H,abs_H_reduced,abs_error", rows)})
+        "freqresp.csv": _csv_text("omega,abs_H,abs_H_reduced,abs_error,h_bound", rows)})
+    certified = fr.h_bound[~np.isnan(fr.h_bound)]
+    state.manifest.add_info(
+        "freqresp", krylov_shift=fr.shift, krylov_basis_size=fr.basis_size,
+        max_h_bound=float(certified.max()) if certified.size else float("nan"),
+        lu_points=fr.lu_points)
 
 
 def _stage_simulate(state):

@@ -13,8 +13,13 @@ from mqsmor.analysis import (
     transfer_full,
     transfer_reduced,
 )
+from mqsmor.assembly import MaterialSpec, WindingSpec, build_system
 from mqsmor.lacore import Factorization
+from mqsmor.mesh import AIR, IRON, GeometrySpec, Mesh, build_incidence, eliminate_boundary, generate_mesh
 from mqsmor.mor import ShiftSet, balanced_truncate, lr_adi
+from mqsmor.ops import OperatorContext
+from mqsmor.oracle import SparsePencil
+from mqsmor.regularize import build_regularized, kernel_bases
 
 
 def toy_model(ctx):
@@ -257,3 +262,123 @@ def test_frequency_response_within_bound_desk(desk):
     # conjugate symmetry spot check
     hm = transfer_full(desk.ctx, -1j * omegas[5])
     assert np.allclose(hm, np.conj(fr.H_full[5]), rtol=1e-9)
+
+
+# -- the sweep's certified Krylov space ---------------------------------------
+
+def _rounding(ctx):
+    """The rounding an independently computed H carries: a few eps of
+    ||R^{-1}||, which the cancellation in R^{-1} + s B^T z exposes."""
+    return 32 * np.finfo(float).eps * np.linalg.norm(ctx.rsys.Rinv, 2)
+
+
+def _small_box(windings, r):
+    """A resolution-4 unit box (n_r = 292) whose tets are iron with
+    probability 1/4, driven by ``windings``."""
+    base = generate_mesh(GeometrySpec(c1=0.5, c2=0.5, c3=0.5, resolution=4))
+    rng = np.random.default_rng(4)
+    regions = np.where(rng.random(base.tets.shape[0]) < 0.25, IRON, AIR).astype(np.int8)
+    mesh = Mesh(nodes=base.nodes, tets=base.tets, regions=regions)
+    inc = eliminate_boundary(build_incidence(mesh), mesh)
+    material = MaterialSpec(sigma1=1.0, nu_iron=1.0, nu_air=2.0, R=r)
+    system = build_system(mesh, inc, material, windings)
+    return OperatorContext(build_regularized(system, kernel_bases(inc)))
+
+
+def _coil(z3, z4):
+    return WindingSpec(turns=10.0, cross_section=1.0, r3=0.25, r4=0.5, z3=z3, z4=z4)
+
+
+def test_desk_sweep_is_certified_on_one_real_lu(desk, monkeypatch):
+    """25 points from one real LU, each within its certificate of the LU
+    value (up to that value's own rounding) and certified to 1e-3 of its
+    error; no complex LU is built."""
+    ctx, model = desk.ctx, desk.model
+    omegas = np.geomspace(1e-4, 1e6, 25)
+    dtypes = []
+    factorize = ops.factorize
+
+    def recorded(mat, *args, **kw):
+        dtypes.append(mat.dtype)
+        return factorize(mat, *args, **kw)
+
+    monkeypatch.setattr(ops, "factorize", recorded)
+    fr = frequency_response(ctx, model, omegas)
+    assert dtypes == [np.float64]
+    assert fr.lu_points == 0 and fr.basis_size <= analysis.KRYLOV_BASIS_CAP
+    assert fr.shift == analysis.krylov_shift(model) < 0
+    assert np.all(fr.h_bound <= analysis.CERTIFY_RATIO * fr.abs_error)
+    monkeypatch.undo()
+    for w, hk, bound in zip(omegas, fr.H_full, fr.h_bound):
+        true = np.linalg.norm(hk - transfer_full(ctx, 1j * w), 2)
+        assert true <= bound + _rounding(ctx)
+
+
+def test_points_past_the_cap_take_the_lu_path(desk, monkeypatch):
+    """With a 20-vector cap some points stay uncertified: their values are
+    ``transfer_full``'s, bit for bit, with a NaN bound."""
+    monkeypatch.setattr(analysis, "KRYLOV_BASIS_CAP", 20)
+    omegas = np.array([1e-4, 1e2, 1e4, 1e6])
+    fr = frequency_response(desk.ctx, desk.model, omegas)
+    lu = np.isnan(fr.h_bound)
+    assert fr.basis_size == 20 and 0 < fr.lu_points < len(omegas)
+    for w, hk, on_lu in zip(omegas, fr.H_full, lu):
+        if on_lu:
+            assert np.array_equal(hk, transfer_full(desk.ctx, 1j * w))
+
+
+@pytest.mark.parametrize("windings,r", [
+    ([_coil(-0.25, 0.25)], [[1.0]]),
+    ([_coil(-0.25, 0.0), _coil(0.0, 0.25)], [[1.0, 0.0], [0.0, 1.5]]),
+], ids=["m1", "m2"])
+def test_krylov_bound_holds_at_small_k(windings, r):
+    """At k = m ... m + 6 vectors the bound covers the true error, which is
+    far above rounding, below, at and above the shift."""
+    ctx = _small_box(windings, r)
+    space = analysis._KrylovSpace(ctx, -300.0)
+    omegas = np.array([1.0, 300.0, 1e5])
+    for _ in range(7):
+        vals = [space.galerkin(w) for w in omegas]
+        bounds = space.bounds(omegas, [y for _, y in vals])
+        for w, (hk, _), bound in zip(omegas, vals, bounds):
+            true = np.linalg.norm(hk - transfer_full(ctx, 1j * w), 2)
+            assert true <= bound + _rounding(ctx)
+        space.grow(1)
+    assert space.size == ctx.rsys.m + 7
+
+
+def test_krylov_bound_is_the_hermitian_lambda_max():
+    """m = 2: the bound is sqrt(2) max(|w|, |tau|) lambda_max(R^* K0^{-1} R)
+    with K0 = |tau| E_r - A_r, the residual R = B_r - (A_r - i w E_r) V y and
+    K0 applied densely."""
+    ctx = _small_box([_coil(-0.25, 0.0), _coil(0.0, 0.25)], [[1.0, 0.0], [0.0, 1.5]])
+    tau = -300.0
+    space = analysis._KrylovSpace(ctx, tau)
+    space.grow(4)
+    pencil = SparsePencil.of(ctx.rsys)
+    e, a = pencil.dense_E(), pencil.dense_A()
+    v = space.V[:space.size].T
+    for w in (1.0, 300.0, 1e5):
+        _, y = space.galerkin(w)
+        resid = ctx.B_r - (a - 1j * w * e) @ (v @ y)
+        g = resid.conj().T @ np.linalg.solve(-tau * e - a, resid)
+        lam = np.linalg.eigvalsh(0.5 * (g + g.conj().T)).max()
+        assert abs(g[0, 1]) > 1e-3 * lam            # the off-diagonal counts
+        expect = np.sqrt(2) * max(w, -tau) * lam
+        assert space.bounds(np.array([w]), [y])[0] == pytest.approx(expect, rel=1e-8)
+
+
+def test_synthetic_space_exhausts_and_is_exact(synthetic):
+    """The synthetic system's Krylov space is invariant after one vector;
+    H_k then equals the dense H(i w), and the bound is at rounding level."""
+    _, _, rsys, ctx, oracle = synthetic
+    space = analysis._KrylovSpace(ctx, -1.0)
+    space.grow(10)
+    assert space.exhausted and space.size == 1
+    e, a, b = oracle.E_dense, oracle.A_dense, ctx.B_r
+    omegas = np.array([1e-3, 1.0, 1e3])
+    vals = [space.galerkin(w) for w in omegas]
+    for w, (hk, _) in zip(omegas, vals):
+        exact = 1j * w * (b.T @ np.linalg.solve(a - 1j * w * e, b)) + rsys.Rinv
+        assert np.abs(hk - exact).max() <= _rounding(ctx)
+    assert np.all(space.bounds(omegas, [y for _, y in vals]) <= 1e-25)

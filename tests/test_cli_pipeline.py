@@ -361,6 +361,27 @@ def _numeric_artifacts(root):
     return found
 
 
+def test_freqresp_marks_each_value_certified(tmp_path):
+    """freqresp.csv carries each point's certificate, every one within 1e-3
+    of its error, and the manifest its Krylov figures, which a later call
+    on the same run keeps."""
+    cfg = RunConfig({"analysis.freq_points": 6, "analysis.steps": 4})
+    out = tmp_path / "run"
+    run_pipeline(cfg, ("reduce", "freqresp"), out_dir=str(out))
+    path = out / "freqresp" / "freqresp.csv"
+    assert path.read_text().splitlines()[0] == "omega,abs_H,abs_H_reduced,abs_error,h_bound"
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert rows.shape == (6, 5)
+    assert np.all(rows[:, 4] <= 1e-3 * rows[:, 3])
+    run_pipeline(cfg, "simulate", out_dir=str(out))
+    info = {k.strip(): v.strip() for k, _, v in (
+        line.partition("=") for line in (out / "manifest.txt").read_text().splitlines())}
+    assert info["freqresp.lu_points"] == "0"
+    assert 0 < int(info["freqresp.krylov_basis_size"]) <= 120
+    assert float(info["freqresp.krylov_shift"]) < 0
+    assert float(info["freqresp.max_h_bound"]) == rows[:, 4].max()
+
+
 def test_determinism_byte_identical_numeric_artifacts(tmp_path):
     values = {
         "analysis.freq_points": 6,

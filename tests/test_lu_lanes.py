@@ -118,13 +118,13 @@ def desk_reduced(tmp_path_factory):
 
 
 @pytest.mark.parametrize("stage,complex_lus,real_lus", [
-    ("freqresp", 3, 0),
+    ("freqresp", 0, 1),
     ("simulate", 0, 1),
 ])
 def test_desk_stage_builds_only_its_shifted_lus(desk_reduced, monkeypatch, stage,
                                                 complex_lus, real_lus):
-    """``freqresp`` builds one complex LU per point and ``simulate`` one real
-    LU; neither factors the context's M11 or Lemma-2 matrix."""
+    """``freqresp`` (its Krylov space) and ``simulate`` build one real LU
+    each; neither factors the context's M11 or Lemma-2 matrix."""
     cfg, out = desk_reduced
     records = track_factorize(monkeypatch)
     run_pipeline(cfg, stage, out_dir=str(out))
