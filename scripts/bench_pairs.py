@@ -9,8 +9,13 @@ and side: pair i uses seed ``seed0 + i`` on both sides, and the side that
 runs first alternates (the parent first in even pairs).  Every run's JSON
 line is kept.  The output file gets, per workload and end-to-end metric,
 each side's median and quartiles over the pairs, the number of pairs the
-change won (ties count for neither side) and whether the medians differ by
-more than the parent's interquartile range.  An existing output file is
+change won (ties count for neither side), whether the medians differ by
+more than the parent's interquartile range, whether a claimed gain would be
+met (``claim_met``: the change won at least 9 of every 10 pairs and its
+median is lower than the parent's by more than that range), and whether the
+change's median stays within the metric's bound (``within_bound``: at most
+the parent's median times 1 + bound, the bound read from the change
+checkout's ``BENCHMARK.json``).  An existing output file is
 updated: the workload's entry is replaced and the others are kept, so one
 file can hold several workloads, each from its own call.
 """
@@ -76,18 +81,32 @@ def spread(values):
     return {"median": med, "q1": q1, "q3": q3}
 
 
-def summarize(pairs):
+def load_bounds(checkout):
+    """{metric: relative bound} of the end-to-end metrics declared in the
+    checkout's ``BENCHMARK.json``."""
+    with open(os.path.join(checkout, "BENCHMARK.json")) as fh:
+        return {m["name"]: m["bound"] for m in json.load(fh)["end_to_end"]}
+
+
+def summarize(pairs, bounds):
+    """Per-metric summary of the pairs; ``bounds`` maps a metric to its
+    relative bound (``load_bounds``)."""
     out = {}
     for name in METRICS:
         par = [p["parent"]["metrics"][name] for p in pairs]
         chg = [p["change"]["metrics"][name] for p in pairs]
         ps, cs = spread(par), spread(chg)
+        wins = sum(c < p for p, c in zip(par, chg))
+        beyond = abs(cs["median"] - ps["median"]) > ps["q3"] - ps["q1"]
         out[name] = {
             "parent": ps, "change": cs,
-            "change_wins": sum(c < p for p, c in zip(par, chg)),
+            "change_wins": wins,
             "pairs": len(pairs),
             "relative_change": cs["median"] / ps["median"] - 1.0,
-            "beyond_parent_iqr": abs(cs["median"] - ps["median"]) > ps["q3"] - ps["q1"],
+            "beyond_parent_iqr": beyond,
+            "claim_met": (10 * wins >= 9 * len(pairs) and beyond
+                          and cs["median"] < ps["median"]),
+            "within_bound": cs["median"] <= ps["median"] * (1.0 + bounds[name]),
         }
     return out
 
@@ -107,6 +126,7 @@ def main(argv=None):
         raise SystemExit("error: need at least 2 pairs for quartiles")
 
     sides = {"parent": args.parent, "change": args.change}
+    bounds = load_bounds(args.change)
     pairs = []
     for i in range(args.pairs):
         seed = args.seed0 + i
@@ -129,7 +149,7 @@ def main(argv=None):
         "seconds": args.seconds, "seeds": [pr["seed"] for pr in pairs],
         "all_correct": all(pr[s]["correct"] and not pr[s]["failed"]
                            for pr in pairs for s in sides),
-        "metrics": summarize(pairs), "pairs": pairs,
+        "metrics": summarize(pairs, bounds), "pairs": pairs,
     }
     tmp = args.out + ".tmp"
     with open(tmp, "w") as fh:

@@ -8,7 +8,9 @@ ordering such as ``nested_dissection`` shared by matrices of one pattern
 (the bordered saddle-point systems downstream are symmetric indefinite, so
 Cholesky is not an option).  Kernel dimensions of dense PSD matrices are
 certified by Cholesky factorizations rather than eigendecompositions
-(``psd_kernel_dim``, and ``gram_kernel`` for a basis of ker f^T).
+(``psd_kernel_dim``, and ``gram_kernel`` for a basis of ker f^T, which
+``OperatorContext.dimension_counts`` uses for hand-built systems without a
+node count; the dense oracle finds its kernel without it).
 """
 
 from __future__ import annotations

@@ -4,17 +4,24 @@ Builds the quasi-Weierstrass transformation data (W1, E11, A11, kernels
 Y_sigma, Y_nu, spectral projector Pi, reflexive inverses) by dense nullspace
 and factorization routines, without reusing the structured solver path.
 Small systems (brute tier) materialize everything, including W itself, from
-raw SVD nullspaces.  Desk-scale systems use factored representations: the
-kernel Y_nu comes from a pivoted Cholesky factorization of F_nu F_nu^T, its
-rank threshold certified by a residual bound and a second, lifted Cholesky
-factorization (no dense eigendecomposition of size n_r); Y_sigma enters only
-through a dense LU of the saddle matrix of its Gram system, and W1 is an
-orthonormal basis of the range of the spectral projector.  The build holds
-one n^2-sized block at a time: the Gram matrix of the Y_nu kernel, then the
-saddle LU, which serves one solve of the random probe block and is freed
-before the SVD that gives W1 (``DenseOracle`` refactors it on first use of
-``pi_inf_apply`` or ``ainv_apply``).  The products E_r W1 and A_r W1 are
-kept for the Gramian identity of Theorem 4.
+raw SVD nullspaces.  Desk-scale systems work in the range of I - Pi_inf,
+which has dimension n1 + m (the rank of E_r) and holds the whole finite
+spectrum, the zero eigenvalues included.  Y_sigma enters only through a
+dense LU of the saddle matrix of its Gram system: one solve projects a
+random probe block of n1 + m + 8 columns by I - Pi_inf, and its SVD, with
+its rank certified by a 1e-10 singular-value gap, gives an orthonormal
+basis V of that range.  With E_f = V^T E_r V and A_f = -V^T A_r V, both of
+order n1 + m, the kernel Y_nu = V K comes from the eigenvectors K of A_f
+below 1e-10 lambda_max (``psd_kernel``, which refuses an ambiguous
+threshold), certified against the sparse F_nu by
+||F_nu F_nu^T Y_nu|| <= 1e-10 lambda_max(F_nu F_nu^T); W1 = V C, C an
+orthonormal basis of the E_f-orthogonal complement of K, is an orthonormal
+basis of the range of the spectral projector.  No Gram matrix of size n_r
+is formed.  The build holds one n^2-sized block, the saddle LU, which
+serves the one solve and is freed before the SVD (``DenseOracle`` refactors
+it on first use of ``pi_inf_apply`` or ``ainv_apply``).  The products
+E_r W1 = (E_r V) C and A_r W1 = (A_r V) C are kept for the Gramian identity
+of Theorem 4.
 
 E_r = blockdiag(M11, 0) + Xhat R^{-1} Xhat^T (Xhat = [X1; X2hat]) and
 A_r = -F_nu M_nu F_nu^T (F_nu = [C1^T; P2^T]) are applied as sparse products
@@ -31,14 +38,14 @@ uses (-Y_sigma^T A_r Y_sigma)^{-1/2} and the infinite block of W^T A_r W is
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .config import default_value
-from .lacore import gram_kernel
 from .ops import OperatorContext
 
 PROBE_BLOCK = 64      # probe columns projected at a time by the desk build
@@ -111,6 +118,11 @@ class DenseOracle:
     W: np.ndarray | None = None             # brute tier only
     _n1: int = 0                   # n1 and m locate the desk tier's saddle
     _m: int = 0                    # matrix; its LU is not kept (_ysig_lu)
+    # desk tier's certificate margins: rank_sv = s_{n1+m} / s_1 and gap_sv =
+    # s_{n1+m+1} / s_1 of the projected probe block, kernel_gap =
+    # lambda_{n_0+1} / lambda_max of A_f, ynu_residual =
+    # ||F_nu F_nu^T Y_nu||_F / lambda_max(F_nu F_nu^T)
+    margins: dict = field(default_factory=dict)
 
     @property
     def n_r(self):
@@ -246,43 +258,73 @@ def _ysigma_saddle_lu(pencil, n1):
     return scipy.linalg.lu_factor(saddle.T, overwrite_a=True, check_finite=False)
 
 
+def psd_kernel(mat):
+    """Eigendecomposition (lam ascending, vecs) of a small symmetric PSD
+    matrix and its kernel dimension n_0: the number of eigenvalues
+    <= 1e-10 lambda_max.  Every eigenvalue <= 1e-8 lambda_max must also be
+    <= 1e-10 lambda_max, or the rank threshold is ambiguous and
+    RuntimeError is raised (the two thresholds of ``lacore.gram_kernel``)."""
+    lam, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
+    lam_max = lam[-1]
+    n_0 = int(np.sum(lam <= 1e-10 * lam_max))
+    if not lam_max > 0 or int(np.sum(lam <= 1e-8 * lam_max)) != n_0:
+        raise RuntimeError(f"rank threshold is ambiguous for the kernel of "
+                           f"a {lam.size} x {lam.size} PSD matrix")
+    return n_0, lam, vecs
+
+
 def _build_desk(rsys, pencil, b_r, seed):
     n1, n2r, m = rsys.n1, rsys.n2r, rsys.m
     n_r = n1 + n2r
     n_inf = n2r - m
+    n_fin = n1 + m                 # rank E_r: the range of I - Pi_inf
 
-    y_nu = gram_kernel(pencil.F_nu)
-    n_0 = y_nu.shape[1]
-    n_s = n_r - n_0 - n_inf
-    if n_s <= 0:
-        raise RuntimeError("desk oracle: no finite-eigenvalue block")
-
-    # spectral projector Pi = I - Pi_0 - Pi_inf applied in place to a random
-    # probe block; A_r goes PROBE_BLOCK columns at a time, so that its
-    # temporaries of n_f rows stay small, and the saddle LU lives only for
-    # its one solve
-    eynu = pencil.apply_E(y_nu)
-    g0 = y_nu.T @ eynu
-    g0_lu = scipy.linalg.lu_factor(g0)
+    # I - Pi_inf applied in place to a random probe block; A_r goes
+    # PROBE_BLOCK columns at a time, so that its temporaries of n_f rows
+    # stay small, and the saddle LU lives only for its one solve
     rng = np.random.default_rng(seed)
-    ps = rng.standard_normal((n_r, min(n_s + 8, n_r)))
+    ps = rng.standard_normal((n_r, min(n_fin + 8, n_r)))
     rhs = np.zeros((n2r + m, ps.shape[1]), order="F")
     for j in range(0, ps.shape[1], PROBE_BLOCK):
         rhs[:n2r, j:j + PROBE_BLOCK] = pencil.apply_A(ps[:, j:j + PROBE_BLOCK])[n1:]
     z2 = scipy.linalg.lu_solve(_ysigma_saddle_lu(pencil, n1), rhs, overwrite_b=True)
-    ps -= y_nu @ scipy.linalg.lu_solve(g0_lu, eynu.T @ ps)
     ps[n1:] -= z2[:n2r]
     del rhs, z2
     u, s, _ = np.linalg.svd(ps, full_matrices=False)
     del ps
     rank = int(np.sum(s > 1e-10 * s[0]))
-    if rank != n_s:
+    if rank != n_fin:
         raise RuntimeError(
-            f"desk oracle: projector range has rank {rank}, expected n_s = {n_s}"
-        )
-    w1 = u[:, :n_s]
+            f"desk oracle: range of I - Pi_inf has rank {rank}, expected "
+            f"n1 + m = {n_fin}")
+    v = u[:, :n_fin]
+    ev, av = pencil.apply_E(v), pencil.apply_A(v)
 
-    ew1, aw1 = pencil.apply_E(w1), pencil.apply_A(w1)
+    # ker A_r lies in range(I - Pi_inf) and A_r is NSD, so the kernel of
+    # A_f = -V^T A_r V is ker A_r in V's coordinates
+    n_0, lam, vecs = psd_kernel(-(v.T @ av))
+    n_s = n_fin - n_0
+    if n_s <= 0:
+        raise RuntimeError("desk oracle: no finite-eigenvalue block")
+    k = vecs[:, :n_0]
+    y_nu = v @ k
+    f = pencil.F_nu
+    lam_f = float(spla.eigsh((f @ f.T).tocsr(), k=1, which="LA",
+                             return_eigenvectors=False)[0])
+    residual = np.linalg.norm(f @ (f.T @ y_nu)) / lam_f      # bounds the 2-norm
+    if not residual <= 1e-10:
+        raise RuntimeError(f"desk oracle: ||F_nu F_nu^T Y_nu|| = {residual:.2e} "
+                           f"lambda_max, above 1e-10")
+
+    # W1 = V C, C an orthonormal basis of the E_f-orthogonal complement of K:
+    # range(Pi) is the part of range(I - Pi_inf) that Y_nu^T E_r annihilates
+    e_f = v.T @ ev
+    e_fk = e_f @ k
+    g0 = k.T @ e_fk
+    c = scipy.linalg.qr(e_fk)[0][:, n_0:]
+    w1 = v @ c
+    ew1, aw1 = ev @ c, av @ c
+    del u, v, ev, av
     e11 = w1.T @ ew1
     a11 = w1.T @ aw1
 
@@ -296,10 +338,17 @@ def _build_desk(rsys, pencil, b_r, seed):
 
     w2 = y_nu @ _inv_sqrt_spd(g0)
     einv_factor = np.hstack([w1 @ _inv_sqrt_spd(e11), w2])
+    margins = {
+        "rank_sv": float(s[n_fin - 1] / s[0]),
+        "gap_sv": float(s[n_fin] / s[0]) if s.size > n_fin else 0.0,
+        "kernel_gap": float(lam[n_0] / lam[-1]),
+        "ynu_residual": residual,
+    }
     return DenseOracle(
         tier="desk", n_s=n_s, n_0=n_0, n_inf=n_inf, pencil=pencil,
         W1=w1, What1=what1, E11=e11, A11=a11, EW1=ew1, AW1=aw1, B1=w1.T @ b_r,
         Y_nu=y_nu, einv_factor=einv_factor, Y_sigma=None, W=None, _n1=n1, _m=m,
+        margins=margins,
     )
 
 

@@ -468,11 +468,19 @@ def _stage_verify(state):
     trim_heap()
 
     ok = True
+    t0 = time.perf_counter()
     rep1 = theorem1_check(state.system(), state.bases(),
                           dense_intersection=ctx.rsys.n_r <= cfg["oracle.dense_cap"])
+    theorem1_s = time.perf_counter() - t0
     ok &= record("theorem1_common_kernel", rep1["pass"], f"k2={rep1['k2']}")
 
+    t0 = time.perf_counter()
     oracle = build_dense_oracle(ctx, cap=cfg["oracle.dense_cap"], seed=state.seed)
+    oracle_s = time.perf_counter() - t0
+    # the build's freed temporaries go back to the OS before the checks and
+    # the Theorem-4 block allocate (15 MB of RSS on the desk)
+    trim_heap()
+    margins = {f"oracle_{k}": f"{v:.3e}" for k, v in oracle.margins.items()}
     # the oracle's dense counts against the pipeline's (topological) ones
     counts = ctx.dimension_counts()
     lam = oracle.finite_eigenvalues()
@@ -501,14 +509,17 @@ def _stage_verify(state):
     ok &= record("lemma1_alg2_vs_oracle", rel <= 1e-9, f"rel={rel:.2e}")
 
     n_s = oracle.n_s
+    t0 = time.perf_counter()
     g_c, g_o = (g.core for g in dense_gramians(oracle))
     # [E W1, A W1] = Q [R_e, R_a] (thin QR): E G_o E^T - A G_c A^T is
     # Q (R_e G_o R_e^T - R_a G_c R_a^T) Q^T, so both norms are taken in R,
     # factored in place from one Fortran-ordered block once the oracle is gone
+    # and its freed heap is back with the OS
     ew_aw = np.empty((ctx.rsys.n_r, 2 * n_s), order="F")
     ew_aw[:, :n_s] = oracle.EW1
     ew_aw[:, n_s:] = oracle.AW1
     del oracle
+    trim_heap()
     r = scipy.linalg.qr(ew_aw, mode="r", overwrite_a=True, check_finite=False)[0]
     del ew_aw
     r_e, r_a = r[:2 * n_s, :n_s], r[:2 * n_s, n_s:]
@@ -516,6 +527,10 @@ def _stage_verify(state):
     t2 = r_a @ g_c @ r_a.T
     th4 = np.linalg.norm(t1 - t2) / max(np.linalg.norm(t2), 1e-300)
     ok &= record("theorem4_gramian_identity", th4 <= 1e-8, f"rel={th4:.2e}")
+    theorem4_s = time.perf_counter() - t0
+    state.manifest.add_info("verify", theorem1_s=f"{theorem1_s:.3f}",
+                            oracle_s=f"{oracle_s:.3f}",
+                            theorem4_s=f"{theorem4_s:.3f}", **margins)
 
     ok &= record("theorem3_passivity_full", scan_full["pass"],
                  f"margin={scan_full['min_margin_rel']:.2e}")

@@ -283,6 +283,22 @@ def test_desk_verify_lines_in_order(traced_desk_verify):
     assert all(": PASS" in line for line in lines)
 
 
+def test_desk_verify_writes_margins_and_times(traced_desk_verify):
+    """verify's manifest lines: the desk oracle's certificate margins and the
+    wall times of its dense phases, kept after a later call on the same run,
+    and no line that perfbench would read as a dimension."""
+    out = traced_desk_verify[0]
+    run_pipeline(RunConfig({"analysis.passivity_samples": 2}), "mesh", out_dir=str(out))
+    info = {k.strip(): v.strip() for k, _, v in (
+        line.partition("=") for line in (out / "manifest.txt").read_text().splitlines())}
+    assert float(info["verify.oracle_gap_sv"]) <= 1e-10 < float(info["verify.oracle_rank_sv"])
+    assert float(info["verify.oracle_kernel_gap"]) > 1e-8
+    assert float(info["verify.oracle_ynu_residual"]) <= 1e-10
+    for name in ("theorem1_s", "oracle_s", "theorem4_s"):
+        assert 0 < float(info[f"verify.{name}"]) < float(info["time.verify"])
+    assert all(int(v) >= 0 for k, v in info.items() if k.startswith("dim."))
+
+
 def test_cli_refuses_unconverged_adi_factor(tmp_path, capsys):
     cfg = tmp_path / "short.cfg"
     cfg.write_text("mor.maxit_adi = 4\n")

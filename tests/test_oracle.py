@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from mqsmor import oracle as oracle_mod
 from mqsmor.config import default_config
@@ -253,10 +254,69 @@ def test_desk_oracle_holds_no_n_r_square_array(traced_desk_oracle):
 
 
 def test_desk_oracle_traced_peak(traced_desk_oracle):
-    # measured 1.32 n_r^2 doubles, set by gram_kernel's F_nu F_nu^T Gram;
-    # keeping the saddle LU through the build reads 1.82
+    # measured 1.21 n_r^2 doubles, set by the Y_sigma saddle phase (its dense
+    # LU, the probe block of n1 + m + 8 columns and the solve's right-hand
+    # side); the F_nu F_nu^T Gram of the earlier build read 1.32, and keeping
+    # the saddle LU through the build 1.82
     oracle, peak = traced_desk_oracle
-    assert peak <= 1.5 * oracle.n_r ** 2 * 8
+    assert peak <= 1.3 * oracle.n_r ** 2 * 8
+
+
+def _sin_angle(a, b):
+    """Sine of the largest principal angle between the ranges of two
+    orthonormal column blocks of equal width."""
+    assert a.shape == b.shape
+    return np.linalg.norm(a - b @ (b.T @ a), 2)
+
+
+def test_desk_y_nu_matches_gram_kernel(desk):
+    oracle = desk.oracle
+    f = oracle.pencil.F_nu
+    ref = _gram_kernel(f)
+    assert oracle.n_0 == ref.shape[1] == 127
+    assert _sin_angle(oracle.Y_nu, ref) <= 1e-8                # measured 1.3e-10
+    lam_max = scipy.sparse.linalg.eigsh((f @ f.T).tocsr(), k=1, which="LA",
+                                        return_eigenvectors=False)[0]
+    residual = np.linalg.norm(f @ (f.T @ oracle.Y_nu))
+    assert residual <= 1e-10 * lam_max                        # measured 3.3e-14
+    assert oracle.margins["ynu_residual"] == pytest.approx(residual / lam_max)
+    assert oracle.margins["gap_sv"] <= 1e-10 < oracle.margins["rank_sv"]
+    assert 1e-8 < oracle.margins["kernel_gap"]
+
+
+@pytest.mark.parametrize("name", ["toy", "synthetic"])
+def test_forced_desk_tier_matches_brute(request, name):
+    ctx = request.getfixturevalue(name)[3]
+    brute = build_dense_oracle(ctx, cap=100)
+    desk = build_dense_oracle(ctx, cap=100, brute_cap=0)
+    assert (brute.tier, desk.tier) == ("brute", "desk")
+    assert ((desk.n_s, desk.n_0, desk.n_inf)
+            == (brute.n_s, brute.n_0, brute.n_inf))
+    assert _sin_angle(desk.W1, brute.W1) <= 1e-12              # measured 1.4e-15
+    assert _sin_angle(desk.Y_nu, brute.Y_nu) <= 1e-12
+    assert np.linalg.norm(desk.pi_dense() - brute.pi_dense()) <= 1e-12
+
+
+def _planted_psd(small):
+    """The dense Gram matrix of ``_planted_gram(small)`` and its kernel."""
+    f, kernel = _planted_gram(small)
+    return (f @ f.T).toarray(), kernel
+
+
+def test_psd_kernel_counts_eigenvalue_below_threshold():
+    mat, kernel = _planted_psd(0.05)
+    n_0, lam, vecs = oracle_mod.psd_kernel(mat)
+    assert n_0 == 5
+    assert _sin_angle(vecs[:, :5], kernel) <= 1e-12
+    assert lam[5] == pytest.approx(0.05)
+    # 1e-11 lambda_max is below both thresholds: part of the kernel
+    assert oracle_mod.psd_kernel(_planted_psd(1e-11)[0])[0] == 6
+
+
+def test_psd_kernel_rejects_ambiguous_rank_threshold():
+    # 1e-9 lambda_max lies between 1e-10 and 1e-8 lambda_max
+    with pytest.raises(RuntimeError, match="ambiguous"):
+        oracle_mod.psd_kernel(_planted_psd(1e-9)[0])
 
 
 def test_desk_lazy_saddle_lu_matches_ops(desk, monkeypatch):
