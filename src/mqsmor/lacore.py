@@ -8,9 +8,11 @@ ordering such as ``nested_dissection`` shared by matrices of one pattern
 (the bordered saddle-point systems downstream are symmetric indefinite, so
 Cholesky is not an option).  Kernel dimensions of dense PSD matrices are
 certified by Cholesky factorizations rather than eigendecompositions
-(``psd_kernel_dim``, and ``gram_kernel`` for a basis of ker f^T, which
-``OperatorContext.dimension_counts`` uses for hand-built systems without a
-node count; the dense oracle finds its kernel without it).
+(``eigenvalues_exceed``, ``psd_kernel_dim``, and ``gram_kernel`` for a basis
+of ker f^T, which ``OperatorContext.dimension_counts`` uses for hand-built
+systems without a node count; the dense oracle finds its kernel without it),
+with an exact inertia count where a certificate fails
+(``eigenvalues_at_most``).
 """
 
 from __future__ import annotations
@@ -248,6 +250,56 @@ def orthonormal_columns(q):
     return q
 
 
+def _fortran_view(a):
+    """The Fortran-ordered storage of a square float64 matrix ``a``, symmetric
+    when C-ordered (a symmetric C-ordered matrix is its own Fortran-ordered
+    transpose), for LAPACK to work on in place."""
+    a = np.asarray(a)
+    n = a.shape[0]
+    if a.shape != (n, n) or a.dtype != np.float64:
+        raise ValueError("a must be a square float64 matrix")
+    f = a.T if a.flags.c_contiguous else a
+    if not f.flags.f_contiguous:
+        raise ValueError("a must be contiguous")
+    return f
+
+
+def eigenvalues_exceed(a, tau):
+    """True when every eigenvalue of the symmetric matrix ``a`` exceeds
+    ``tau``: a - tau I has a Cholesky factor (one ``dpotrf`` on the lower
+    triangle).  ``a`` is overwritten, in place in its storage."""
+    f = _fortran_view(a)
+    f[np.diag_indices(f.shape[0])] -= tau
+    f, info = lapack.dpotrf(f, lower=1, clean=0, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"dpotrf: illegal argument {-info}")
+    return info == 0
+
+
+def eigenvalues_at_most(a, tau):
+    """Number of eigenvalues <= ``tau`` of the symmetric matrix ``a``,
+    exactly: the nonpositive eigenvalues of a - tau I, read off the
+    block-diagonal factor of a Bunch-Kaufman LDL^T (one ``dsytrf`` on the
+    lower triangle) by Sylvester's law of inertia.  ``a`` is overwritten, in
+    place in its storage."""
+    f = _fortran_view(a)
+    f[np.diag_indices(f.shape[0])] -= tau
+    return _inertia_count(f)
+
+
+def _inertia_count(f):
+    """Nonpositive eigenvalues of the symmetric Fortran-ordered ``f`` (lower
+    triangle read), from its Bunch-Kaufman LDL^T computed in place."""
+    n = f.shape[0]
+    if n == 0:
+        return 0
+    lwork = int(lapack.dsytrf_lwork(n, lower=1)[0])
+    ldu, ipiv, info = lapack.dsytrf(f, lower=1, lwork=max(lwork, 1), overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"dsytrf: illegal argument {-info}")
+    return _nonpositive_inertia(ldu, ipiv)
+
+
 def psd_kernel_dim(a, q, tau):
     """Number of eigenvalues <= ``tau`` of a symmetric PSD matrix ``a``,
     certified by a Cholesky factorization when ``q`` spans that many.
@@ -259,27 +311,19 @@ def psd_kernel_dim(a, q, tau):
     j-th smallest eigenvalue is at most the (j+k)-th of ``a``.  So when
     a + c Q Q^T - tau I has a Cholesky factor, at most k eigenvalues of ``a``
     are <= tau, and the count is exactly k.  When the factorization fails,
-    the count is made exactly instead: the number of nonpositive eigenvalues
-    of a - tau I, read off the block-diagonal factor of a Bunch-Kaufman
-    LDL^T by Sylvester's law of inertia.
+    the count is made exactly instead, as by ``eigenvalues_at_most``.
 
     ``a`` is overwritten; the work is done in place in its storage (one
     ``dsyrk`` and one ``dpotrf``, plus one ``dsytrf`` on failure).
     """
-    a = np.asarray(a)
-    n = a.shape[0]
-    if a.shape != (n, n) or a.dtype != np.float64:
-        raise ValueError("a must be a square float64 matrix")
+    f = _fortran_view(a)
+    n = f.shape[0]
     if n == 0:
         return 0
-    # a symmetric C-ordered matrix is its own Fortran-ordered transpose
-    f = a.T if a.flags.c_contiguous else a
-    if not f.flags.f_contiguous:
-        raise ValueError("a must be contiguous")
     if not sp.issparse(q):
         q = np.asarray(q, dtype=np.float64)
     if q.shape[0] != n:
-        raise ValueError(f"dimension mismatch: matrix is {a.shape}, basis has {q.shape[0]} rows")
+        raise ValueError(f"dimension mismatch: matrix is {f.shape}, basis has {q.shape[0]} rows")
     k = q.shape[1]
     # the lower triangle is worked on; the strict upper one keeps a
     diag = f.diagonal().copy()
@@ -296,11 +340,7 @@ def psd_kernel_dim(a, q, tau):
     for j in range(n - 1):
         f[j + 1:, j] = f[j, j + 1:]
     f[np.diag_indices(n)] = diag - tau
-    lwork = int(lapack.dsytrf_lwork(n, lower=1)[0])
-    ldu, ipiv, info = lapack.dsytrf(f, lower=1, lwork=max(lwork, 1), overwrite_a=1)
-    if info < 0:
-        raise ValueError(f"dsytrf: illegal argument {-info}")
-    return _nonpositive_inertia(ldu, ipiv)
+    return _inertia_count(f)
 
 
 def _nonpositive_inertia(ldu, ipiv):

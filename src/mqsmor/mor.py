@@ -180,6 +180,10 @@ def lr_adi(ctx: OperatorContext, shifts: ShiftSet, tol=1e-12, maxit=80):
     return LowRankFactor(z, np.array(hist), k, status)
 
 
+class TargetNotMet(RuntimeError):
+    """No reduced order's certified error bound meets the target."""
+
+
 @dataclass
 class ReducedModel:
     """Balanced-truncated model (E = I implicit, C = B^T exactly)."""
@@ -264,7 +268,8 @@ def balanced_truncate(ctx: OperatorContext, zc: LowRankFactor, ell=None,
     holds only for the Hankel values of a converged factor, so none is ever
     reported from an unconverged one.  The Hankel values are the eigenvalues
     of -Z^T A_r Z; without ``ell`` the order is the smallest whose error
-    bound meets ``target`` (``reduced_order``).  The projection matrix is
+    bound meets ``target`` (``reduced_order``), and TargetNotMet is raised
+    when no order's bound does.  The projection matrix is
     V = Z U_1 Lambda_1^{-1/2}; the reduced matrices are evaluated columnwise
     through the structured E_r^- A_r products.  The identity reduced-E is
     asserted via the Lambda normalization.  The model carries its certified
@@ -287,6 +292,11 @@ def balanced_truncate(ctx: OperatorContext, zc: LowRankFactor, ell=None,
     trace_rinv = float(sum(rinv[i][i] for i in range(len(rinv))))
     if ell is None:
         ell = reduced_order(lam, trace_rinv, target)
+        if error_bound(lam, trace_rinv, ell) > target:
+            best = min(error_bound(lam, trace_rinv, k) for k in range(1, n_c + 1))
+            raise TargetNotMet(
+                f"no reduced order meets the error-bound target {target:.3e}: the "
+                f"best certified bound over the n_c = {n_c} orders is {best:.3e}")
     if not 1 <= ell <= n_c:
         raise ValueError(f"reduced order {ell} out of range 1..{n_c}")
     if lam[ell - 1] <= 0:

@@ -6,22 +6,28 @@ and factorization routines, without reusing the structured solver path.
 Small systems (brute tier) materialize everything, including W itself, from
 raw SVD nullspaces.  Desk-scale systems work in the range of I - Pi_inf,
 which has dimension n1 + m (the rank of E_r) and holds the whole finite
-spectrum, the zero eigenvalues included.  Y_sigma enters only through a
-dense LU of the saddle matrix of its Gram system: one solve projects a
-random probe block of n1 + m + 8 columns by I - Pi_inf, and its SVD, with
-its rank certified by a 1e-10 singular-value gap, gives an orthonormal
-basis V of that range.  With E_f = V^T E_r V and A_f = -V^T A_r V, both of
-order n1 + m, the kernel Y_nu = V K comes from the eigenvectors K of A_f
-below 1e-10 lambda_max (``psd_kernel``, which refuses an ambiguous
-threshold), certified against the sparse F_nu by
+spectrum, the zero eigenvalues included.  Y_sigma = [0; Y2], Y2 a basis of
+ker X2hat^T, enters only through the SPD trailing block G = P2^T M_nu P2 of
+-A_r: range(I - Pi_inf) = ker(Y_sigma^T A_r) is the set of x with
+(A_r x)[n1:] in span X2hat, which has the basis
+V0 = [[I, 0], [G^{-1} A21, -G^{-1} X2hat]] (A21 = -P2^T M_nu C1).  One
+Cholesky factorization of G, factored in place, and one solve with n1 + m
+right-hand sides give V0; its rank n1 + m follows from the identity block
+and from S = X2hat^T G^{-1} X2hat > 0 (a Cholesky factor of S), and one
+Cholesky QR, V = V0 L^{-T} with L L^T = V0^T V0, makes it orthonormal.  The
+margins are G's pivot ratio and ||V^T V - I||_F.  With E_f = V^T E_r V and
+A_f = -V^T A_r V, both of order n1 + m, the kernel Y_nu = V K comes from the
+eigenvectors K of A_f below 1e-10 lambda_max (``psd_kernel``, which refuses
+an ambiguous threshold), certified against the sparse F_nu by
 ||F_nu F_nu^T Y_nu|| <= 1e-10 lambda_max(F_nu F_nu^T); W1 = V C, C an
 orthonormal basis of the E_f-orthogonal complement of K, is an orthonormal
 basis of the range of the spectral projector.  No Gram matrix of size n_r
-is formed.  The build holds one n^2-sized block, the saddle LU, which
-serves the one solve and is freed before the SVD (``DenseOracle`` refactors
-it on first use of ``pi_inf_apply`` or ``ainv_apply``).  The products
-E_r W1 = (E_r V) C and A_r W1 = (A_r V) C are kept for the Gramian identity
-of Theorem 4.
+is formed.  The build holds one n^2-sized block, G's factor (n2 - k2
+square), which serves the one solve and is freed before the tall blocks are
+formed; ``DenseOracle`` refactors it on first use of ``pi_inf_apply`` or
+``ainv_apply``, and solves the Y_sigma Gram saddle system by the null-space
+method with the factors of G and S.  The products E_r W1 = (E_r V) C and
+A_r W1 = (A_r V) C are kept for the Gramian identity of Theorem 4.
 
 E_r = blockdiag(M11, 0) + Xhat R^{-1} Xhat^T (Xhat = [X1; X2hat]) and
 A_r = -F_nu M_nu F_nu^T (F_nu = [C1^T; P2^T]) are applied as sparse products
@@ -44,11 +50,12 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .config import default_value
 from .ops import OperatorContext
 
-PROBE_BLOCK = 64      # probe columns projected at a time by the desk build
+A_COLUMN_BLOCK = 64   # columns of V that the desk build applies A_r to at a time
 
 
 def _inv_sqrt_spd(mat):
@@ -116,12 +123,12 @@ class DenseOracle:
     einv_factor: np.ndarray        # U with E_r^- = U U^T
     Y_sigma: np.ndarray | None = None       # brute tier only
     W: np.ndarray | None = None             # brute tier only
-    _n1: int = 0                   # n1 and m locate the desk tier's saddle
-    _m: int = 0                    # matrix; its LU is not kept (_ysig_lu)
-    # desk tier's certificate margins: rank_sv = s_{n1+m} / s_1 and gap_sv =
-    # s_{n1+m+1} / s_1 of the projected probe block, kernel_gap =
-    # lambda_{n_0+1} / lambda_max of A_f, ynu_residual =
-    # ||F_nu F_nu^T Y_nu||_F / lambda_max(F_nu F_nu^T)
+    _n1: int = 0                   # locates the desk tier's G block, whose
+                                   # factor is not kept (_saddle_factors)
+    # desk tier's certificate margins: g_pivot_ratio = min / max of the
+    # squared pivots of G's Cholesky factor, v_orthogonality =
+    # ||V^T V - I||_F, kernel_gap = lambda_{n_0+1} / lambda_max of A_f,
+    # ynu_residual = ||F_nu F_nu^T Y_nu||_F / lambda_max(F_nu F_nu^T)
     margins: dict = field(default_factory=dict)
 
     @property
@@ -139,10 +146,11 @@ class DenseOracle:
         return self.pencil.dense_A()
 
     @functools.cached_property
-    def _ysig_lu(self):
-        """Desk tier: LU of the Y_sigma Gram saddle matrix, factored on first
-        use (``pi_inf_apply``, ``ainv_apply``); the build does not keep its own."""
-        return _ysigma_saddle_lu(self.pencil, self._n1)
+    def _saddle_factors(self):
+        """Desk tier: the factors of the Y_sigma Gram saddle system, made on
+        first use (``pi_inf_apply``, ``ainv_apply``); the build does not keep
+        its own."""
+        return _saddle_factors(self.pencil, self._n1)
 
     # -- operator applications -------------------------------------------
 
@@ -157,12 +165,13 @@ class DenseOracle:
         if self.tier == "brute":
             g = self.Y_sigma.T @ self.pencil.apply_A(self.Y_sigma)
             return self.Y_sigma @ np.linalg.solve(g, self.Y_sigma.T @ v)
-        n1, m = self._n1, self._m
+        # the saddle system [[-G, X2hat], [X2hat^T, 0]] [z2; l] = [v2; 0]:
+        # z2 = G^{-1} X2hat S^{-1} X2hat^T G^{-1} v2 - G^{-1} v2
+        n1 = self._n1
         v = np.asarray(v)
-        tail = (m,) + v.shape[1:]
-        rhs = np.concatenate([v[n1:], np.zeros(tail)])
-        sol = scipy.linalg.lu_solve(self._ysig_lu, rhs)
-        z2 = sol[: self.n_r - n1]
+        g_fac, s_fac, gx = self._saddle_factors
+        z2 = gx @ scipy.linalg.cho_solve(s_fac, gx.T @ v[n1:])
+        z2 -= scipy.linalg.cho_solve(g_fac, v[n1:], check_finite=False)
         return np.concatenate([np.zeros((n1,) + v.shape[1:]), z2])
 
     def pi_inf_apply(self, v):
@@ -180,12 +189,17 @@ class DenseOracle:
         return self.W1 @ self.What1.T
 
     def finite_eigenvalues(self):
-        """Generalized eigenvalues of (E11, A11) by unsymmetric QZ (complex)."""
-        return scipy.linalg.eig(self.A11, self.E11, right=False)
+        """Generalized eigenvalues of (A11, E11) (complex in general): with
+        E11 = L L^T, the eigenvalues of L^{-1} A11 L^{-T} by the unsymmetric
+        eigensolver.  The Cholesky factor certifies E11 > 0; raises
+        np.linalg.LinAlgError when E11 has none."""
+        low = np.linalg.cholesky(self.E11)
+        half = scipy.linalg.solve_triangular(low, self.A11, lower=True)
+        return np.linalg.eigvals(scipy.linalg.solve_triangular(low, half.T, lower=True).T)
 
 
 def build_dense_oracle(ctx: OperatorContext, cap=default_value("oracle.dense_cap"),
-                       brute_cap=800, seed=20260809) -> DenseOracle:
+                       brute_cap=800) -> DenseOracle:
     """Construct the oracle; fails when n_r exceeds ``cap`` (config key
     ``oracle.dense_cap``, whose default it shares)."""
     rsys = ctx.rsys
@@ -195,7 +209,7 @@ def build_dense_oracle(ctx: OperatorContext, cap=default_value("oracle.dense_cap
     pencil = SparsePencil.of(rsys)
     if n_r <= brute_cap:
         return _build_brute(rsys, pencil, ctx.B_r)
-    return _build_desk(rsys, pencil, ctx.B_r, seed)
+    return _build_desk(rsys, pencil, ctx.B_r)
 
 
 def _build_brute(rsys, pencil, b_r):
@@ -239,23 +253,34 @@ def _build_brute(rsys, pencil, b_r):
     return DenseOracle(
         tier="brute", n_s=n_s, n_0=n_0, n_inf=n_inf, pencil=pencil,
         W1=w1, What1=what1, E11=e11, A11=a11, EW1=ew1, AW1=aw1, B1=w1.T @ b_r,
-        Y_nu=y_nu, einv_factor=einv_factor, Y_sigma=y_sigma, W=w, _n1=n1, _m=m,
+        Y_nu=y_nu, einv_factor=einv_factor, Y_sigma=y_sigma, W=w, _n1=n1,
     )
 
 
-def _ysigma_saddle_lu(pencil, n1):
-    """Dense LU of the Y_sigma Gram saddle matrix [[-P2^T M_nu P2, X2hat],
-    [X2hat^T, 0]], whose leading block is the trailing block of A_r; an
-    independent factorization, assembled sparse and made dense once."""
+def _g_cholesky(pencil, n1):
+    """Cholesky factor (c, lower) of G = P2^T M_nu P2, the trailing block of
+    -A_r, and its pivot ratio min / max of diag(L)^2: assembled sparse, made
+    dense once and factored in place.  RuntimeError when G is not positive
+    definite."""
     f2 = pencil.F_nu[n1:]
-    n2r = f2.shape[0]
-    x2h = sp.csr_matrix(pencil.Xhat[n1:])
-    saddle = sp.bmat([[f2 @ pencil.Mnu @ f2.T, x2h], [x2h.T, None]]).toarray()
-    # negated as a dense block: its empty entries are -0.0
-    np.negative(saddle[:n2r, :n2r], out=saddle[:n2r, :n2r])
+    g = (f2 @ pencil.Mnu @ f2.T).toarray()
     # symmetric (to rounding): its transpose is the Fortran-ordered matrix,
-    # factored in place
-    return scipy.linalg.lu_factor(saddle.T, overwrite_a=True, check_finite=False)
+    # whose lower triangle is factored in place
+    c, info = lapack.dpotrf(g.T, lower=1, clean=0, overwrite_a=1)
+    if info != 0:
+        raise RuntimeError(f"desk oracle: G = P2^T M_nu P2 is not positive "
+                           f"definite (dpotrf info {info})")
+    pivots = np.diagonal(c)
+    return (c, True), float((pivots.min() / pivots.max()) ** 2)
+
+
+def _saddle_factors(pencil, n1):
+    """Cholesky factors of G and of S = X2hat^T G^{-1} X2hat, and
+    G^{-1} X2hat: the null-space method for the Y_sigma Gram saddle system."""
+    g_fac, _ = _g_cholesky(pencil, n1)
+    x2h = pencil.Xhat[n1:]
+    gx = scipy.linalg.cho_solve(g_fac, x2h, check_finite=False)
+    return g_fac, scipy.linalg.cho_factor(x2h.T @ gx), gx
 
 
 def psd_kernel(mat):
@@ -273,36 +298,51 @@ def psd_kernel(mat):
     return n_0, lam, vecs
 
 
-def _build_desk(rsys, pencil, b_r, seed):
+def _build_desk(rsys, pencil, b_r):
     n1, n2r, m = rsys.n1, rsys.n2r, rsys.m
     n_r = n1 + n2r
     n_inf = n2r - m
     n_fin = n1 + m                 # rank E_r: the range of I - Pi_inf
+    x2h = rsys.X2hat
 
-    # I - Pi_inf applied in place to a random probe block; A_r goes
-    # PROBE_BLOCK columns at a time, so that its temporaries of n_f rows
-    # stay small, and the saddle LU lives only for its one solve
-    rng = np.random.default_rng(seed)
-    ps = rng.standard_normal((n_r, min(n_fin + 8, n_r)))
-    rhs = np.zeros((n2r + m, ps.shape[1]), order="F")
-    for j in range(0, ps.shape[1], PROBE_BLOCK):
-        rhs[:n2r, j:j + PROBE_BLOCK] = pencil.apply_A(ps[:, j:j + PROBE_BLOCK])[n1:]
-    z2 = scipy.linalg.lu_solve(_ysigma_saddle_lu(pencil, n1), rhs, overwrite_b=True)
-    ps[n1:] -= z2[:n2r]
-    del rhs, z2
-    u, s, _ = np.linalg.svd(ps, full_matrices=False)
-    del ps
-    rank = int(np.sum(s > 1e-10 * s[0]))
-    if rank != n_fin:
-        raise RuntimeError(
-            f"desk oracle: range of I - Pi_inf has rank {rank}, expected "
-            f"n1 + m = {n_fin}")
-    v = u[:, :n_fin]
-    ev, av = pencil.apply_E(v), pencil.apply_A(v)
+    # V0's lower block -G^{-1} [P2^T M_nu C1, X2hat] = [G^{-1} A21, -G^{-1} X2hat]
+    # from one solve; G's factor lives only for it
+    g_fac, pivot_ratio = _g_cholesky(pencil, n1)
+    f = pencil.F_nu
+    low = np.empty((n2r, n_fin), order="F")
+    (f[n1:] @ (pencil.Mnu @ f[:n1].T)).toarray(out=low[:, :n1])
+    low[:, n1:] = x2h
+    low = scipy.linalg.cho_solve(g_fac, low, overwrite_b=True, check_finite=False)
+    del g_fac
+    np.negative(low, out=low)
+    try:
+        np.linalg.cholesky(-(x2h.T @ low[:, n1:]))
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError("desk oracle: X2hat^T G^{-1} X2hat is not positive "
+                           "definite; range of I - Pi_inf is not of rank n1 + m") from exc
+
+    # V = V0 L^{-T}, L L^T = V0^T V0 = blockdiag(I, 0) + low^T low
+    gram = low.T @ low
+    gram[np.diag_indices(n1)] += 1.0
+    lt_inv = scipy.linalg.solve_triangular(np.linalg.cholesky(gram), np.eye(n_fin),
+                                           lower=True).T
+    v = np.empty((n_r, n_fin))
+    v[:n1] = lt_inv[:n1]
+    v[n1:] = low @ lt_inv
+    del low, gram, lt_inv
+    vtv = v.T @ v
+    vtv[np.diag_indices(n_fin)] -= 1.0
+    orthogonality = float(np.linalg.norm(vtv))
+    # A_r goes A_COLUMN_BLOCK columns at a time, so that its temporaries of
+    # n_f rows stay small
+    ev, av = pencil.apply_E(v), np.empty_like(v)
+    for j in range(0, n_fin, A_COLUMN_BLOCK):
+        av[:, j:j + A_COLUMN_BLOCK] = pencil.apply_A(v[:, j:j + A_COLUMN_BLOCK])
 
     # ker A_r lies in range(I - Pi_inf) and A_r is NSD, so the kernel of
     # A_f = -V^T A_r V is ker A_r in V's coordinates
-    n_0, lam, vecs = psd_kernel(-(v.T @ av))
+    vav = v.T @ av
+    n_0, lam, vecs = psd_kernel(-vav)
     n_s = n_fin - n_0
     if n_s <= 0:
         raise RuntimeError("desk oracle: no finite-eigenvalue block")
@@ -323,31 +363,34 @@ def _build_desk(rsys, pencil, b_r, seed):
     g0 = k.T @ e_fk
     c = scipy.linalg.qr(e_fk)[0][:, n_0:]
     w1 = v @ c
-    ew1, aw1 = ev @ c, av @ c
-    del u, v, ev, av
-    e11 = w1.T @ ew1
-    a11 = w1.T @ aw1
+    del v
+    ew1 = ev @ c
+    del ev
+    aw1 = av @ c
+    del av
+    e11 = c.T @ e_f @ c
+    a11 = c.T @ vav @ c
 
-    # What1 = H Theta with columns of H spanning im(Y_sigma)^perp
-    h = np.zeros((n_r, n1 + m))
-    h[:n1, :n1] = np.eye(n1)
-    h[n1:, n1:] = rsys.X2hat
-    t = np.vstack([y_nu.T @ h, w1.T @ h])
+    # What1 = H Theta with the columns of H = blockdiag(I, X2hat) spanning
+    # im(Y_sigma)^perp, H applied by its blocks
+    t = np.vstack([np.hstack([y[:n1].T, y[n1:].T @ x2h]) for y in (y_nu, w1)])
     rhs = np.vstack([np.zeros((n_0, n_s)), np.eye(n_s)])
-    what1 = h @ np.linalg.solve(t, rhs)
+    theta = np.linalg.solve(t, rhs)
+    what1 = np.vstack([theta[:n1], x2h @ theta[n1:]])
 
-    w2 = y_nu @ _inv_sqrt_spd(g0)
-    einv_factor = np.hstack([w1 @ _inv_sqrt_spd(e11), w2])
+    einv_factor = np.empty((n_r, n_s + n_0))
+    einv_factor[:, :n_s] = w1 @ _inv_sqrt_spd(e11)
+    einv_factor[:, n_s:] = y_nu @ _inv_sqrt_spd(g0)
     margins = {
-        "rank_sv": float(s[n_fin - 1] / s[0]),
-        "gap_sv": float(s[n_fin] / s[0]) if s.size > n_fin else 0.0,
+        "g_pivot_ratio": pivot_ratio,
+        "v_orthogonality": orthogonality,
         "kernel_gap": float(lam[n_0] / lam[-1]),
         "ynu_residual": residual,
     }
     return DenseOracle(
         tier="desk", n_s=n_s, n_0=n_0, n_inf=n_inf, pencil=pencil,
         W1=w1, What1=what1, E11=e11, A11=a11, EW1=ew1, AW1=aw1, B1=w1.T @ b_r,
-        Y_nu=y_nu, einv_factor=einv_factor, Y_sigma=None, W=None, _n1=n1, _m=m,
+        Y_nu=y_nu, einv_factor=einv_factor, Y_sigma=None, W=None, _n1=n1,
         margins=margins,
     )
 

@@ -35,7 +35,7 @@ from scipy.sparse.csgraph import (
     minimum_spanning_tree,
 )
 
-from .lacore import csr_from_coo, psd_kernel_dim
+from .lacore import csr_from_coo, eigenvalues_at_most, eigenvalues_exceed
 from .mesh import IncidenceSet
 
 
@@ -365,12 +365,22 @@ def theorem1_check(system, bases: KernelBases, dense_intersection=True):
     Products are evaluated in factored form so integer bases give exact
     zeros.  The kernel-intersection dimension uses the PSD identity
     ker(E) & ker(K) = ker(E + K): it is the number of eigenvalues of E + K
-    at most 1e-10 lambda_max, with lambda_max from a sparse Lanczos run on
-    E + K.  Once [0; Y_C2] is shown to lie in the kernel, one dense Cholesky
-    factorization of E + K lifted along [0; Y_C2] certifies that there are
-    exactly k2 such eigenvalues (``lacore.psd_kernel_dim``); otherwise, or
-    when the Cholesky fails, the count comes from the inertia of a dense
-    LDL^T of E + K - 1e-10 lambda_max I.
+    at most tau = 1e-10 lambda_max, with lambda_max from a sparse Lanczos
+    run on E + K.  Once [0; Y_C2] is shown to lie in the kernel
+    (``kernel_pass``) and Y_C2 to have full column rank (a Cholesky factor
+    of Y_C2^T Y_C2), E + K has at least k2 such eigenvalues.  For at most
+    k2, drop the k2 tree rows of the n2 block, the rows outside the cotree
+    rows S of Yhat, and Cholesky-factor the principal submatrix
+    (E + K)_JJ - tau I of order n1 + n2 - k2 = n_r.  By Cauchy interlacing
+    lambda_{k2+1}(E + K) >= lambda_1((E + K)_JJ), so a factor proves
+    lambda_{k2+1}(E + K) > tau, and the count is exactly k2 (report
+    ``dimension_certificate`` = "interlacing").  The argument holds for any
+    J of n - k2 indices; the cotree rows are the choice for which
+    (E + K)_JJ is nonsingular, since a gradient of the quotient graph that
+    vanishes on a spanning tree vanishes.  When ``kernel_pass`` fails, or a
+    Cholesky factorization does, the count is made exactly from the inertia
+    of a dense LDL^T of E + K - tau I ("inertia"), so a FAIL still reports
+    the true dimension.
     """
     y = bases.Y_C2.astype(np.float64)
     c2y = (system.C2 @ y).tocsr()
@@ -415,12 +425,32 @@ def theorem1_check(system, bases: KernelBases, dense_intersection=True):
         op = spla.LinearOperator((n, n), dtype=np.float64,
                                  matvec=lambda v: base @ v + x @ (rinv @ (x.T @ v)))
         lam_max = float(spla.eigsh(op, k=1, which="LA", return_eigenvectors=False)[0])
-        # [0; Y_C2] lies in the kernel only when kernel_pass; else count exactly
-        q = (sp.vstack([sp.csr_matrix((n1, y.shape[1])), y]) if report["kernel_pass"]
-             else np.zeros((n, 0)))
-        ek = (base + system.X @ sp.csr_matrix(rinv) @ system.X.T).toarray()
-        dim = psd_kernel_dim(ek, q, 1e-10 * max(lam_max, 1e-300))
+        tau = 1e-10 * max(lam_max, 1e-300)
+        ek = (base + system.X @ sp.csr_matrix(rinv) @ system.X.T).tocsr()
+        if report["kernel_pass"] and _interlacing_certificate(ek, n1, bases, tau):
+            dim, how = bases.k2, "interlacing"
+        else:
+            dim, how = eigenvalues_at_most(ek.toarray(), tau), "inertia"
         report["kernel_intersection_dim"] = dim
+        report["dimension_certificate"] = how
         report["dimension_pass"] = dim == bases.k2
     report["pass"] = report["kernel_pass"] and report.get("dimension_pass", True)
     return report
+
+
+def _interlacing_certificate(ek, n1, bases, tau):
+    """True when Y_C2 has full column rank and the principal submatrix of
+    the sparse E + K on J = (the n1 conducting rows, then the cotree rows of
+    Yhat), of order n - k2, has all its eigenvalues above ``tau``
+    (``theorem1_check``).  False when either factorization fails or Yhat
+    gives no such J."""
+    y = bases.Y_C2.astype(np.float64)
+    try:
+        np.linalg.cholesky((y.T @ y).toarray())
+        rows = _cotree_rows(bases.Yhat_C2)
+    except (np.linalg.LinAlgError, ValueError):
+        return False
+    j = np.concatenate([np.arange(n1), n1 + rows])
+    if j.size != ek.shape[0] - bases.k2 or np.unique(j).size != j.size:
+        return False
+    return eigenvalues_exceed(ek[j][:, j].toarray(), tau)

@@ -1,6 +1,8 @@
+import dataclasses
 import filecmp
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -14,6 +16,7 @@ from mqsmor.cli import main
 from mqsmor.config import ConfigError, RunConfig, default_config, parse_config
 from mqsmor.lacore import read_matrix_market
 from mqsmor.mor import error_bound, reduced_order, tail_bound
+from mqsmor import pipeline
 from mqsmor.pipeline import RunManifest, _read_kv, run_pipeline
 
 
@@ -271,8 +274,9 @@ def traced_desk_verify(tmp_path_factory):
 
 
 def test_desk_verify_traced_peak(traced_desk_verify):
-    # measured 1.33 (n1 + n2)^2 doubles, set by theorem1_check's dense E + K;
-    # an oracle that keeps its saddle LU reads 1.62 to 1.76
+    # measured 1.08 (n1 + n2)^2 doubles, set by theorem1_check's principal
+    # submatrix of E + K (order n_r); the whole E + K read 1.33, and an
+    # oracle that keeps its saddle LU 1.62 to 1.76
     _, peak, n = traced_desk_verify
     assert peak <= 1.5 * n * n * 8
 
@@ -291,12 +295,75 @@ def test_desk_verify_writes_margins_and_times(traced_desk_verify):
     run_pipeline(RunConfig({"analysis.passivity_samples": 2}), "mesh", out_dir=str(out))
     info = {k.strip(): v.strip() for k, _, v in (
         line.partition("=") for line in (out / "manifest.txt").read_text().splitlines())}
-    assert float(info["verify.oracle_gap_sv"]) <= 1e-10 < float(info["verify.oracle_rank_sv"])
+    assert 0 < float(info["verify.oracle_g_pivot_ratio"]) <= 1
+    assert float(info["verify.oracle_v_orthogonality"]) <= 1e-12
     assert float(info["verify.oracle_kernel_gap"]) > 1e-8
     assert float(info["verify.oracle_ynu_residual"]) <= 1e-10
     for name in ("theorem1_s", "oracle_s", "theorem4_s"):
         assert 0 < float(info[f"verify.{name}"]) < float(info["time.verify"])
     assert all(int(v) >= 0 for k, v in info.items() if k.startswith("dim."))
+
+
+def test_desk_verify_fails_lines_on_non_pd_e11(traced_desk_verify, tmp_path, monkeypatch):
+    """An oracle whose E11 has no Cholesky factor gives FAIL lines on
+    Theorems 2 and 4, the other lines run, and the stage ends in the
+    verification failure, not in a LinAlgError."""
+    out = tmp_path / "run"
+    shutil.copytree(traced_desk_verify[0], out)
+    build = pipeline.build_dense_oracle
+
+    def broken(*args, **kw):
+        oracle = build(*args, **kw)
+        return dataclasses.replace(oracle, E11=-oracle.E11)
+
+    monkeypatch.setattr(pipeline, "build_dense_oracle", broken)
+    with pytest.raises(RuntimeError, match="verification failed"):
+        run_pipeline(RunConfig({"analysis.passivity_samples": 2}), "verify",
+                     out_dir=str(out))
+    lines = dict(line.split(": ", 1) for line in
+                 (out / "verify" / "verify.txt").read_text().splitlines())
+    assert list(lines) == list(VERIFY_LINES)
+    failed = {k for k, v in lines.items() if v.startswith("FAIL")}
+    assert failed == {"theorem2_spectrum", "theorem4_gramian_identity"}
+    assert "E11 is not positive definite" in lines["theorem2_spectrum"]
+
+
+def test_desk_verify_reports_theorem_certificates(traced_desk_verify):
+    lines = dict(line.split(": ", 1) for line in
+                 (traced_desk_verify[0] / "verify" / "verify.txt").read_text().splitlines())
+    assert lines["theorem1_common_kernel"] == "PASS k2=385 by=interlacing"
+    rel, remainder = (float(part.split("=")[1]) for part in
+                      lines["theorem4_gramian_identity"].split()[1:])
+    assert rel <= 1e-10 and remainder <= 1e-12      # measured 1.0e-12 and 6.3e-14
+
+
+def test_cli_verify_refuses_above_dense_cap_before_any_solve(tmp_path, monkeypatch, capsys):
+    """Above ``oracle.dense_cap`` verify refuses before the full-model scan
+    and before ``reduce``: no transfer_full call, no LU, no model."""
+    calls = []
+    monkeypatch.setattr(pipeline, "transfer_full", lambda *a, **k: calls.append(a))
+    cfg = tmp_path / "cap.cfg"
+    cfg.write_text("oracle.dense_cap = 100\n")
+    out = tmp_path / "run"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "n_r = 3952 > oracle.dense_cap = 100" in capsys.readouterr().err
+    assert calls == []
+    assert not (out / "reduce").exists() and not (out / "verify").exists()
+
+
+def test_cli_reduce_refuses_when_no_order_meets_target(tmp_path, capsys):
+    """With mor.tol_adi = 1e-5 LR-ADI stops early (20 columns) and no order's
+    bound meets the desk's 1e-10 target: reduce names the target, the best
+    bound and mor.tol_adi, and writes nothing."""
+    cfg = tmp_path / "loose.cfg"
+    cfg.write_text("mor.tol_adi = 1e-5\n")
+    out = tmp_path / "run"
+    assert main(["reduce", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "error-bound target 1.000e-10" in err
+    assert "best certified bound" in err and "mor.tol_adi = 1e-05" in err
+    assert "deviates from identity" not in err
+    assert not (out / "reduce" / "reduced.txt").exists()
 
 
 def test_cli_refuses_unconverged_adi_factor(tmp_path, capsys):

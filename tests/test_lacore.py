@@ -14,6 +14,8 @@ from mqsmor.lacore import (
     factorize,
     lanczos_extremal,
     nested_dissection,
+    eigenvalues_at_most,
+    eigenvalues_exceed,
     psd_kernel_dim,
     read_matrix_market,
     write_matrix_market,
@@ -208,6 +210,19 @@ def _planted_psd(n, k, extra=(), seed=0):
 
 def _eigvalsh_count(a, tau):
     return int(np.sum(np.linalg.eigvalsh(a) <= tau))
+
+
+@pytest.mark.parametrize("n,k", [(40, 0), (80, 3)])
+def test_eigenvalue_count_and_cholesky_test_on_planted_spectrum(n, k):
+    a, _, w = _planted_psd(n, k, extra=(0.5e-10,), seed=n + 2 * k)
+    tau = 1e-10 * w.max()
+    assert eigenvalues_at_most(a.copy(), tau) == k + 1 == _eigvalsh_count(a, tau)
+    assert eigenvalues_exceed(a.copy(), -tau)
+    assert eigenvalues_exceed(np.asfortranarray(a), -tau)
+    assert not eigenvalues_exceed(a.copy(), tau)
+    above = np.sort(w)[k + 1:k + 3]          # the two smallest above the extra one
+    assert eigenvalues_at_most(a.copy(), 0.5 * above[0]) == k + 1
+    assert eigenvalues_at_most(a.copy(), above.mean()) == k + 2
 
 
 @pytest.mark.parametrize("n,k", [(40, 0), (40, 1), (120, 9), (200, 31)])

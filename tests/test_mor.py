@@ -11,6 +11,8 @@ from mqsmor.config import RunConfig
 from mqsmor.mesh import build_incidence, eliminate_boundary, generate_mesh
 from mqsmor.mor import (
     ShiftSet,
+    TargetNotMet,
+    _hankel,
     adi_rational_max,
     balanced_truncate,
     error_bound,
@@ -155,6 +157,24 @@ def test_balanced_truncate_errors(toy):
     zc.Z = zc.Z[:, :0]
     with pytest.raises(ValueError, match="empty"):
         balanced_truncate(ctx, zc, ell=1)
+
+
+def test_balanced_truncate_refuses_target_no_order_meets(toy):
+    """One LR-ADI step with the shift -5, against the toy's pole at -2, meets
+    a loose tolerance of 0.5 and leaves a Hankel value of 0.408 where the
+    Gramian's is 0.5.  The best bound, 1 - 2 * 0.408 = 0.18, lies far above
+    a 1e-3 target, so no model is made (the order used to fall back to n_c
+    and be projected regardless)."""
+    _, _, _, ctx = toy
+    zc = lr_adi(ctx, ShiftSet(np.array([-5.0]), 0.9, (2.0, 20.0)), tol=0.5, maxit=5)
+    assert zc.status == "converged" and zc.n_c == 1
+    best = error_bound(_hankel(ctx, zc.Z)[0], 1.0, 1)
+    assert best > 0.1
+    with pytest.raises(TargetNotMet, match=rf"target 1\.000e-03.*bound over the "
+                                           rf"n_c = 1 orders is {best:.3e}"):
+        balanced_truncate(ctx, zc, target=1e-3)
+    assert balanced_truncate(ctx, zc, target=best).ell == 1
+    assert balanced_truncate(ctx, zc, ell=1).error_bound == best
 
 
 @pytest.mark.parametrize("status", ["maxit", "stagnated"])

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import tracemalloc
 
@@ -10,7 +11,8 @@ import scipy.sparse.linalg
 from mqsmor import oracle as oracle_mod
 from mqsmor.config import default_config
 from mqsmor.lacore import gram_kernel as _gram_kernel
-from mqsmor.oracle import build_dense_oracle, dense_gramians
+from mqsmor.oracle import SparsePencil, build_dense_oracle, dense_gramians
+from mqsmor.pipeline import theorem4_residual
 
 
 def _dense_er(rsys):
@@ -241,23 +243,37 @@ def test_default_cap_is_the_config_default():
     assert cap == default_config()["oracle.dense_cap"]
 
 
+def _arrays(values):
+    """The arrays among ``values``, also inside (nested) tuples."""
+    for v in values:
+        if isinstance(v, tuple):
+            yield from _arrays(v)
+        elif isinstance(v, np.ndarray):
+            yield v
+
+
 def test_desk_oracle_holds_no_n_r_square_array(traced_desk_oracle):
     oracle, _ = traced_desk_oracle
     n_r = oracle.n_r
     assert n_r == oracle.pencil.Xhat.shape[0]
-    n_saddle = n_r - oracle._n1 + oracle._m      # the Y_sigma saddle matrix
+    n2r = n_r - oracle._n1                       # G = P2^T M_nu P2
+    n_saddle = n2r + oracle.pencil.Xhat.shape[1]     # the Y_sigma saddle matrix
     held = list(vars(oracle).values()) + list(vars(oracle.pencil).values())
-    held += [x for v in held if isinstance(v, tuple) for x in v]
-    assert not [v for v in held if isinstance(v, np.ndarray)
-                and v.shape in ((n_r, n_r), (n_saddle, n_saddle))]
-    assert not {"E_dense", "A_dense", "_ysig_lu"} & set(vars(oracle))
+    assert not [v for v in _arrays(held)
+                if v.shape in ((n_r, n_r), (n2r, n2r), (n_saddle, n_saddle))]
+    assert not {"E_dense", "A_dense", "_saddle_factors"} & set(vars(oracle))
+    # the check sees a held factor: the lazy one, once made
+    probe = dataclasses.replace(oracle)
+    probe.pi_inf_apply(np.ones(n_r))
+    assert [v for v in _arrays(vars(probe).values()) if v.shape == (n2r, n2r)]
 
 
 def test_desk_oracle_traced_peak(traced_desk_oracle):
-    # measured 1.21 n_r^2 doubles, set by the Y_sigma saddle phase (its dense
-    # LU, the probe block of n1 + m + 8 columns and the solve's right-hand
-    # side); the F_nu F_nu^T Gram of the earlier build read 1.32, and keeping
-    # the saddle LU through the build 1.82
+    # measured 1.00 n_r^2 doubles, set by the end of the build (the kept
+    # n_r x n_s blocks and E_r^- factor); G's Cholesky phase reads 0.88
+    # (G is (n_r - n1)^2).  The saddle LU with its probe block read 1.21,
+    # the F_nu F_nu^T Gram of an earlier build 1.32, and keeping the saddle
+    # LU through the build 1.82
     oracle, peak = traced_desk_oracle
     assert peak <= 1.3 * oracle.n_r ** 2 * 8
 
@@ -280,8 +296,19 @@ def test_desk_y_nu_matches_gram_kernel(desk):
     residual = np.linalg.norm(f @ (f.T @ oracle.Y_nu))
     assert residual <= 1e-10 * lam_max                        # measured 3.3e-14
     assert oracle.margins["ynu_residual"] == pytest.approx(residual / lam_max)
-    assert oracle.margins["gap_sv"] <= 1e-10 < oracle.margins["rank_sv"]
     assert 1e-8 < oracle.margins["kernel_gap"]
+    # V = V0 L^{-T} is orthonormal (measured 1.3e-14), and so are W1 and Y_nu
+    assert oracle.margins["v_orthogonality"] <= 1e-12
+    assert np.linalg.norm(oracle.W1.T @ oracle.W1 - np.eye(oracle.n_s)) <= 1e-12
+    assert np.linalg.norm(oracle.Y_nu.T @ oracle.Y_nu - np.eye(oracle.n_0)) <= 1e-12
+    # the Cholesky pivots of G lie in its spectrum, so their ratio (measured
+    # 0.13) is at least lambda_min(G) / lambda_max(G)
+    f2 = f[oracle._n1:]
+    g = (f2 @ oracle.pencil.Mnu @ f2.T).tocsc()
+    lam_g = [scipy.sparse.linalg.eigsh(g, k=1, which=which, return_eigenvectors=False,
+                                       **kw)[0]
+             for which, kw in (("LM", {"sigma": 0}), ("LA", {}))]
+    assert 0 < lam_g[0] / lam_g[1] <= oracle.margins["g_pivot_ratio"] <= 1
 
 
 @pytest.mark.parametrize("name", ["toy", "synthetic"])
@@ -319,15 +346,15 @@ def test_psd_kernel_rejects_ambiguous_rank_threshold():
         oracle_mod.psd_kernel(_planted_psd(1e-9)[0])
 
 
-def test_desk_lazy_saddle_lu_matches_ops(desk, monkeypatch):
+def test_desk_lazy_saddle_factors_match_ops(desk, monkeypatch):
     calls = []
 
     def counted(*args):
         calls.append(1)
-        return saddle_lu(*args)
+        return g_cholesky(*args)
 
-    saddle_lu = oracle_mod._ysigma_saddle_lu
-    monkeypatch.setattr(oracle_mod, "_ysigma_saddle_lu", counted)
+    g_cholesky = oracle_mod._g_cholesky
+    monkeypatch.setattr(oracle_mod, "_g_cholesky", counted)
     oracle = build_dense_oracle(desk.ctx)
     assert len(calls) == 1                       # the build's own solve
     v = np.random.default_rng(8).standard_normal((desk.rsys.n_r, 3))
@@ -367,3 +394,56 @@ def test_dense_gramians_closed_form_residual(request, name):
         assert np.linalg.norm(res) <= tol * np.linalg.norm(q)
     for g, ref in zip((gc.core, go.core), _two_call_gramians(oracle)):
         assert np.linalg.norm(g - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("mnu", [np.array([-2.0, -3.0, -4.0]), np.array([0.0, 0.0, 4.0])])
+def test_desk_build_refuses_g_not_positive_definite(synthetic, mnu):
+    """G = P2^T M_nu P2 negative definite, or singular (P2 = [[2, 0], [0, 2],
+    [2, -2]] with only the last face's M_nu entry left): the build raises."""
+    _, _, rsys, ctx, _ = synthetic
+    pencil = SparsePencil.of(rsys)
+    pencil.Mnu = sp.diags(mnu).tocsr()
+    with pytest.raises(RuntimeError, match="not positive definite"):
+        oracle_mod._build_desk(rsys, pencil, ctx.B_r)
+
+
+def test_finite_eigenvalues_need_positive_definite_e11(synthetic):
+    oracle = synthetic[4]
+    lam = oracle.finite_eigenvalues()
+    ref = scipy.linalg.eigvals(oracle.A11, oracle.E11)
+    assert np.allclose(np.sort(lam.real), np.sort(ref.real), rtol=1e-12)
+    with pytest.raises(np.linalg.LinAlgError):
+        dataclasses.replace(oracle, E11=-oracle.E11).finite_eigenvalues()
+
+
+def _qr_theorem4(ew, aw, g_c, g_o):
+    """The Theorem-4 ratio from a thin QR of [E W1, A W1]."""
+    n_s = ew.shape[1]
+    r = scipy.linalg.qr(np.hstack([ew, aw]), mode="r")[0]
+    r_e, r_a = r[:2 * n_s, :n_s], r[:2 * n_s, n_s:]
+    t2 = r_a @ g_c @ r_a.T
+    return np.linalg.norm(r_e @ g_o @ r_e.T - t2) / np.linalg.norm(t2)
+
+
+def test_desk_theorem4_remainder_is_reported_and_bounded(desk):
+    """theorem4_residual works on (n1 + m)-dimensional coordinates.  On the
+    desk the remainder outside range(blockdiag(I, X2hat)) is rounding
+    (measured 6.3e-14 of ||A W1||) and rel 1.0e-12.  A remainder planted in
+    A W1 at 1e-7 of its norm is reported, and rel, which accounts for it,
+    bounds the ratio that a QR of the n_r-row block gives, and is tight."""
+    oracle, rsys = desk.oracle, desk.rsys
+    rel, remainder = theorem4_residual(oracle, rsys)
+    assert rel <= 1e-10 and remainder <= 1e-12
+    g_c, g_o = (g.core for g in dense_gramians(oracle))
+    rng = np.random.default_rng(11)
+    plant = np.zeros_like(oracle.AW1)
+    plant[rsys.n1:] = rng.standard_normal((rsys.n2r, oracle.n_s))
+    q_x = np.linalg.qr(rsys.X2hat)[0]
+    plant[rsys.n1:] -= q_x @ (q_x.T @ plant[rsys.n1:])
+    plant *= 1e-7 * np.linalg.norm(oracle.AW1) / np.linalg.norm(plant)
+    planted = dataclasses.replace(oracle, AW1=oracle.AW1 + plant)
+    rel_p, remainder_p = theorem4_residual(planted, rsys)
+    assert remainder_p == pytest.approx(1e-7, rel=1e-3)
+    ref = _qr_theorem4(planted.EW1, planted.AW1, g_c, g_o)
+    assert ref > 1e3 * rel
+    assert ref * (1 - 1e-6) <= rel_p <= ref * (1 + 1e-3)

@@ -1,6 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+
+from mqsmor import regularize
 
 from conftest import make_synthetic_system, make_toy_system
 from mqsmor.assembly import AssembledSystem
@@ -188,6 +192,7 @@ def test_theorem1_toy_with_kernel():
     assert rep["E_kernel_residual"] == 0.0
     assert rep["K_kernel_residual"] == 0.0
     assert rep["kernel_intersection_dim"] == 1
+    assert rep["dimension_certificate"] == "interlacing"
     assert rep["pass"]
     # hand check: w = (0, 1, -1) annihilates both E and K
     e = np.zeros((3, 3))
@@ -220,10 +225,59 @@ def test_theorem1_reports_kernel_outside_basis():
     rep = theorem1_check(sysm, KernelBases(Y_C2=y, Yhat_C2=yh, k2=1))
     assert rep["kernel_pass"]
     assert rep["kernel_intersection_dim"] == 2
+    assert rep["dimension_certificate"] == "inertia"
     assert not rep["dimension_pass"] and not rep["pass"]
     ek = sysm.K().toarray() + np.asarray(x.todense()) @ np.asarray(x.todense()).T
     ek[0, 0] += 3.0
     assert int(np.sum(np.linalg.eigvalsh(ek) <= 1e-10 * np.abs(ek).max())) == 2
+
+
+def _dense_e_plus_k(sysm):
+    x = np.asarray(sysm.X.todense())
+    ek = sysm.K().toarray() + x @ np.linalg.inv(sysm.R) @ x.T
+    ek[:sysm.n1, :sysm.n1] += sysm.M11.toarray()
+    return ek
+
+
+def test_theorem1_near_kernel_vector_falls_back_to_inertia():
+    """A second face with M_nu = 1e-12 leaves E + K one eigenvalue of about
+    1e-12 beyond the exact kernel (-2, 1, 1) of C2: far below
+    1e-10 lambda_max.  The principal submatrix on the cotree rows then has
+    no Cholesky factor, and the exact count reads k2 + 1."""
+    c1 = _csr([[1.0], [0.0]])
+    c2 = _csr([[1.0, 1.0, 1.0], [0.0, 1.0, -1.0]])
+    ups = _csr([[1.0], [0.0]])
+    x = (sp.hstack([c1, c2]).T @ ups).tocsr()
+    sysm = AssembledSystem(M11=_csr([[3.0]]), Mnu=_csr(np.diag([2.0, 1e-12])),
+                           Upsilon=ups, X=x, C1=c1, C2=c2, R=np.array([[1.0]]),
+                           n1=1, n2=3, m=1)
+    y = _csr(np.array([[-2.0], [1.0], [1.0]]))
+    yh = _csr(np.array([[1.0, 0.0], [0.0, 1.0], [2.0, -1.0]]))
+    rep = theorem1_check(sysm, KernelBases(Y_C2=y, Yhat_C2=yh, k2=1))
+    assert rep["kernel_pass"] and rep["C2Y_exact_zero"]
+    assert rep["dimension_certificate"] == "inertia"
+    assert rep["kernel_intersection_dim"] == 2
+    assert not rep["pass"]
+    w = np.linalg.eigvalsh(_dense_e_plus_k(sysm))
+    assert 0 < w[1] <= 1e-11 * w[-1] and w[2] > 1e-3 * w[-1]
+
+
+@pytest.mark.parametrize("rows", list(itertools.combinations(range(4), 2)) + [(0, 0)])
+def test_theorem1_any_index_set_gives_the_true_count(monkeypatch, rows):
+    """Interlacing holds for every principal submatrix of order n - k2, so an
+    index set other than the cotree rows either still certifies k2 or fails
+    its Cholesky factorization (or its size check) and falls back to the
+    inertia count: the count is never wrong."""
+    sysm, bases = make_synthetic_system()
+    monkeypatch.setattr(regularize, "_cotree_rows", lambda yhat: np.array(rows))
+    rep = theorem1_check(sysm, bases)
+    assert rep["kernel_intersection_dim"] == 2 and rep["pass"]
+    ek = _dense_e_plus_k(sysm)
+    assert int(np.sum(np.linalg.eigvalsh(ek) <= 1e-10 * np.abs(ek).max())) == 2
+    # rows 0 and 1 (or 2 and 3) hold the kernel vector (1, -1, 0, 0) (or
+    # (0, 0, 1, -1)); the repeated row fails the size check
+    fallback = rows in ((0, 1), (2, 3), (0, 0))
+    assert rep["dimension_certificate"] == ("inertia" if fallback else "interlacing")
 
 
 def test_theorem1_e_residual_matches_dense_product():
