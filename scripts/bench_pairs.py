@@ -17,7 +17,8 @@ change's median stays within the metric's bound (``within_bound``: at most
 the parent's median times 1 + bound, the bound read from the change
 checkout's ``BENCHMARK.json``).  An existing output file is
 updated: the workload's entry is replaced and the others are kept, so one
-file can hold several workloads, each from its own call.
+file can hold several workloads, each from its own call.  Each entry
+therefore records the two checkouts it measured (``describe``).
 """
 
 from __future__ import annotations
@@ -48,7 +49,9 @@ def describe(path):
     commit, and a SHA-256 over its ``src`` and ``perfbench`` files."""
     digest = hashlib.sha256()
     for sub in ("src", "perfbench"):
-        for base, dirs, files in sorted(os.walk(os.path.join(path, sub))):
+        # top-down walk: pruning and sorting ``dirs`` in place skips the
+        # byte-code caches and fixes the order
+        for base, dirs, files in os.walk(os.path.join(path, sub)):
             dirs[:] = sorted(d for d in dirs if d != "__pycache__")
             for name in sorted(files):
                 full = os.path.join(base, name)
@@ -111,6 +114,15 @@ def summarize(pairs, bounds):
     return out
 
 
+def add_workload(doc, workload, entry):
+    """Put one workload's entry into the output document ``doc``.  The entry
+    carries its own ``parent`` and ``change`` descriptions; document-level
+    ones, which described only the latest call, are dropped."""
+    doc.pop("parent", None)
+    doc.pop("change", None)
+    doc.setdefault("workloads", {})[workload] = entry
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -143,14 +155,13 @@ def main(argv=None):
     if os.path.exists(args.out):
         with open(args.out) as fh:
             doc = json.load(fh)
-    doc["parent"] = describe(args.parent)
-    doc["change"] = describe(args.change)
-    doc.setdefault("workloads", {})[args.workload] = {
+    add_workload(doc, args.workload, {
+        "parent": describe(args.parent), "change": describe(args.change),
         "seconds": args.seconds, "seeds": [pr["seed"] for pr in pairs],
         "all_correct": all(pr[s]["correct"] and not pr[s]["failed"]
                            for pr in pairs for s in sides),
         "metrics": summarize(pairs, bounds), "pairs": pairs,
-    }
+    })
     tmp = args.out + ".tmp"
     with open(tmp, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)

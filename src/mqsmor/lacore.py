@@ -6,13 +6,14 @@ Factorization is unsymmetric-capable sparse LU with partial pivoting and a
 fill-reducing ordering: COLAMD per matrix, or a caller-supplied symmetric
 ordering such as ``nested_dissection`` shared by matrices of one pattern
 (the bordered saddle-point systems downstream are symmetric indefinite, so
-Cholesky is not an option).  Kernel dimensions of dense PSD matrices are
+Cholesky is not an option).  Positive definiteness of a sparse symmetric
+matrix is certified by a symmetric-mode LU with diagonal pivots
+(``is_positive_definite``).  Kernel dimensions of dense PSD matrices are
 certified by Cholesky factorizations rather than eigendecompositions
-(``eigenvalues_exceed``, ``psd_kernel_dim``, and ``gram_kernel`` for a basis
-of ker f^T, which ``OperatorContext.dimension_counts`` uses for hand-built
-systems without a node count; the dense oracle finds its kernel without it),
-with an exact inertia count where a certificate fails
-(``eigenvalues_at_most``).
+(``psd_kernel_dim``, and ``gram_kernel`` for a basis of ker f^T, which
+``OperatorContext.dimension_counts`` uses for hand-built systems without a
+node count; the dense oracle finds its kernel without it), with an exact
+inertia count where a certificate fails (``eigenvalues_at_most``).
 """
 
 from __future__ import annotations
@@ -262,18 +263,6 @@ def _fortran_view(a):
     if not f.flags.f_contiguous:
         raise ValueError("a must be contiguous")
     return f
-
-
-def eigenvalues_exceed(a, tau):
-    """True when every eigenvalue of the symmetric matrix ``a`` exceeds
-    ``tau``: a - tau I has a Cholesky factor (one ``dpotrf`` on the lower
-    triangle).  ``a`` is overwritten, in place in its storage."""
-    f = _fortran_view(a)
-    f[np.diag_indices(f.shape[0])] -= tau
-    f, info = lapack.dpotrf(f, lower=1, clean=0, overwrite_a=1)
-    if info < 0:
-        raise ValueError(f"dpotrf: illegal argument {-info}")
-    return info == 0
 
 
 def eigenvalues_at_most(a, tau):

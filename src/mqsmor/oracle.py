@@ -3,8 +3,8 @@
 Builds the quasi-Weierstrass transformation data (W1, E11, A11, kernels
 Y_sigma, Y_nu, spectral projector Pi, reflexive inverses) by dense nullspace
 and factorization routines, without reusing the structured solver path.
-Small systems (brute tier) materialize everything, including W itself, from
-raw SVD nullspaces.  Desk-scale systems work in the range of I - Pi_inf,
+Small systems (brute tier) find W1, Y_nu, Y_sigma and W itself from raw SVD
+nullspaces.  Desk-scale systems work in the range of I - Pi_inf,
 which has dimension n1 + m (the rank of E_r) and holds the whole finite
 spectrum, the zero eigenvalues included.  Y_sigma = [0; Y2], Y2 a basis of
 ker X2hat^T, enters only through the SPD trailing block G = P2^T M_nu P2 of
@@ -20,14 +20,26 @@ A_f = -V^T A_r V, both of order n1 + m, the kernel Y_nu = V K comes from the
 eigenvectors K of A_f below 1e-10 lambda_max (``psd_kernel``, which refuses
 an ambiguous threshold), certified against the sparse F_nu by
 ||F_nu F_nu^T Y_nu|| <= 1e-10 lambda_max(F_nu F_nu^T); W1 = V C, C an
-orthonormal basis of the E_f-orthogonal complement of K, is an orthonormal
-basis of the range of the spectral projector.  No Gram matrix of size n_r
-is formed.  The build holds one n^2-sized block, G's factor (n2 - k2
-square), which serves the one solve and is freed before the tall blocks are
-formed; ``DenseOracle`` refactors it on first use of ``pi_inf_apply`` or
+orthonormal basis of the E_f-orthogonal complement of K (from Householder
+reflectors, without forming the square Q), is an orthonormal basis of the
+range of the spectral projector.  No Gram matrix of size n_r is formed.  The
+build holds one n^2-sized block, G's factor (n2 - k2 square), which serves
+the one solve and is freed before the tall blocks are formed;
+``DenseOracle`` refactors it on first use of ``pi_inf_apply`` or
 ``ainv_apply``, and solves the Y_sigma Gram saddle system by the null-space
-method with the factors of G and S.  The products E_r W1 = (E_r V) C and
-A_r W1 = (A_r V) C are kept for the Gramian identity of Theorem 4.
+method with the factors of G and S.
+
+The oracle of either tier keeps V and small coefficient matrices only:
+W1 = V C, Y_nu = V K, What1 = H Theta (H = blockdiag(I, X2hat)) and
+E_r^- = V Phi Phi^T V^T, so ``pi_apply``, ``einv_apply`` and ``ainv_apply``
+work through V's (n1 + m)-dimensional coordinates.  For the Gramian identity
+of Theorem 4 it keeps the coordinates of E_r V and A_r V in
+range(blockdiag(I, Q_x)), Q_x an orthonormal basis of X2hat, and the Gram
+matrix of their remainder outside it (``pipeline.theorem4_residual``).  The
+n_r-row blocks W1, Y_nu, What1, A_r W1 and the E_r^- factor are formed
+only when accessed (tests).  The brute tier's V is [W1, Y_nu].
+Theorem 2 and the Gramians share one symmetric-definite eigendecomposition
+of (A11, E11).
 
 E_r = blockdiag(M11, 0) + Xhat R^{-1} Xhat^T (Xhat = [X1; X2hat]) and
 A_r = -F_nu M_nu F_nu^T (F_nu = [C1^T; P2^T]) are applied as sparse products
@@ -105,22 +117,30 @@ class SparsePencil:
 
 @dataclass
 class DenseOracle:
-    """Dense verification data for one regularized system."""
+    """Dense verification data for one regularized system, kept in the
+    coordinates of a basis V of range(I - Pi_inf) (n_r x (n1 + m)): the
+    n_r-row blocks W1, Y_nu, What1, A_r W1 and the E_r^- factor are formed
+    only when accessed."""
 
     tier: str                      # "brute" | "desk"
     n_s: int
     n_0: int
     n_inf: int
     pencil: SparsePencil           # E_r and A_r as sparse products
-    W1: np.ndarray                 # n_r x n_s
-    What1: np.ndarray              # n_r x n_s, Pi = W1 @ What1.T
+    V: np.ndarray                  # n_r x (n1 + m), range(I - Pi_inf)
+    C: np.ndarray                  # W1 = V C
+    K: np.ndarray                  # Y_nu = V K
+    Theta: np.ndarray              # What1 = H Theta, H = blockdiag(I, X2hat)
+    Phi: np.ndarray                # E_r^- = V Phi Phi^T V^T
     E11: np.ndarray
     A11: np.ndarray
-    EW1: np.ndarray                # E_r W1
-    AW1: np.ndarray                # A_r W1
     B1: np.ndarray
-    Y_nu: np.ndarray               # n_r x n_0, orthonormal
-    einv_factor: np.ndarray        # U with E_r^- = U U^T
+    # Theorem 4: with Q_H = blockdiag(I, Q_x), Q_x an orthonormal basis of
+    # X2hat, the coordinates Q_H^T E_r V and Q_H^T A_r V, and the Gram matrix
+    # r^T r of the remainder r = (I - Q_H Q_H^T) [E_r V, A_r V]
+    EV_coord: np.ndarray
+    AV_coord: np.ndarray
+    rem_gram: np.ndarray
     Y_sigma: np.ndarray | None = None       # brute tier only
     W: np.ndarray | None = None             # brute tier only
     _n1: int = 0                   # locates the desk tier's G block, whose
@@ -133,7 +153,7 @@ class DenseOracle:
 
     @property
     def n_r(self):
-        return self.W1.shape[0]
+        return self.V.shape[0]
 
     @functools.cached_property
     def E_dense(self):
@@ -146,19 +166,56 @@ class DenseOracle:
         return self.pencil.dense_A()
 
     @functools.cached_property
+    def W1(self):
+        """Orthonormal basis of range(Pi), n_r x n_s."""
+        return self.V @ self.C
+
+    @functools.cached_property
+    def Y_nu(self):
+        """Orthonormal basis of ker A_r, n_r x n_0."""
+        return self.V @ self.K
+
+    @functools.cached_property
+    def What1(self):
+        """n_r x n_s with Pi = W1 What1^T: H Theta, H = blockdiag(I, X2hat)."""
+        n1 = self._n1
+        return np.concatenate([self.Theta[:n1], self.pencil.Xhat[n1:] @ self.Theta[n1:]])
+
+    @functools.cached_property
+    def AW1(self):
+        return self.pencil.apply_A(self.W1)
+
+    @functools.cached_property
+    def einv_factor(self):
+        """U with E_r^- = U U^T."""
+        return self.V @ self.Phi
+
+    @functools.cached_property
     def _saddle_factors(self):
         """Desk tier: the factors of the Y_sigma Gram saddle system, made on
         first use (``pi_inf_apply``, ``ainv_apply``); the build does not keep
         its own."""
         return _saddle_factors(self.pencil, self._n1)
 
+    @functools.cached_property
+    def _pencil_eigh(self):
+        """(lam, Z) of the symmetric-definite pencil (sym A11, sym E11):
+        Z^T E11 Z = I and Z^T sym(A11) Z = diag(lam), lam ascending.  Shared
+        by ``finite_eigenvalues`` and ``dense_gramians``; raises
+        np.linalg.LinAlgError when E11 is not positive definite."""
+        return scipy.linalg.eigh(0.5 * (self.A11 + self.A11.T),
+                                 0.5 * (self.E11 + self.E11.T))
+
     # -- operator applications -------------------------------------------
 
     def einv_apply(self, v):
-        return self.einv_factor @ (self.einv_factor.T @ v)
+        return self.V @ (self.Phi @ (self.Phi.T @ (self.V.T @ v)))
 
     def pi_apply(self, v):
-        return self.W1 @ (self.What1.T @ v)
+        """Pi v = W1 What1^T v = V C Theta^T H^T v."""
+        n1, v = self._n1, np.asarray(v)
+        h_t_v = np.concatenate([v[:n1], self.pencil.Xhat[n1:].T @ v[n1:]])
+        return self.V @ (self.C @ (self.Theta.T @ h_t_v))
 
     def _ysigma_gram_solve(self, v):
         """Y_sigma (Y_sigma^T A_r Y_sigma)^{-1} Y_sigma^T v."""
@@ -179,7 +236,7 @@ class DenseOracle:
 
     def ainv_apply(self, v):
         """A_r^- v = W1 A11^{-1} W1^T v + Y_s (Y_s^T A_r Y_s)^{-1} Y_s^T v."""
-        head = self.W1 @ np.linalg.solve(self.A11, self.W1.T @ v)
+        head = self.V @ (self.C @ np.linalg.solve(self.A11, self.C.T @ (self.V.T @ v)))
         return head + self._ysigma_gram_solve(v)
 
     def einv_dense(self):
@@ -189,13 +246,17 @@ class DenseOracle:
         return self.W1 @ self.What1.T
 
     def finite_eigenvalues(self):
-        """Generalized eigenvalues of (A11, E11) (complex in general): with
-        E11 = L L^T, the eigenvalues of L^{-1} A11 L^{-T} by the unsymmetric
-        eigensolver.  The Cholesky factor certifies E11 > 0; raises
-        np.linalg.LinAlgError when E11 has none."""
-        low = np.linalg.cholesky(self.E11)
-        half = scipy.linalg.solve_triangular(low, self.A11, lower=True)
-        return np.linalg.eigvals(scipy.linalg.solve_triangular(low, half.T, lower=True).T)
+        """(lam, skew) for the generalized eigenvalues of (A11, E11).  With
+        E11 = L L^T they are the eigenvalues of T = L^{-1} A11 L^{-T}; lam
+        (real, ascending) are those of its symmetric part and skew = ||N||_F
+        of its skew part N.  The symmetric part is normal, so by Bauer-Fike
+        every eigenvalue of T lies within ||N||_2 <= skew of some lam_i.
+        From the pencil eigendecomposition (Z^T E11 Z = I makes Z = L^{-T} Q,
+        Q orthogonal, and ||Z^T skew(A11) Z||_F = ||N||_F).  Raises
+        np.linalg.LinAlgError when E11 is not positive definite."""
+        lam, z = self._pencil_eigh
+        skew = z.T @ (0.5 * (self.A11 - self.A11.T)) @ z
+        return lam, float(np.linalg.norm(skew))
 
 
 def build_dense_oracle(ctx: OperatorContext, cap=default_value("oracle.dense_cap"),
@@ -235,26 +296,18 @@ def _build_brute(rsys, pencil, b_r):
         w1 = np.eye(n1 + n2r)
     if w1.shape[1] != n_s:
         raise RuntimeError("brute oracle: W1 dimension mismatch")
-    ew1, aw1 = e @ w1, a @ w1
-    e11 = w1.T @ ew1
-    a11 = w1.T @ aw1
     blocks = [w1]
     if n_0:
         blocks.append(y_nu @ _inv_sqrt_spd(y_nu.T @ e @ y_nu))
     if n_inf:
         blocks.append(y_sigma @ _inv_sqrt_spd(-(y_sigma.T @ a @ y_sigma)))
-    w = np.hstack(blocks)
-    winv = np.linalg.inv(w)
-    what1 = winv[:n_s, :].T
-    u_blocks = [w1 @ _inv_sqrt_spd(e11)]
-    if n_0:
-        u_blocks.append(blocks[1])
-    einv_factor = np.hstack(u_blocks)
-    return DenseOracle(
-        tier="brute", n_s=n_s, n_0=n_0, n_inf=n_inf, pencil=pencil,
-        W1=w1, What1=what1, E11=e11, A11=a11, EW1=ew1, AW1=aw1, B1=w1.T @ b_r,
-        Y_nu=y_nu, einv_factor=einv_factor, Y_sigma=y_sigma, W=w, _n1=n1,
-    )
+    # V = [W1, Y_nu] spans range(I - Pi_inf)
+    v = np.hstack([w1, y_nu])
+    ev, av = e @ v, a @ v
+    eye = np.eye(n_s + n_0)
+    return _factored_oracle("brute", rsys, pencil, b_r, v, ev, av, v.T @ ev, v.T @ av,
+                            eye[:, :n_s], eye[:, n_s:], Y_sigma=y_sigma,
+                            W=np.hstack(blocks))
 
 
 def _g_cholesky(pencil, n1):
@@ -301,7 +354,6 @@ def psd_kernel(mat):
 def _build_desk(rsys, pencil, b_r):
     n1, n2r, m = rsys.n1, rsys.n2r, rsys.m
     n_r = n1 + n2r
-    n_inf = n2r - m
     n_fin = n1 + m                 # rank E_r: the range of I - Pi_inf
     x2h = rsys.X2hat
 
@@ -359,69 +411,112 @@ def _build_desk(rsys, pencil, b_r):
     # W1 = V C, C an orthonormal basis of the E_f-orthogonal complement of K:
     # range(Pi) is the part of range(I - Pi_inf) that Y_nu^T E_r annihilates
     e_f = v.T @ ev
-    e_fk = e_f @ k
-    g0 = k.T @ e_fk
-    c = scipy.linalg.qr(e_fk)[0][:, n_0:]
-    w1 = v @ c
-    del v
-    ew1 = ev @ c
-    del ev
-    aw1 = av @ c
-    del av
-    e11 = c.T @ e_f @ c
-    a11 = c.T @ vav @ c
-
-    # What1 = H Theta with the columns of H = blockdiag(I, X2hat) spanning
-    # im(Y_sigma)^perp, H applied by its blocks
-    t = np.vstack([np.hstack([y[:n1].T, y[n1:].T @ x2h]) for y in (y_nu, w1)])
-    rhs = np.vstack([np.zeros((n_0, n_s)), np.eye(n_s)])
-    theta = np.linalg.solve(t, rhs)
-    what1 = np.vstack([theta[:n1], x2h @ theta[n1:]])
-
-    einv_factor = np.empty((n_r, n_s + n_0))
-    einv_factor[:, :n_s] = w1 @ _inv_sqrt_spd(e11)
-    einv_factor[:, n_s:] = y_nu @ _inv_sqrt_spd(g0)
+    c = _complement(e_f @ k)
     margins = {
         "g_pivot_ratio": pivot_ratio,
         "v_orthogonality": orthogonality,
         "kernel_gap": float(lam[n_0] / lam[-1]),
         "ynu_residual": residual,
     }
+    return _factored_oracle("desk", rsys, pencil, b_r, v, ev, av, e_f, vav, c, k,
+                            margins=margins)
+
+
+def _complement(u):
+    """Orthonormal basis of the orthogonal complement of range(u), for a
+    tall u of full column rank: the trailing columns of Q in u = Q R, got by
+    applying Q's Householder reflectors to [0; I] (``dormqr``) without
+    forming Q."""
+    n, k = u.shape
+    if k == 0:
+        return np.eye(n)
+    qr, tau, _, info = lapack.dgeqrf(u)
+    if info != 0:
+        raise ValueError(f"dgeqrf: illegal argument {-info}")
+    rhs = np.zeros((n, n - k), order="F")
+    rhs[k:] = np.eye(n - k)
+    lwork = int(lapack.dormqr("L", "N", qr, tau, rhs, lwork=-1)[1][0])
+    c, _, info = lapack.dormqr("L", "N", qr, tau, rhs, lwork=lwork, overwrite_c=1)
+    if info != 0:
+        raise ValueError(f"dormqr: illegal argument {-info}")
+    return c
+
+
+def _times_inv_chol_t(x, mat):
+    """x L^{-T} for the SPD mat = L L^T, so that the result times its
+    transpose is x mat^{-1} x^T; np.linalg.LinAlgError when mat is not
+    positive definite."""
+    low = np.linalg.cholesky(mat)
+    return scipy.linalg.solve_triangular(low, x.T, lower=True).T
+
+
+def _factored_oracle(tier, rsys, pencil, b_r, v, ev, av, e_f, a_f, c, k, **kw):
+    """The DenseOracle on a basis V of range(I - Pi_inf) with W1 = V C and
+    Y_nu = V K, from E_r V and A_r V (``ev``, ``av``, overwritten) and their
+    coordinates E_f = V^T E_r V and A_f = V^T A_r V."""
+    n1, x2h = rsys.n1, rsys.X2hat
+    n_s, n_0 = c.shape[1], k.shape[1]
+    e11 = c.T @ e_f @ c
+    a11 = c.T @ a_f @ c
+
+    # What1 = H Theta with the columns of H = blockdiag(I, X2hat) spanning
+    # im(Y_sigma)^perp: Y_nu^T H Theta = 0 and W1^T H Theta = I
+    vh = np.hstack([v[:n1].T, v[n1:].T @ x2h])
+    rhs = np.vstack([np.zeros((n_0, n_s)), np.eye(n_s)])
+    theta = np.linalg.solve(np.hstack([k, c]).T @ vh, rhs)
+
+    # E_r^- = W1 E11^{-1} W1^T + Y_nu g0^{-1} Y_nu^T, g0 = Y_nu^T E_r Y_nu
+    phi = np.hstack([_times_inv_chol_t(c, e11), _times_inv_chol_t(k, k.T @ e_f @ k)])
+
+    # Theorem 4's coordinates and remainders of E_r V and A_r V
+    q_x = np.linalg.qr(x2h)[0]
+    coords, rems = [], []
+    for block in (ev, av):
+        coords.append(np.vstack([block[:n1], q_x.T @ block[n1:]]))
+        rem = block[n1:]
+        rem -= q_x @ coords[-1][n1:]
+        rems.append(rem)
+    n_fin = v.shape[1]
+    gram = np.empty((2 * n_fin, 2 * n_fin))
+    for i, j in ((0, 0), (0, 1), (1, 1)):
+        gram[i * n_fin:(i + 1) * n_fin, j * n_fin:(j + 1) * n_fin] = rems[i].T @ rems[j]
+    gram[n_fin:, :n_fin] = gram[:n_fin, n_fin:].T
     return DenseOracle(
-        tier="desk", n_s=n_s, n_0=n_0, n_inf=n_inf, pencil=pencil,
-        W1=w1, What1=what1, E11=e11, A11=a11, EW1=ew1, AW1=aw1, B1=w1.T @ b_r,
-        Y_nu=y_nu, einv_factor=einv_factor, Y_sigma=None, W=None, _n1=n1,
-        margins=margins,
+        tier=tier, n_s=n_s, n_0=n_0, n_inf=rsys.n_r - n_s - n_0, pencil=pencil,
+        V=v, C=c, K=k, Theta=theta, Phi=phi, E11=e11, A11=a11, B1=c.T @ (v.T @ b_r),
+        EV_coord=coords[0], AV_coord=coords[1], rem_gram=gram, _n1=n1, **kw,
     )
 
 
 @dataclass
 class FactoredGramian:
-    """Gramian G = W1 core W1^T restricted to the Pi subspace."""
+    """Gramian G = W1 core W1^T restricted to the Pi subspace; W1 is the
+    oracle's, formed by ``toarray`` only."""
 
-    W1: np.ndarray
+    oracle: DenseOracle
     core: np.ndarray
 
     def toarray(self):
-        return self.W1 @ self.core @ self.W1.T
+        w1 = self.oracle.W1
+        return w1 @ self.core @ w1.T
 
 
 def dense_gramians(oracle: DenseOracle):
     """Solve the projected Lyapunov equations in W1 coordinates, in closed form.
 
     Both equations reduce to E11 G A11 + A11 G E11 = -Q on the n_s block.
-    The symmetric-definite eigendecomposition of (A11, E11) gives V with
-    V^T E11 V = I and V^T A11 V = Lambda (all lambda_i < 0), so G = V X V^T
-    with X_ij = -q~_ij / (lambda_i + lambda_j), q~ = V^T Q V.  For G_c,
-    q~ = b~ b~^T with b~ = V^T B1; for G_o, C_r W1 = -B1^T E11^{-1} A11 and
-    E11^{-1} = V V^T give q~ = (Lambda b~)(Lambda b~)^T.
+    The symmetric-definite eigendecomposition of (A11, E11), shared with
+    ``DenseOracle.finite_eigenvalues``, gives Z with Z^T E11 Z = I and
+    Z^T A11 Z = Lambda (all lambda_i < 0), so G = Z X Z^T with
+    X_ij = -q~_ij / (lambda_i + lambda_j), q~ = Z^T Q Z.  For G_c,
+    q~ = b~ b~^T with b~ = Z^T B1; for G_o, C_r W1 = -B1^T E11^{-1} A11 and
+    E11^{-1} = Z Z^T give q~ = (Lambda b~)(Lambda b~)^T.
     """
-    lam, v = scipy.linalg.eigh(0.5 * (oracle.A11 + oracle.A11.T),
-                               0.5 * (oracle.E11 + oracle.E11.T))
+    lam, z = oracle._pencil_eigh
     denom = lam[:, None] + lam[None, :]
-    bt = v.T @ oracle.B1
+    bt = z.T @ oracle.B1
     out = []
     for b in (bt, lam[:, None] * bt):
-        g = v @ (-(b @ b.T) / denom) @ v.T
-        out.append(FactoredGramian(oracle.W1, 0.5 * (g + g.T)))
+        g = z @ (-(b @ b.T) / denom) @ z.T
+        out.append(FactoredGramian(oracle, 0.5 * (g + g.T)))
     return tuple(out)

@@ -35,7 +35,7 @@ from scipy.sparse.csgraph import (
     minimum_spanning_tree,
 )
 
-from .lacore import csr_from_coo, eigenvalues_at_most, eigenvalues_exceed
+from .lacore import csr_from_coo, eigenvalues_at_most, is_positive_definite
 from .mesh import IncidenceSet
 
 
@@ -370,17 +370,22 @@ def theorem1_check(system, bases: KernelBases, dense_intersection=True):
     (``kernel_pass``) and Y_C2 to have full column rank (a Cholesky factor
     of Y_C2^T Y_C2), E + K has at least k2 such eigenvalues.  For at most
     k2, drop the k2 tree rows of the n2 block, the rows outside the cotree
-    rows S of Yhat, and Cholesky-factor the principal submatrix
-    (E + K)_JJ - tau I of order n1 + n2 - k2 = n_r.  By Cauchy interlacing
-    lambda_{k2+1}(E + K) >= lambda_1((E + K)_JJ), so a factor proves
-    lambda_{k2+1}(E + K) > tau, and the count is exactly k2 (report
-    ``dimension_certificate`` = "interlacing").  The argument holds for any
-    J of n - k2 indices; the cotree rows are the choice for which
-    (E + K)_JJ is nonsingular, since a gradient of the quotient graph that
-    vanishes on a spanning tree vanishes.  When ``kernel_pass`` fails, or a
-    Cholesky factorization does, the count is made exactly from the inertia
-    of a dense LDL^T of E + K - tau I ("inertia"), so a FAIL still reports
-    the true dimension.
+    rows S of Yhat, and take the principal submatrix (E + K)_JJ of order
+    n1 + n2 - k2 = n_r.  By Cauchy interlacing
+    lambda_{k2+1}(E + K) >= lambda_1((E + K)_JJ).  Split
+    E + K = S + X R^{-1} X^T with the sparse S = blockdiag(M11, 0) + K: a
+    Cholesky factor of R makes the winding term PSD, so by Weyl's
+    monotonicity lambda_1((E + K)_JJ) >= lambda_1(S_JJ), and a sparse
+    LDL^T of S_JJ - tau I with positive pivots
+    (``lacore.is_positive_definite``) proves lambda_{k2+1}(E + K) > tau:
+    the count is exactly k2 (report ``dimension_certificate`` =
+    "interlacing").  The argument holds for any J of n - k2 indices; the
+    cotree rows are the choice for which S_JJ is nonsingular, since a
+    gradient of the quotient graph that vanishes on a spanning tree
+    vanishes.  When ``kernel_pass`` fails, or a factorization does, the
+    count is made exactly from the inertia of a dense LDL^T of
+    E + K - tau I ("inertia"), so a FAIL still reports the true dimension;
+    only this fallback forms E + K.
     """
     y = bases.Y_C2.astype(np.float64)
     c2y = (system.C2 @ y).tocsr()
@@ -426,10 +431,11 @@ def theorem1_check(system, bases: KernelBases, dense_intersection=True):
                                  matvec=lambda v: base @ v + x @ (rinv @ (x.T @ v)))
         lam_max = float(spla.eigsh(op, k=1, which="LA", return_eigenvectors=False)[0])
         tau = 1e-10 * max(lam_max, 1e-300)
-        ek = (base + system.X @ sp.csr_matrix(rinv) @ system.X.T).tocsr()
-        if report["kernel_pass"] and _interlacing_certificate(ek, n1, bases, tau):
+        if report["kernel_pass"] and _interlacing_certificate(base, system.R, n1, bases,
+                                                              tau):
             dim, how = bases.k2, "interlacing"
         else:
+            ek = base + system.X @ sp.csr_matrix(rinv) @ system.X.T
             dim, how = eigenvalues_at_most(ek.toarray(), tau), "inertia"
         report["kernel_intersection_dim"] = dim
         report["dimension_certificate"] = how
@@ -438,19 +444,22 @@ def theorem1_check(system, bases: KernelBases, dense_intersection=True):
     return report
 
 
-def _interlacing_certificate(ek, n1, bases, tau):
-    """True when Y_C2 has full column rank and the principal submatrix of
-    the sparse E + K on J = (the n1 conducting rows, then the cotree rows of
-    Yhat), of order n - k2, has all its eigenvalues above ``tau``
-    (``theorem1_check``).  False when either factorization fails or Yhat
-    gives no such J."""
+def _interlacing_certificate(s, r, n1, bases, tau):
+    """True when R is symmetric with a Cholesky factor, Y_C2 has full column
+    rank, and the principal submatrix of the sparse S = blockdiag(M11, 0) + K
+    on J = (the n1 conducting rows, then the cotree rows of Yhat), of order
+    n - k2, has all its eigenvalues above ``tau`` (``theorem1_check``).
+    False when a factorization fails or Yhat gives no such J."""
+    if not np.array_equal(r, r.T):
+        return False
     y = bases.Y_C2.astype(np.float64)
     try:
+        np.linalg.cholesky(r)
         np.linalg.cholesky((y.T @ y).toarray())
         rows = _cotree_rows(bases.Yhat_C2)
     except (np.linalg.LinAlgError, ValueError):
         return False
     j = np.concatenate([np.arange(n1), n1 + rows])
-    if j.size != ek.shape[0] - bases.k2 or np.unique(j).size != j.size:
+    if j.size != s.shape[0] - bases.k2 or np.unique(j).size != j.size:
         return False
-    return eigenvalues_exceed(ek[j][:, j].toarray(), tau)
+    return is_positive_definite(s[j][:, j] - tau * sp.identity(j.size, format="csr"))

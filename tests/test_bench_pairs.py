@@ -60,3 +60,37 @@ def test_bounds_are_read_from_the_checkout():
     bounds = bench_pairs.load_bounds(ROOT)
     assert set(bench_pairs.METRICS) <= set(bounds)
     assert bounds["peak_rss_mb"] == pytest.approx(0.1)
+
+
+def test_each_workload_keeps_its_own_checkouts():
+    """Two calls write two workloads into one file; each entry keeps the
+    checkouts it measured, and no document-level description is left to
+    be read as that of every workload."""
+    doc = {"parent": {"commit": "old"}, "change": {"commit": "old"},
+           "workloads": {"desk-sweep": {"parent": {"commit": "a"},
+                                        "change": {"commit": "b"}}}}
+    bench_pairs.add_workload(doc, "desk-transient", {"parent": {"commit": "c"},
+                                                     "change": {"commit": "d"}})
+    assert set(doc) == {"workloads"}
+    assert {name: (w["parent"]["commit"], w["change"]["commit"])
+            for name, w in doc["workloads"].items()} == {
+        "desk-sweep": ("a", "b"), "desk-transient": ("c", "d")}
+    bench_pairs.add_workload(doc, "desk-sweep", {"parent": {"commit": "e"},
+                                                 "change": {"commit": "f"}})
+    assert doc["workloads"]["desk-sweep"]["change"]["commit"] == "f"
+    assert doc["workloads"]["desk-transient"]["change"]["commit"] == "d"
+
+
+
+def test_source_digest_skips_byte_code_caches(tmp_path):
+    """The digest covers the files under src and perfbench, and not the
+    __pycache__ directories that running the checkout leaves behind."""
+    for rel in ("src/pkg/mod.py", "perfbench/run.py"):
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_text("x = 1\n")
+    clean = bench_pairs.describe(str(tmp_path))["sources_sha256"]
+    (tmp_path / "src/pkg/__pycache__").mkdir()
+    (tmp_path / "src/pkg/__pycache__/mod.cpython-311.pyc").write_bytes(b"\0\1")
+    assert bench_pairs.describe(str(tmp_path))["sources_sha256"] == clean
+    (tmp_path / "src/pkg/mod.py").write_text("x = 2\n")
+    assert bench_pairs.describe(str(tmp_path))["sources_sha256"] != clean

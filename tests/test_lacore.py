@@ -15,7 +15,7 @@ from mqsmor.lacore import (
     lanczos_extremal,
     nested_dissection,
     eigenvalues_at_most,
-    eigenvalues_exceed,
+    is_positive_definite,
     psd_kernel_dim,
     read_matrix_market,
     write_matrix_market,
@@ -217,9 +217,11 @@ def test_eigenvalue_count_and_cholesky_test_on_planted_spectrum(n, k):
     a, _, w = _planted_psd(n, k, extra=(0.5e-10,), seed=n + 2 * k)
     tau = 1e-10 * w.max()
     assert eigenvalues_at_most(a.copy(), tau) == k + 1 == _eigvalsh_count(a, tau)
-    assert eigenvalues_exceed(a.copy(), -tau)
-    assert eigenvalues_exceed(np.asfortranarray(a), -tau)
-    assert not eigenvalues_exceed(a.copy(), tau)
+    # the same spectrum as a sparse matrix, shifted by -tau and by +tau
+    eye = sp.identity(n, format="csr")
+    assert is_positive_definite(sp.csr_matrix(a) + tau * eye)
+    assert is_positive_definite(sp.csc_matrix(a) + tau * eye)
+    assert not is_positive_definite(sp.csr_matrix(a) - tau * eye)
     above = np.sort(w)[k + 1:k + 3]          # the two smallest above the extra one
     assert eigenvalues_at_most(a.copy(), 0.5 * above[0]) == k + 1
     assert eigenvalues_at_most(a.copy(), above.mean()) == k + 2

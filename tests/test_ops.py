@@ -249,7 +249,7 @@ def test_synthetic_shifted_solve_refuses_shift_on_spectrum(synthetic):
     lambda, and 1e-12 or 1e-9 relative away from it, the bordered matrix
     factors but no solve reaches the floor; at twice that shift it does."""
     _, _, rsys, ctx, oracle = synthetic
-    lam = float(oracle.finite_eigenvalues().real[0])
+    lam = float(oracle.finite_eigenvalues()[0][0])
     w = ctx.B_r
     for tau in (-lam, -lam * (1 + 1e-12), -lam * (1 + 1e-9)):
         with pytest.raises(RuntimeError, match=re.escape(
@@ -344,7 +344,7 @@ def test_shifted_solve_from_a_start_refuses_shift_next_to_spectrum(synthetic):
     synthetic system's finite eigenvalue, is refined but not to the floor:
     the solve is refused as one without a start is."""
     _, _, rsys, ctx, oracle = synthetic
-    lam = float(oracle.finite_eigenvalues().real[0])
+    lam = float(oracle.finite_eigenvalues()[0][0])
     tau = -lam * (1 + 1e-9)
     w = ctx.B_r[:, 0]
     start = 0.5 * np.linalg.solve(tau * oracle.E_dense + oracle.A_dense, w)
@@ -425,7 +425,7 @@ def test_heap_calls_follow_the_c_library(libc):
 
 
 def test_desk_spectral_bounds_bracket(desk):
-    lam = desk.oracle.finite_eigenvalues().real
+    lam = desk.oracle.finite_eigenvalues()[0]
     sb = desk.bounds
     assert sb.a <= -lam.max() * 1.01
     assert sb.b >= -lam.min() * 0.99

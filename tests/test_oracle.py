@@ -9,6 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from mqsmor import oracle as oracle_mod
+from mqsmor import pipeline
 from mqsmor.config import default_config
 from mqsmor.lacore import gram_kernel as _gram_kernel
 from mqsmor.oracle import SparsePencil, build_dense_oracle, dense_gramians
@@ -59,10 +60,10 @@ def test_toy_oracle_structure(toy):
     assert abs(abs(ynu[0]) - abs(ynu[1])) < 1e-12 and np.sign(ynu[0]) != np.sign(ynu[1])
     w1 = oracle.W1[:, 0]
     assert abs(w1[0]) < 1e-12 and abs(w1[1]) > 0.9
-    lam = oracle.finite_eigenvalues()
+    lam, skew = oracle.finite_eigenvalues()
     assert lam.shape == (1,)
-    assert lam[0].real == pytest.approx(-2.0, rel=1e-12)
-    assert abs(lam[0].imag) < 1e-12
+    assert lam[0] == pytest.approx(-2.0, rel=1e-12)
+    assert skew < 1e-12
     # invertible E_r: reflexive inverse is the true inverse
     einv = oracle.einv_dense()
     e = oracle.E_dense
@@ -258,24 +259,31 @@ def test_desk_oracle_holds_no_n_r_square_array(traced_desk_oracle):
     assert n_r == oracle.pencil.Xhat.shape[0]
     n2r = n_r - oracle._n1                       # G = P2^T M_nu P2
     n_saddle = n2r + oracle.pencil.Xhat.shape[1]     # the Y_sigma saddle matrix
-    held = list(vars(oracle).values()) + list(vars(oracle.pencil).values())
-    assert not [v for v in _arrays(held)
+    held = list(_arrays(list(vars(oracle).values()) + list(vars(oracle.pencil).values())))
+    assert not [v for v in held
                 if v.shape in ((n_r, n_r), (n2r, n2r), (n_saddle, n_saddle))]
-    assert not {"E_dense", "A_dense", "_saddle_factors"} & set(vars(oracle))
-    # the check sees a held factor: the lazy one, once made
+    # of n2r rows or more only V, n_r x (n1 + m), and the pencil's n_r x m Xhat
+    assert {id(v) for v in held if v.shape[0] >= n2r} == {id(oracle.V), id(oracle.pencil.Xhat)}
+    assert oracle.V.shape == (n_r, oracle.n_s + oracle.n_0)
+    lazy = {"E_dense", "A_dense", "_saddle_factors", "W1", "Y_nu", "What1", "AW1",
+            "einv_factor"}
+    assert not lazy & set(vars(oracle))
+    # the checks see a held block: the lazy ones, once made
     probe = dataclasses.replace(oracle)
     probe.pi_inf_apply(np.ones(n_r))
     assert [v for v in _arrays(vars(probe).values()) if v.shape == (n2r, n2r)]
+    probe.W1
+    assert [v for v in _arrays(vars(probe).values()) if v.shape == (n_r, oracle.n_s)]
 
 
 def test_desk_oracle_traced_peak(traced_desk_oracle):
-    # measured 1.00 n_r^2 doubles, set by the end of the build (the kept
-    # n_r x n_s blocks and E_r^- factor); G's Cholesky phase reads 0.88
-    # (G is (n_r - n1)^2).  The saddle LU with its probe block read 1.21,
-    # the F_nu F_nu^T Gram of an earlier build 1.32, and keeping the saddle
-    # LU through the build 1.82
+    # measured 0.88 n_r^2 doubles, set by G's Cholesky phase (G is
+    # (n_r - n1)^2); the bound leaves 8 % of margin.  Keeping the n_r x n_s
+    # blocks and the E_r^- factor set it at 1.00, the saddle LU with its
+    # probe block at 1.21, the F_nu F_nu^T Gram of an earlier build at
+    # 1.32, and keeping the saddle LU through the build at 1.82
     oracle, peak = traced_desk_oracle
-    assert peak <= 1.3 * oracle.n_r ** 2 * 8
+    assert peak <= 0.95 * oracle.n_r ** 2 * 8
 
 
 def _sin_angle(a, b):
@@ -409,11 +417,44 @@ def test_desk_build_refuses_g_not_positive_definite(synthetic, mnu):
 
 def test_finite_eigenvalues_need_positive_definite_e11(synthetic):
     oracle = synthetic[4]
-    lam = oracle.finite_eigenvalues()
+    lam, skew = oracle.finite_eigenvalues()
     ref = scipy.linalg.eigvals(oracle.A11, oracle.E11)
-    assert np.allclose(np.sort(lam.real), np.sort(ref.real), rtol=1e-12)
+    assert np.allclose(np.sort(lam), np.sort(ref.real), rtol=1e-12)
+    assert skew <= 1e-14 * np.abs(lam).max()
     with pytest.raises(np.linalg.LinAlgError):
         dataclasses.replace(oracle, E11=-oracle.E11).finite_eigenvalues()
+
+
+@pytest.mark.parametrize("skew, top", [(1e-6, None), (0.0, 1e-6), (0.5e-8, 0.8e-8)],
+                         ids=["skew", "positive", "edge"])
+def test_desk_theorem2_fails_on_planted_spectrum(desk, skew, top):
+    """A skew part of 1e-6 of the spectrum's scale planted in A11, a
+    positive eigenvalue of that size planted in its symmetric part, or both
+    at once below 1e-8 of the scale (0.5e-8 and 0.8e-8), fail Theorem 2.  A
+    small skew part moves the eigenvalues off the real axis only to second
+    order, but the certificate |Im| <= ||N||_F no longer reaches 1e-8 of the
+    scale; the third case fails only through Re <= max(lam) + ||N||_F.  The
+    desk as built passes, with ||N||_F = 2.5e-15 of the scale."""
+    oracle = desk.oracle
+    counts = desk.ctx.dimension_counts()
+    assert pipeline._theorem2(oracle, counts)[:2] == (True, True)
+    lam, z = oracle._pencil_eigh
+    scale = np.abs(lam).max()
+    ez = oracle.E11 @ z                  # Z^{-T}: Z^T (ez P ez^T) Z = P
+    p = np.zeros((oracle.n_s, oracle.n_s))
+    if skew:
+        p = np.random.default_rng(13).standard_normal((oracle.n_s, oracle.n_s))
+        p -= p.T
+        p *= skew * scale / np.linalg.norm(p)
+    if top is not None:
+        p[-1, -1] = top * scale - lam[-1]
+    planted = dataclasses.replace(oracle, A11=oracle.A11 + ez @ p @ ez.T)
+    lam_p, skew_p = planted.finite_eigenvalues()
+    if skew:
+        assert skew_p == pytest.approx(skew * scale, rel=1e-6)
+    if top is not None:
+        assert lam_p.max() == pytest.approx(top * scale, rel=1e-4)
+    assert pipeline._theorem2(planted, counts)[:2] == (True, False)
 
 
 def _qr_theorem4(ew, aw, g_c, g_o):
@@ -425,25 +466,75 @@ def _qr_theorem4(ew, aw, g_c, g_o):
     return np.linalg.norm(r_e @ g_o @ r_e.T - t2) / np.linalg.norm(t2)
 
 
+def _remainders(oracle, rsys):
+    """Q_x, and (E_r V, r_E) and (A_r V, r_A) with r = the rows of the n2
+    block outside span X2hat, recomputed from the oracle's V."""
+    n1 = rsys.n1
+    q_x = np.linalg.qr(rsys.X2hat)[0]
+    out = []
+    for apply in (oracle.pencil.apply_E, oracle.pencil.apply_A):
+        block = apply(oracle.V)
+        out.append((block, block[n1:] - q_x @ (q_x.T @ block[n1:])))
+    return q_x, out
+
+
 def test_desk_theorem4_remainder_is_reported_and_bounded(desk):
     """theorem4_residual works on (n1 + m)-dimensional coordinates.  On the
     desk the remainder outside range(blockdiag(I, X2hat)) is rounding
-    (measured 6.3e-14 of ||A W1||) and rel 1.0e-12.  A remainder planted in
-    A W1 at 1e-7 of its norm is reported, and rel, which accounts for it,
-    bounds the ratio that a QR of the n_r-row block gives, and is tight."""
+    (measured 6.3e-14 of ||A W1||) and rel 9.7e-13.  A remainder planted in
+    A W1 at 1e-7 of its norm, through the stored Gram matrix of the
+    remainders, is reported, and rel, which accounts for it, bounds the
+    ratio that a QR of the n_r-row block gives, and is tight."""
     oracle, rsys = desk.oracle, desk.rsys
-    rel, remainder = theorem4_residual(oracle, rsys)
+    rel, remainder = theorem4_residual(oracle)
     assert rel <= 1e-10 and remainder <= 1e-12
     g_c, g_o = (g.core for g in dense_gramians(oracle))
+    q_x, ((ev, r_e), (av, r_a)) = _remainders(oracle, rsys)
+    r = np.hstack([r_e, r_a])
+    assert np.allclose(r.T @ r, oracle.rem_gram, rtol=1e-10, atol=0.0)
     rng = np.random.default_rng(11)
-    plant = np.zeros_like(oracle.AW1)
-    plant[rsys.n1:] = rng.standard_normal((rsys.n2r, oracle.n_s))
-    q_x = np.linalg.qr(rsys.X2hat)[0]
-    plant[rsys.n1:] -= q_x @ (q_x.T @ plant[rsys.n1:])
-    plant *= 1e-7 * np.linalg.norm(oracle.AW1) / np.linalg.norm(plant)
-    planted = dataclasses.replace(oracle, AW1=oracle.AW1 + plant)
-    rel_p, remainder_p = theorem4_residual(planted, rsys)
+    plant = rng.standard_normal((rsys.n2r, oracle.n_s))
+    plant -= q_x @ (q_x.T @ plant)
+    aw = av @ oracle.C
+    plant *= 1e-7 * np.linalg.norm(aw) / np.linalg.norm(plant)
+    # in V's coordinates r_A + plant C^T, whose product with C adds the plant
+    r_p = np.hstack([r_e, r_a + plant @ oracle.C.T])
+    planted = dataclasses.replace(oracle, rem_gram=r_p.T @ r_p)
+    rel_p, remainder_p = theorem4_residual(planted)
     assert remainder_p == pytest.approx(1e-7, rel=1e-3)
-    ref = _qr_theorem4(planted.EW1, planted.AW1, g_c, g_o)
+    aw[rsys.n1:] += plant
+    ref = _qr_theorem4(ev @ oracle.C, aw, g_c, g_o)
     assert ref > 1e3 * rel
     assert ref * (1 - 1e-6) <= rel_p <= ref * (1 + 1e-3)
+
+
+def _explicit_forms(oracle, rsys):
+    """W1, What1 and the E_r^- factor as n_r-row blocks, the way an oracle
+    that keeps them builds them: What1 = H Theta from
+    [Y_nu^T H; W1^T H] Theta = [0; I], and
+    U = [W1 E11^{-1/2}, Y_nu (Y_nu^T E_r Y_nu)^{-1/2}]."""
+    n1, x2h = rsys.n1, rsys.X2hat
+    w1, y_nu = oracle.V @ oracle.C, oracle.V @ oracle.K
+    t = np.vstack([np.hstack([y[:n1].T, y[n1:].T @ x2h]) for y in (y_nu, w1)])
+    rhs = np.vstack([np.zeros((oracle.n_0, oracle.n_s)), np.eye(oracle.n_s)])
+    theta = np.linalg.solve(t, rhs)
+    what1 = np.vstack([theta[:n1], x2h @ theta[n1:]])
+    blocks = [w1 @ oracle_mod._inv_sqrt_spd(w1.T @ oracle.pencil.apply_E(w1))]
+    if oracle.n_0:
+        blocks.append(y_nu @ oracle_mod._inv_sqrt_spd(y_nu.T @ oracle.pencil.apply_E(y_nu)))
+    return w1, what1, np.hstack(blocks)
+
+
+@pytest.mark.parametrize("name", ["synthetic", "desk"])
+def test_factored_applies_match_explicit_forms(request, name):
+    """pi_apply and einv_apply, which work on V's coordinates, equal the
+    products with the explicit W1 What1^T and U U^T (desk: 3.6e-15 and
+    1.8e-14), and so do the blocks formed on access."""
+    rsys, oracle = _system(request, name)
+    w1, what1, u = _explicit_forms(oracle, rsys)
+    v = np.random.default_rng(12).standard_normal((rsys.n_r, 5))
+    for got, ref in ((oracle.pi_apply(v), w1 @ (what1.T @ v)),
+                     (oracle.einv_apply(v), u @ (u.T @ v)),
+                     (oracle.pi_dense(), w1 @ what1.T),
+                     (oracle.einv_dense(), u @ u.T)):
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,6 +280,76 @@ def test_theorem1_any_index_set_gives_the_true_count(monkeypatch, rows):
     # (0, 0, 1, -1)); the repeated row fails the size check
     fallback = rows in ((0, 1), (2, 3), (0, 0))
     assert rep["dimension_certificate"] == ("inertia" if fallback else "interlacing")
+
+
+def _s_jj_and_count(sysm, bases):
+    """lambda_min of S_JJ, S = blockdiag(M11, 0) + K on the conducting and
+    cotree rows J, the eigenvalues of E + K, and tau = 1e-10 lambda_max(E + K)."""
+    ek = _dense_e_plus_k(sysm)
+    s = sysm.K().toarray()
+    s[:sysm.n1, :sysm.n1] += sysm.M11.toarray()
+    j = np.concatenate([np.arange(sysm.n1),
+                        sysm.n1 + regularize._cotree_rows(bases.Yhat_C2)])
+    w = np.linalg.eigvalsh(ek)
+    return np.linalg.eigvalsh(s[np.ix_(j, j)])[0], w, 1e-10 * w[-1]
+
+
+def test_theorem1_tau_above_s_jj_falls_back_to_inertia():
+    """The winding face carries M_nu = 1e-13 and the conducting edge
+    M11 = 1e-13, so S_JJ has an eigenvalue of about 2e-13, below tau, while
+    the winding term lifts E + K to 0.38: the Weyl certificate on S_JJ
+    fails, and the exact count reads k2 = 0 by inertia."""
+    eps = 1e-13
+    c1, c2, ups = _csr([[1.0], [0.0]]), _csr([[1.0], [1.0]]), _csr([[1.0], [0.0]])
+    x = (sp.hstack([c1, c2]).T @ ups).tocsr()
+    sysm = AssembledSystem(M11=_csr([[eps]]), Mnu=_csr(np.diag([eps, 1.0])), Upsilon=ups,
+                           X=x, C1=c1, C2=c2, R=np.array([[1.0]]), n1=1, n2=1, m=1)
+    bases = KernelBases(Y_C2=sp.csr_matrix((1, 0)), Yhat_C2=sp.identity(1, format="csr"),
+                        k2=0)
+    s_min, w, tau = _s_jj_and_count(sysm, bases)
+    assert s_min < tau < w[0]
+    rep = theorem1_check(sysm, bases)
+    assert rep["dimension_certificate"] == "inertia"
+    assert rep["kernel_intersection_dim"] == 0 == int(np.sum(w <= tau))
+    assert rep["pass"]
+
+
+def test_theorem1_r_not_positive_definite_falls_back_to_inertia():
+    """R = -1/2 on the synthetic system: S_JJ is positive definite, but the
+    winding term is negative, so Weyl's bound does not hold and E + K has
+    a negative eigenvalue beyond the kernel.  Without R's Cholesky factor
+    the count is made by inertia, and reads k2 + 1."""
+    sysm, bases = make_synthetic_system()
+    sysm = dataclasses.replace(sysm, R=np.array([[-0.5]]))
+    s_min, w, tau = _s_jj_and_count(sysm, bases)
+    assert s_min > tau and w[0] < 0
+    rep = theorem1_check(sysm, bases)
+    assert rep["kernel_pass"]
+    assert rep["dimension_certificate"] == "inertia"
+    assert rep["kernel_intersection_dim"] == int(np.sum(w <= tau)) == bases.k2 + 1
+    assert not rep["pass"]
+
+
+def test_desk_theorem1_forms_no_dense_block(desk, monkeypatch):
+    """On the interlacing path the desk check forms neither E + K nor a
+    principal submatrix of it: no inertia count runs, and the traced peak
+    stays far below one dense block of order n_r.  It measured 0.10 n_r^2
+    doubles, 10.5 MB of it the copy of U that ``is_positive_definite``
+    reads out of the sparse LDL^T of S_JJ; SuperLU's own allocations are
+    not traced."""
+    def refused(*args):
+        raise AssertionError("the dense inertia fallback ran")
+
+    monkeypatch.setattr(regularize, "eigenvalues_at_most", refused)
+    n_r = desk.rsys.n_r
+    tracemalloc.start()
+    try:
+        rep = theorem1_check(desk.system, desk.bases)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["pass"] and rep["dimension_certificate"] == "interlacing"
+    assert peak <= 0.15 * n_r ** 2 * 8
 
 
 def test_theorem1_e_residual_matches_dense_product():
