@@ -15,7 +15,11 @@ met (``claim_met``: the change won at least 9 of every 10 pairs and its
 median is lower than the parent's by more than that range), and whether the
 change's median stays within the metric's bound (``within_bound``: at most
 the parent's median times 1 + bound, the bound read from the change
-checkout's ``BENCHMARK.json``).  An existing output file is
+checkout's ``BENCHMARK.json``), and whether the runs resolve the metric at
+that bound (``resolved``: the parent's interquartile range is at most the
+bound times the parent's median, or every change run reads better than
+every parent run; an unresolved metric is not shown unchanged by a
+``within_bound`` median).  An existing output file is
 updated: the workload's entry is replaced and the others are kept, so one
 file can hold several workloads, each from its own call.  Each entry
 therefore records the two checkouts it measured (``describe``).
@@ -100,7 +104,8 @@ def summarize(pairs, bounds):
         chg = [p["change"]["metrics"][name] for p in pairs]
         ps, cs = spread(par), spread(chg)
         wins = sum(c < p for p, c in zip(par, chg))
-        beyond = abs(cs["median"] - ps["median"]) > ps["q3"] - ps["q1"]
+        iqr = ps["q3"] - ps["q1"]
+        beyond = abs(cs["median"] - ps["median"]) > iqr
         out[name] = {
             "parent": ps, "change": cs,
             "change_wins": wins,
@@ -110,6 +115,7 @@ def summarize(pairs, bounds):
             "claim_met": (10 * wins >= 9 * len(pairs) and beyond
                           and cs["median"] < ps["median"]),
             "within_bound": cs["median"] <= ps["median"] * (1.0 + bounds[name]),
+            "resolved": iqr <= bounds[name] * ps["median"] or max(chg) < min(par),
         }
     return out
 

@@ -8,12 +8,9 @@ ordering such as ``nested_dissection`` shared by matrices of one pattern
 (the bordered saddle-point systems downstream are symmetric indefinite, so
 Cholesky is not an option).  Positive definiteness of a sparse symmetric
 matrix is certified by a symmetric-mode LU with diagonal pivots
-(``is_positive_definite``).  Kernel dimensions of dense PSD matrices are
-certified by Cholesky factorizations rather than eigendecompositions
-(``psd_kernel_dim``, and ``gram_kernel`` for a basis of ker f^T, which
-``OperatorContext.dimension_counts`` uses for hand-built systems without a
-node count; the dense oracle finds its kernel without it), with an exact
-inertia count where a certificate fails (``eigenvalues_at_most``).
+(``is_positive_definite``); where that certificate fails, the eigenvalues
+below a threshold are counted exactly from a dense inertia
+(``eigenvalues_at_most``).
 """
 
 from __future__ import annotations
@@ -23,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.io
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import blas, lapack
+from scipy.linalg import lapack
 
 
 class SingularMatrixError(RuntimeError):
@@ -236,25 +232,13 @@ def dense_sym_eig(a, sym_rtol=1e-12):
     return w[::-1].copy(), u[:, ::-1].copy()
 
 
-def orthonormal_columns(q):
-    """Orthonormal basis of im(q), for a dense or sparse q of full column
-    rank: two passes of Cholesky QR, q <- q L^{-T} with L L^T = q^T q.
-    Raises ValueError when q^T q has no Cholesky factor."""
-    for _ in range(2):
-        g = q.T @ q
-        try:
-            low = np.linalg.cholesky(g.toarray() if sp.issparse(g) else g)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("basis is not of full column rank") from exc
-        linv = scipy.linalg.solve_triangular(low, np.eye(low.shape[0]), lower=True)
-        q = np.asarray(q @ linv.T)
-    return q
-
-
-def _fortran_view(a):
-    """The Fortran-ordered storage of a square float64 matrix ``a``, symmetric
-    when C-ordered (a symmetric C-ordered matrix is its own Fortran-ordered
-    transpose), for LAPACK to work on in place."""
+def eigenvalues_at_most(a, tau):
+    """Number of eigenvalues <= ``tau`` of the symmetric matrix ``a``,
+    exactly: the nonpositive eigenvalues of a - tau I, read off the
+    block-diagonal factor of a Bunch-Kaufman LDL^T (one ``dsytrf`` on the
+    lower triangle) by Sylvester's law of inertia.  ``a`` (square, float64,
+    contiguous) is overwritten, in place in its storage: a symmetric
+    C-ordered matrix is its own Fortran-ordered transpose."""
     a = np.asarray(a)
     n = a.shape[0]
     if a.shape != (n, n) or a.dtype != np.float64:
@@ -262,74 +246,14 @@ def _fortran_view(a):
     f = a.T if a.flags.c_contiguous else a
     if not f.flags.f_contiguous:
         raise ValueError("a must be contiguous")
-    return f
-
-
-def eigenvalues_at_most(a, tau):
-    """Number of eigenvalues <= ``tau`` of the symmetric matrix ``a``,
-    exactly: the nonpositive eigenvalues of a - tau I, read off the
-    block-diagonal factor of a Bunch-Kaufman LDL^T (one ``dsytrf`` on the
-    lower triangle) by Sylvester's law of inertia.  ``a`` is overwritten, in
-    place in its storage."""
-    f = _fortran_view(a)
-    f[np.diag_indices(f.shape[0])] -= tau
-    return _inertia_count(f)
-
-
-def _inertia_count(f):
-    """Nonpositive eigenvalues of the symmetric Fortran-ordered ``f`` (lower
-    triangle read), from its Bunch-Kaufman LDL^T computed in place."""
-    n = f.shape[0]
     if n == 0:
         return 0
+    f[np.diag_indices(n)] -= tau
     lwork = int(lapack.dsytrf_lwork(n, lower=1)[0])
     ldu, ipiv, info = lapack.dsytrf(f, lower=1, lwork=max(lwork, 1), overwrite_a=1)
     if info < 0:
         raise ValueError(f"dsytrf: illegal argument {-info}")
     return _nonpositive_inertia(ldu, ipiv)
-
-
-def psd_kernel_dim(a, q, tau):
-    """Number of eigenvalues <= ``tau`` of a symmetric PSD matrix ``a``,
-    certified by a Cholesky factorization when ``q`` spans that many.
-
-    ``q`` (n x k, full column rank, dense or sparse) is a basis of vectors
-    the caller knows ``a`` annihilates, so ``a`` has at least k eigenvalues
-    <= tau.  With Q an orthonormal basis of im(q) and c = max(diag(a), 2 tau),
-    a + c Q Q^T is a rank-k PSD update of ``a``; by Cauchy interlacing its
-    j-th smallest eigenvalue is at most the (j+k)-th of ``a``.  So when
-    a + c Q Q^T - tau I has a Cholesky factor, at most k eigenvalues of ``a``
-    are <= tau, and the count is exactly k.  When the factorization fails,
-    the count is made exactly instead, as by ``eigenvalues_at_most``.
-
-    ``a`` is overwritten; the work is done in place in its storage (one
-    ``dsyrk`` and one ``dpotrf``, plus one ``dsytrf`` on failure).
-    """
-    f = _fortran_view(a)
-    n = f.shape[0]
-    if n == 0:
-        return 0
-    if not sp.issparse(q):
-        q = np.asarray(q, dtype=np.float64)
-    if q.shape[0] != n:
-        raise ValueError(f"dimension mismatch: matrix is {f.shape}, basis has {q.shape[0]} rows")
-    k = q.shape[1]
-    # the lower triangle is worked on; the strict upper one keeps a
-    diag = f.diagonal().copy()
-    if k:
-        qo = np.asfortranarray(orthonormal_columns(q))
-        lift = max(float(diag.max()), 2.0 * tau)
-        f = blas.dsyrk(lift, qo, beta=1.0, c=f, lower=1, overwrite_c=1)
-    f[np.diag_indices(n)] -= tau
-    f, info = lapack.dpotrf(f, lower=1, clean=0, overwrite_a=1)
-    if info == 0:
-        return k
-    if info < 0:
-        raise ValueError(f"dpotrf: illegal argument {-info}")
-    for j in range(n - 1):
-        f[j + 1:, j] = f[j, j + 1:]
-    f[np.diag_indices(n)] = diag - tau
-    return _inertia_count(f)
 
 
 def _nonpositive_inertia(ldu, ipiv):
@@ -345,46 +269,6 @@ def _nonpositive_inertia(ldu, ipiv):
             count += int(np.sum(np.linalg.eigvalsh(ldu[j:j + 2, j:j + 2]) <= 0.0))
             j += 2
     return count
-
-
-def gram_kernel(f):
-    """Orthonormal basis Y of ker(f^T) for a sparse f (such as F_nu), as
-    the kernel of the PSD Gram matrix G = f f^T, with the rank threshold
-    certified.
-
-    A pivoted Cholesky factorization P^T G P = U^T U (LAPACK ``dpstrf``,
-    stopped at pivots <= 1e-10 lambda_max) gives the rank r and the null
-    basis P [-U11^{-1} U12; I].  Every eigenvalue <= 1e-8 lambda_max must
-    also be <= 1e-10 lambda_max, or the rank threshold is ambiguous:
-    ||G Y||_F <= 1e-10 lambda_max gives at least n0 eigenvalues
-    <= 1e-10 lambda_max (Rayleigh-Ritz), and a Cholesky certificate at
-    1e-8 lambda_max (``psd_kernel_dim``) gives at most n0 below that.
-    O(n^3) work on a dense n x n matrix, n = f.shape[0].
-    """
-    gram = (f @ f.T).tocsr()
-    n = gram.shape[0]
-    lam_max = float(spla.eigsh(gram, k=1, which="LA", return_eigenvectors=False)[0])
-    dense = gram.toarray()
-    u, piv, rank, _ = lapack.dpstrf(dense.T, tol=1e-10 * lam_max, lower=0,
-                                    overwrite_a=1)
-    n0 = n - rank
-    y = np.zeros((n, n0))
-    residual = 0.0
-    if n0:
-        # [[U11, U12], [0, I]] x = [0; I] gives x = [-U11^{-1} U12; I]
-        u[rank:, rank:] = np.eye(n0)
-        rhs = np.zeros((n, n0), order="F")
-        rhs[rank:] = np.eye(n0)
-        y[piv - 1] = scipy.linalg.solve_triangular(u, rhs, check_finite=False,
-                                                   overwrite_b=True)
-        y = orthonormal_columns(y)
-        residual = np.linalg.norm(f @ (f.T @ y))     # bounds the 2-norm
-    del u, dense
-    if (residual > 1e-10 * lam_max
-            or psd_kernel_dim(gram.toarray(), y, 1e-8 * lam_max) != n0):
-        raise RuntimeError(f"rank threshold is ambiguous for the kernel of "
-                           f"a {n} x {n} Gram matrix")
-    return y
 
 
 @dataclass

@@ -40,9 +40,8 @@ a shift on the spectrum does.  No pivot is read, so an LU costs only
 SuperLU's own storage (``lacore.factorize``).
 
 The quasi-Weierstrass counts n_s, n_0, n_inf come from the incidence
-complex (n_0 = N - k2 with N interior nodes) and cost nothing; dense
-kernel counts are left to hand-built inputs without a node count and to
-the verification oracle.
+complex (n_0 = N - k2 with N interior nodes) and cost nothing; the
+verification oracle checks them against a dense kernel count.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ import scipy.sparse as sp
 from .lacore import (
     SingularMatrixError,
     factorize,
-    gram_kernel,
     lanczos_extremal,
     nested_dissection,
 )
@@ -67,7 +65,6 @@ LU_REFINE_STEPS = 1       # iterative refinement after each M11 / Lemma-2 solve
 SHIFT_REFINE_STEPS = 2    # refinement on the true shifted residual
 SHIFT_RESIDUAL_TARGET = 1e-13   # relative residual that ends the refinement
 SOLVE_RESIDUAL_FLOOR = 1e-8   # largest relative residual a solve may return
-DENSE_COUNT_CAP = 8000    # largest n_r for the dense rank count
 
 
 def _libc_malloc_trim():
@@ -392,33 +389,25 @@ class OperatorContext:
     def dimension_counts(self):
         """Counts (n_s, n_0, n_inf) of the quasi-Weierstrass splitting.
 
-        n_inf = n2 - k2 - m is structural.  When the system records its
-        number N of interior nodes (a boundary-eliminated box complex, where
-        ker C = im G0), the rest follows from topology: n_0 = N - k2 and
-        n_s = n1 - N + k2 + m.  Hand-built inputs without a node count find
-        n_0 = n_r - rank(F_nu) as the certified kernel dimension of
-        F_nu F_nu^T (``lacore.gram_kernel``, a dense pivoted Cholesky); only
-        that path is limited, to n_r <= DENSE_COUNT_CAP.  ``source`` says
-        which path ran.
+        n_inf = n2 - k2 - m is structural.  The rest follows from the
+        topology of the boundary-eliminated box complex, where ker C = im G0:
+        with N interior nodes, n_0 = N - k2 and n_s = n1 - N + k2 + m.  A
+        system without a node count N raises ValueError.
         """
         if self._counts is not None:
             return self._counts
         r = self.rsys
+        if r.n_nodes is None:
+            raise ValueError("dimension counts need the number N of interior "
+                             "nodes (RegularizedSystem.n_nodes is None)")
         n_r = r.n_r
         n_inf = r.n2r - r.m
-        if r.n_nodes is not None:
-            source = "topology"
-            n0 = r.n_nodes - r.k2
-        else:
-            source = "dense"
-            if n_r > DENSE_COUNT_CAP:
-                raise ValueError(f"n_r = {n_r} exceeds the dense cap {DENSE_COUNT_CAP}")
-            n0 = gram_kernel(sp.vstack([r.C1.T, r.P2.T]).tocsr()).shape[1]
+        n0 = r.n_nodes - r.k2
         n_s = n_r - n0 - n_inf
         if min(n0, n_s) < 0:
             raise ValueError(f"negative dimension count: n0 = {n0}, n_s = {n_s}")
         self._counts = {
             "n_r": n_r, "n1": r.n1, "n2": r.n2, "k2": r.k2, "m": r.m,
-            "n_inf": n_inf, "n0": n0, "n_s": n_s, "source": source,
+            "n_inf": n_inf, "n0": n0, "n_s": n_s,
         }
         return self._counts

@@ -341,7 +341,7 @@ def psd_kernel(mat):
     matrix and its kernel dimension n_0: the number of eigenvalues
     <= 1e-10 lambda_max.  Every eigenvalue <= 1e-8 lambda_max must also be
     <= 1e-10 lambda_max, or the rank threshold is ambiguous and
-    RuntimeError is raised (the two thresholds of ``lacore.gram_kernel``)."""
+    RuntimeError is raised."""
     lam, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
     lam_max = lam[-1]
     n_0 = int(np.sum(lam <= 1e-10 * lam_max))
@@ -401,8 +401,10 @@ def _build_desk(rsys, pencil, b_r):
     k = vecs[:, :n_0]
     y_nu = v @ k
     f = pencil.F_nu
-    lam_f = float(spla.eigsh((f @ f.T).tocsr(), k=1, which="LA",
-                             return_eigenvectors=False)[0])
+    # lambda_max(F_nu F_nu^T) without forming the product
+    f_ft = spla.LinearOperator((n_r, n_r), matvec=lambda x: f @ (f.T @ x),
+                               dtype=np.float64)
+    lam_f = float(spla.eigsh(f_ft, k=1, which="LA", return_eigenvectors=False)[0])
     residual = np.linalg.norm(f @ (f.T @ y_nu)) / lam_f      # bounds the 2-norm
     if not residual <= 1e-10:
         raise RuntimeError(f"desk oracle: ||F_nu F_nu^T Y_nu|| = {residual:.2e} "

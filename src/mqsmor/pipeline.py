@@ -185,9 +185,7 @@ class PipelineState:
 class RunManifest:
     """Config echo, derived dimensions, timings and artifact list.
 
-    ``counts_source`` records whether n_s, n0 and n_inf came from the
-    incidence topology or from dense algebra; ``info`` holds a stage's own
-    figures, written as ``<stage>.<name>``.
+    ``info`` holds a stage's own figures, written as ``<stage>.<name>``.
     """
 
     def __init__(self, config, out_dir, seed):
@@ -195,7 +193,6 @@ class RunManifest:
         self.out = out_dir
         self.seed = seed
         self.dimensions = {}
-        self.counts_source = None
         self.info = {}
         self.timings = []
         self.artifacts = []
@@ -241,8 +238,6 @@ class RunManifest:
         self.timings = list({**times, **dict(self.timings)}.items())
         old = [v for k, v in entries if k == "artifact"]
         self.artifacts = old + [a for a in self.artifacts if a not in old]
-        if self.counts_source is None:
-            self.counts_source = dict(entries).get("counts_source")
 
     def text(self):
         """The manifest, folded with the one already in the run directory."""
@@ -250,8 +245,6 @@ class RunManifest:
         self.check_identities()
         items = self._header() + [(f"dim.{k}", self.dimensions[k])
                                   for k in sorted(self.dimensions)]
-        if self.counts_source is not None:
-            items.append(("counts_source", self.counts_source))
         items += sorted(self.info.items())
         items += [(f"time.{stage}", f"{dt:.3f}") for stage, dt in self.timings]
         return _kv_text(items + [("artifact", art) for art in self.artifacts])
@@ -553,8 +546,7 @@ def _theorem2(oracle, counts):
     Every finite eigenvalue lies within ``skew`` of an eigenvalue of the
     symmetric part (``DenseOracle.finite_eigenvalues``), so |Im| <= skew and
     Re <= max(lam) + skew certify both, each to 1e-8 of the largest |lam|."""
-    detail = (f"n_s={oracle.n_s} n0={oracle.n_0} n_inf={oracle.n_inf} "
-              f"counts_source={counts['source']}")
+    detail = f"n_s={oracle.n_s} n0={oracle.n_0} n_inf={oracle.n_inf}"
     try:
         lam, skew = oracle.finite_eigenvalues()
     except np.linalg.LinAlgError:
@@ -612,7 +604,6 @@ def theorem4_residual(oracle):
 def _record_counts(state, counts):
     state.manifest.add_dims(n_s=counts["n_s"], n0=counts["n0"],
                             n_inf=counts["n_inf"], n_r=counts["n_r"])
-    state.manifest.counts_source = counts["source"]
 
 
 _STAGE_FUNCS = {

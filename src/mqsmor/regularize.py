@@ -189,9 +189,11 @@ def kernel_incidence(a):
 class KernelBases:
     """Bases of ker(C2) and im(C2^T); ``kernel_bases`` makes exact integer ones.
 
-    ``n_nodes`` is the number N of interior nodes (columns of G0) when the
-    bases come from a boundary-eliminated box complex, where ker C = im G0;
-    it is None for hand-built inputs without incidence data.
+    ``n_nodes`` is the number N of interior nodes (columns of G0) of the
+    boundary-eliminated box complex, where ker C = im G0, so that
+    N = dim ker [C1 C2]; the dimension counts (``OperatorContext``) need
+    it.  Hand-built bases state it; those that never reach the counts, such
+    as Theorem-1 checks alone, may leave it None.
     """
 
     Y_C2: object

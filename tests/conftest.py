@@ -1,11 +1,12 @@
 """Shared fixtures: the 2x2 toy system, a small synthetic system with
-nontrivial kernel dimensions, and the desk-scale default scenario (built once
-per session)."""
+nontrivial kernel dimensions, and the desk-scale default scenario with a
+dense reference kernel of its F_nu F_nu^T (built once per session)."""
 
 import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from mqsmor.assembly import AssembledSystem, build_system
@@ -22,19 +23,21 @@ def _csr(a):
 
 
 def make_toy_system():
-    """n1 = n2 = m = 1, k2 = 0: E_r = [[4,1],[1,1]], A_r = -2*ones, B_r = ones."""
+    """n1 = n2 = m = 1, k2 = 0: E_r = [[4,1],[1,1]], A_r = -2*ones, B_r = ones.
+    N = dim ker [C1 C2] = 1."""
     sysm = AssembledSystem(
         M11=_csr([[3.0]]), Mnu=_csr([[2.0]]), Upsilon=_csr([[1.0]]),
         X=_csr([[1.0], [1.0]]), C1=_csr([[1.0]]), C2=_csr([[1.0]]),
         R=np.array([[1.0]]), n1=1, n2=1, m=1,
     )
     bases = KernelBases(Y_C2=sp.csr_matrix((1, 0)), Yhat_C2=sp.identity(1, format="csr"),
-                        k2=0)
+                        k2=0, n_nodes=1)
     return sysm, bases
 
 
 def make_synthetic_system():
-    """n1 = 2, n2 = 4, k2 = 2, m = 1, n_f = 3: n_inf = 1, n_r = 4."""
+    """n1 = 2, n2 = 4, k2 = 2, m = 1, n_f = 3: n_inf = 1, n_r = 4.
+    [C1 C2] has rank 2, so N = dim ker [C1 C2] = 4."""
     c1 = _csr([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
     c2 = _csr([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0], [1.0, 1.0, -1.0, -1.0]])
     y = _csr(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]))
@@ -45,7 +48,7 @@ def make_synthetic_system():
         M11=_csr([[3.0, 1.0], [1.0, 2.0]]), Mnu=_csr(np.diag([2.0, 3.0, 4.0])),
         Upsilon=ups, X=x, C1=c1, C2=c2, R=np.array([[2.0]]), n1=2, n2=4, m=1,
     )
-    bases = KernelBases(Y_C2=y, Yhat_C2=yh, k2=2)
+    bases = KernelBases(Y_C2=y, Yhat_C2=yh, k2=2, n_nodes=4)
     return sysm, bases
 
 
@@ -138,3 +141,24 @@ class DeskScenario:
 @pytest.fixture(scope="session")
 def desk():
     return DeskScenario()
+
+
+def gapped_kernel_dim(w):
+    """Number of the ascending PSD eigenvalues ``w`` at most 1e-8 w[-1],
+    asserting a clear gap: those lie below 1e-10 w[-1], the rest above
+    1e-6 w[-1]."""
+    n0 = int(np.sum(w <= 1e-8 * w[-1]))
+    assert n0 == 0 or w[n0 - 1] <= 1e-10 * w[-1]
+    assert n0 == w.size or w[n0] >= 1e-6 * w[-1]
+    return n0
+
+
+@pytest.fixture(scope="session")
+def desk_dense_kernel(desk):
+    """(w, Y): the eigenvalues, ascending, of the desk's F_nu F_nu^T
+    (F_nu = [C1^T; P2^T]) and an orthonormal basis Y of its kernel, from
+    one dense symmetric eigendecomposition."""
+    f = sp.hstack([desk.rsys.C1, desk.rsys.P2]).tocsc()
+    w, u = scipy.linalg.eigh((f.T @ f).toarray(), overwrite_a=True, check_finite=False,
+                             driver="evd")
+    return w, u[:, :gapped_kernel_dim(w)].copy()

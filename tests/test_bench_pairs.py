@@ -56,6 +56,21 @@ def test_a_loss_is_no_claim_and_the_bound_decides_within_bound():
     assert not bench_pairs.summarize(_pairs(PARENT, worse), tight)["reduce_s"]["within_bound"]
 
 
+def test_parent_spread_wider_than_the_bound_is_unresolved():
+    wide = [5.0, 15.0, 8.0, 12.0, 6.0, 14.0, 7.0, 13.0, 9.0, 11.0]   # IQR 5.5
+    same = bench_pairs.summarize(_pairs(wide, wide), BOUNDS)["total_s"]
+    assert same["within_bound"] and not same["resolved"]    # 5.5 > 0.25 * 10
+    assert bench_pairs.summarize(_pairs(PARENT, PARENT), BOUNDS)["total_s"]["resolved"]
+
+
+def test_every_change_run_better_than_every_parent_run_is_resolved():
+    wide = [5.0, 15.0, 8.0, 12.0, 6.0, 14.0, 7.0, 13.0, 9.0, 11.0]
+    better = [v / 4 for v in wide]                          # max 3.75 < min 5
+    assert bench_pairs.summarize(_pairs(wide, better), BOUNDS)["peak_rss_mb"]["resolved"]
+    better[1] = 5.0                                         # ties the parent's best run
+    assert not bench_pairs.summarize(_pairs(wide, better), BOUNDS)["peak_rss_mb"]["resolved"]
+
+
 def test_bounds_are_read_from_the_checkout():
     bounds = bench_pairs.load_bounds(ROOT)
     assert set(bench_pairs.METRICS) <= set(bounds)

@@ -206,7 +206,6 @@ def capped_reduce(tmp_path_factory):
 def test_reduce_counts_from_topology_above_dense_cap(capped_reduce):
     _, _, code, manifest = capped_reduce
     assert code == 0
-    assert "counts_source = topology" in manifest
     for line in ("dim.n_s = 466", "dim.n0 = 127", "dim.n_inf = 3359", "dim.n_r = 3952"):
         assert line in manifest
 
@@ -216,7 +215,7 @@ def test_manifest_keeps_dimensions_of_resumed_run(capped_reduce):
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     manifest = (out / "manifest.txt").read_text()
     for line in ("dim.n_s = 466", "dim.n0 = 127", "dim.n_inf = 3359",
-                 "counts_source = topology", "time.reduce = ", "time.simulate = ",
+                 "time.reduce = ", "time.simulate = ",
                  "artifact = reduce/reduced.txt", "artifact = simulate/simulation.csv"):
         assert line in manifest
 

@@ -16,7 +16,6 @@ from mqsmor.lacore import (
     nested_dissection,
     eigenvalues_at_most,
     is_positive_definite,
-    psd_kernel_dim,
     read_matrix_market,
     write_matrix_market,
 )
@@ -196,16 +195,16 @@ def test_dense_sym_eig_reconstruction_random():
 
 
 def _planted_psd(n, k, extra=(), seed=0):
-    """PSD matrix with a planted k-dimensional kernel, a (non-orthonormal)
-    basis of it, and the planted spectrum (``extra`` eigenvalues after the
-    kernel, the rest in [1e-3, 1])."""
+    """PSD matrix with a planted k-dimensional kernel, and the planted
+    spectrum (``extra`` eigenvalues after the kernel, the rest in
+    [1e-3, 1])."""
     rng = np.random.default_rng(seed)
     u, _ = np.linalg.qr(rng.standard_normal((n, n)))
     w = rng.uniform(1e-3, 1.0, n)
     w[:k] = 0.0
     w[k:k + len(extra)] = extra
     a = (u * w) @ u.T
-    return 0.5 * (a + a.T), u[:, :k] @ rng.standard_normal((k, k)), w
+    return 0.5 * (a + a.T), w
 
 
 def _eigvalsh_count(a, tau):
@@ -214,7 +213,7 @@ def _eigvalsh_count(a, tau):
 
 @pytest.mark.parametrize("n,k", [(40, 0), (80, 3)])
 def test_eigenvalue_count_and_cholesky_test_on_planted_spectrum(n, k):
-    a, _, w = _planted_psd(n, k, extra=(0.5e-10,), seed=n + 2 * k)
+    a, w = _planted_psd(n, k, extra=(0.5e-10,), seed=n + 2 * k)
     tau = 1e-10 * w.max()
     assert eigenvalues_at_most(a.copy(), tau) == k + 1 == _eigvalsh_count(a, tau)
     # the same spectrum as a sparse matrix, shifted by -tau and by +tau
@@ -225,44 +224,6 @@ def test_eigenvalue_count_and_cholesky_test_on_planted_spectrum(n, k):
     above = np.sort(w)[k + 1:k + 3]          # the two smallest above the extra one
     assert eigenvalues_at_most(a.copy(), 0.5 * above[0]) == k + 1
     assert eigenvalues_at_most(a.copy(), above.mean()) == k + 2
-
-
-@pytest.mark.parametrize("n,k", [(40, 0), (40, 1), (120, 9), (200, 31)])
-def test_psd_kernel_dim_planted_kernel(n, k):
-    a, q, w = _planted_psd(n, k, seed=n + k)
-    tau = 1e-10 * w.max()
-    assert _eigvalsh_count(a, tau) == k
-    assert psd_kernel_dim(a.copy(), q, tau) == k
-    # Fortran order and a sparse basis take the same path
-    assert psd_kernel_dim(np.asfortranarray(a), sp.csr_matrix(q), tau) == k
-
-
-@pytest.mark.parametrize("k", [0, 4])
-def test_psd_kernel_dim_extra_small_eigenvalue_counts_by_inertia(k):
-    a, q, w = _planted_psd(80, k, extra=(0.5e-10,), seed=k)
-    tau = 1e-10 * w.max()
-    assert _eigvalsh_count(a, tau) == k + 1
-    assert psd_kernel_dim(a.copy(), q, tau) == k + 1
-
-
-def test_psd_kernel_dim_incomplete_basis_gives_true_count():
-    a, q, w = _planted_psd(90, 6, seed=3)
-    tau = 1e-10 * w.max()
-    assert psd_kernel_dim(a.copy(), q[:, :-1], tau) == 6
-    assert psd_kernel_dim(a.copy(), np.zeros((90, 0)), tau) == 6
-
-
-def test_psd_kernel_dim_overwrites_input_in_place():
-    a, q, w = _planted_psd(30, 2, seed=4)
-    b = a.copy()
-    psd_kernel_dim(b, q, 1e-10 * w.max())
-    assert not np.array_equal(a, b)
-
-
-def test_psd_kernel_dim_rejects_rank_deficient_basis():
-    a, q, w = _planted_psd(30, 2, seed=5)
-    with pytest.raises(ValueError, match="full column rank"):
-        psd_kernel_dim(a.copy(), np.hstack([q, np.zeros((30, 1))]), 1e-10 * w.max())
 
 
 def test_lanczos_multiple_of_identity():

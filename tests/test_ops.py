@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -10,6 +11,7 @@ import pytest
 import scipy.sparse as sp
 
 import mqsmor.ops as ops
+from conftest import gapped_kernel_dim
 from mqsmor.assembly import MaterialSpec, WindingSpec, build_system
 from mqsmor.lacore import Factorization, SingularMatrixError, factorize, lanczos_extremal
 from mqsmor.mesh import AIR, IRON, GeometrySpec, Mesh, build_incidence, eliminate_boundary, generate_mesh
@@ -463,11 +465,7 @@ def test_desk_quasi_weierstrass_counts(desk):
 def _dense_kernel_dim(rsys):
     """n_r - rank(F_nu) from eigvalsh of F_nu F_nu^T, with a clear gap."""
     f = sp.hstack([rsys.C1, rsys.P2]).toarray()
-    w = np.linalg.eigvalsh(f.T @ f)
-    n0 = int(np.sum(w <= 1e-8 * w[-1]))
-    assert n0 == 0 or w[n0 - 1] <= 1e-10 * w[-1]
-    assert n0 == w.size or w[n0] >= 1e-6 * w[-1]
-    return n0
+    return gapped_kernel_dim(np.linalg.eigvalsh(f.T @ f))
 
 
 def _random_iron_box(resolution, seed):
@@ -491,27 +489,34 @@ def test_topological_counts_match_dense_rank(resolution):
     assert rsys.n1 > 0 and rsys.n_nodes == (resolution - 1) ** 3
     counts = OperatorContext(rsys).dimension_counts()
     n0 = _dense_kernel_dim(rsys)
-    assert counts["source"] == "topology"
     assert n0 > 0
     assert (counts["n0"], counts["n_s"], counts["n_inf"]) == (
         n0, rsys.n_r - n0 - (rsys.n2r - rsys.m), rsys.n2r - rsys.m)
 
 
-def test_desk_topological_counts_match_dense_rank(desk):
+def test_desk_topological_counts_match_dense_rank(desk, desk_dense_kernel):
     counts = desk.ctx.dimension_counts()
-    assert counts["source"] == "topology"
-    assert counts["n0"] == _dense_kernel_dim(desk.rsys)
+    assert counts["n0"] == desk_dense_kernel[1].shape[1]
     assert (counts["n_s"], counts["n0"], counts["n_inf"]) == (466, 127, 3359)
 
 
-def test_counts_without_node_count_take_dense_path(toy, synthetic):
-    for ctx in (toy[3], synthetic[3]):
-        assert ctx.rsys.n_nodes is None
+def test_fixture_node_counts_match_oracle(toy, synthetic):
+    """The hand-built fixtures state N = dim ker [C1 C2], and the counts it
+    gives equal the oracle's dense ones: toy (1, 1, 0), synthetic (1, 2, 1)."""
+    for ctx, expected in ((toy[3], (1, 1, 0)), (synthetic[3], (1, 2, 1))):
+        r = ctx.rsys
+        c = sp.hstack([r.C1, r.C2]).toarray()
+        assert r.n_nodes == c.shape[1] - np.linalg.matrix_rank(c)
         counts = ctx.dimension_counts()
         oracle = build_dense_oracle(ctx, cap=100)
-        assert counts["source"] == "dense"
         assert (counts["n_s"], counts["n0"], counts["n_inf"]) == (
-            oracle.n_s, oracle.n_0, oracle.n_inf)
+            oracle.n_s, oracle.n_0, oracle.n_inf) == expected
+
+
+def test_counts_refuse_system_without_node_count(synthetic):
+    ctx = OperatorContext(dataclasses.replace(synthetic[2], n_nodes=None))
+    with pytest.raises(ValueError, match="interior nodes"):
+        ctx.dimension_counts()
 
 
 def test_toy_and_synthetic_keep_colamd(toy, synthetic):

@@ -11,7 +11,6 @@ import scipy.sparse.linalg
 from mqsmor import oracle as oracle_mod
 from mqsmor import pipeline
 from mqsmor.config import default_config
-from mqsmor.lacore import gram_kernel as _gram_kernel
 from mqsmor.oracle import SparsePencil, build_dense_oracle, dense_gramians
 from mqsmor.pipeline import theorem4_residual
 
@@ -174,39 +173,6 @@ def test_desk_oracle_tier_and_consistency(desk):
     np.linalg.cholesky(-oracle.A11)
 
 
-def _planted_gram(small, n=60, n0=5, seed=0):
-    """Sparse-stored factor F of a Gram matrix F F^T with lambda_max = 1,
-    an n0-dimensional kernel and one more eigenvalue ``small``."""
-    rng = np.random.default_rng(seed)
-    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    w = rng.uniform(0.1, 1.0, n)
-    w[:n0] = 0.0
-    w[n0] = small
-    w[-1] = 1.0
-    return sp.csr_matrix(u * np.sqrt(w)), u[:, :n0]
-
-
-def test_gram_kernel_certified_basis():
-    f, kernel = _planted_gram(0.05)
-    y = _gram_kernel(f)
-    assert y.shape == (60, 5)
-    assert np.linalg.norm(y.T @ y - np.eye(5)) <= 1e-12
-    assert np.linalg.norm(f @ (f.T @ y), 2) <= 1e-12
-    # same subspace as the planted kernel
-    assert np.linalg.svd(kernel.T @ y, compute_uv=False).min() >= 1 - 1e-10
-
-
-def test_gram_kernel_counts_eigenvalue_below_threshold():
-    # 1e-11 lambda_max is below both thresholds: part of the kernel
-    assert _gram_kernel(_planted_gram(1e-11)[0]).shape[1] == 6
-
-
-def test_gram_kernel_rejects_ambiguous_rank_threshold():
-    # 1e-9 lambda_max lies between 1e-10 and 1e-8 lambda_max
-    with pytest.raises(RuntimeError, match="rank threshold is ambiguous"):
-        _gram_kernel(_planted_gram(1e-9)[0])
-
-
 @pytest.mark.parametrize("name", ["toy", "synthetic", "desk"])
 def test_sparse_pencil_products_match_dense(request, name):
     rsys, oracle = _system(request, name)
@@ -293,17 +259,17 @@ def _sin_angle(a, b):
     return np.linalg.norm(a - b @ (b.T @ a), 2)
 
 
-def test_desk_y_nu_matches_gram_kernel(desk):
+def test_desk_y_nu_matches_dense_kernel(desk, desk_dense_kernel):
     oracle = desk.oracle
     f = oracle.pencil.F_nu
-    ref = _gram_kernel(f)
+    lam, ref = desk_dense_kernel
     assert oracle.n_0 == ref.shape[1] == 127
-    assert _sin_angle(oracle.Y_nu, ref) <= 1e-8                # measured 1.3e-10
-    lam_max = scipy.sparse.linalg.eigsh((f @ f.T).tocsr(), k=1, which="LA",
-                                        return_eigenvectors=False)[0]
+    assert _sin_angle(oracle.Y_nu, ref) <= 1e-8                # measured 6.9e-12
+    lam_max = lam[-1]
     residual = np.linalg.norm(f @ (f.T @ oracle.Y_nu))
     assert residual <= 1e-10 * lam_max                        # measured 3.3e-14
-    assert oracle.margins["ynu_residual"] == pytest.approx(residual / lam_max)
+    # abs=0: the margin is far below approx's default absolute tolerance
+    assert oracle.margins["ynu_residual"] == pytest.approx(residual / lam_max, rel=1e-9, abs=0)
     assert 1e-8 < oracle.margins["kernel_gap"]
     # V = V0 L^{-T} is orthonormal (measured 1.3e-14), and so are W1 and Y_nu
     assert oracle.margins["v_orthogonality"] <= 1e-12
@@ -332,10 +298,17 @@ def test_forced_desk_tier_matches_brute(request, name):
     assert np.linalg.norm(desk.pi_dense() - brute.pi_dense()) <= 1e-12
 
 
-def _planted_psd(small):
-    """The dense Gram matrix of ``_planted_gram(small)`` and its kernel."""
-    f, kernel = _planted_gram(small)
-    return (f @ f.T).toarray(), kernel
+def _planted_psd(small, n=60, n0=5, seed=0):
+    """Gram matrix F F^T with lambda_max = 1, an n0-dimensional kernel and
+    one more eigenvalue ``small``, and an orthonormal basis of its kernel."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    w = rng.uniform(0.1, 1.0, n)
+    w[:n0] = 0.0
+    w[n0] = small
+    w[-1] = 1.0
+    f = sp.csr_matrix(u * np.sqrt(w))
+    return (f @ f.T).toarray(), u[:, :n0]
 
 
 def test_psd_kernel_counts_eigenvalue_below_threshold():
