@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .config import default_value
 from .mor import ReducedModel
 from .ops import OperatorContext
 
@@ -257,8 +258,8 @@ def _sample_input(u, t, m):
     return uk
 
 
-def simulate(system, u, t_final, steps, x0=None):
-    """Implicit Euler on [0, t_final]; returns (t, y) with y row per time point.
+def simulate(system, u, t_final, steps):
+    """Implicit Euler on [0, t_final] from x = 0; returns (t, y), y a row per time point.
 
     ``system`` is either an OperatorContext (full model, output from the
     backward difference of the state) or a ReducedModel (y = C x).  The
@@ -272,8 +273,8 @@ def simulate(system, u, t_final, steps, x0=None):
     h = t_final / steps
     t = np.linspace(0.0, t_final, steps + 1)
     if isinstance(system, OperatorContext):
-        return t, _simulate_full(system, u, t, h, x0)
-    return t, _simulate_reduced(system, u, t, h, x0)
+        return t, _simulate_full(system, u, t, h)
+    return t, _simulate_reduced(system, u, t, h)
 
 
 class _StateBasis:
@@ -318,10 +319,10 @@ class _StateBasis:
             self.size = k + 1
 
 
-def _simulate_full(ctx, u, t, h, x0):
+def _simulate_full(ctx, u, t, h):
     r = ctx.rsys
     m = r.m
-    x = np.zeros(r.n_r) if x0 is None else np.asarray(x0, dtype=float)
+    x = np.zeros(r.n_r)
     rinv = r.Rinv
     y = np.empty((t.shape[0], m))
     y[0] = rinv @ _sample_input(u, t[0], m)
@@ -343,9 +344,9 @@ def _simulate_full(ctx, u, t, h, x0):
     return y
 
 
-def _simulate_reduced(model, u, t, h, x0):
+def _simulate_reduced(model, u, t, h):
     ell, m = model.A.shape[0], model.m
-    x = np.zeros(ell) if x0 is None else np.asarray(x0, dtype=float)
+    x = np.zeros(ell)
     lu = scipy.linalg.lu_factor(np.eye(ell) - h * model.A)
     y = np.empty((t.shape[0], m))
     y[0] = model.C @ x
@@ -364,13 +365,9 @@ class SimulationResult:
     y_reduced: np.ndarray
     rel_error: np.ndarray   # |y - y~| / max_t |y|
 
-    @property
-    def max_rel_error(self):
-        return float(self.rel_error.max())
 
-
-def simulate_compare(ctx, model, u, t_final, steps, x0=None) -> SimulationResult:
-    t, y = simulate(ctx, u, t_final, steps, x0=x0)
+def simulate_compare(ctx, model, u, t_final, steps) -> SimulationResult:
+    t, y = simulate(ctx, u, t_final, steps)
     _, yr = simulate(model, u, t_final, steps)
     m = ctx.rsys.m
     us = np.array([_sample_input(u, tk, m) for tk in t])
@@ -379,21 +376,21 @@ def simulate_compare(ctx, model, u, t_final, steps, x0=None) -> SimulationResult
     return SimulationResult(t, us, y, yr, rel)
 
 
-def passivity_scan(h_eval, n_samples=50, seed=7, re_range=(1e-3, 1e4), im_max=1e6):
-    """Sample H(s) + H(s)^* over the open right half-plane.
+def passivity_scan(h_eval, n_samples=default_value("analysis.passivity_samples"), seed=7):
+    """Sample H(s) + H(s)^* over the box 1e-3 <= Re s <= 1e4, |Im s| <= 1e6.
 
-    Half the samples come from a deterministic log grid in Re(s) with a few
-    imaginary offsets, half are random.  Reports the worst eigenvalue margin
-    relative to ||H(s)||.
+    Half the samples (at least one) lie on a log grid in Re s with the
+    imaginary parts 0, 1e2, -1e4, 1e6 in turn; the rest are drawn from
+    ``seed``, log-uniform in Re s and uniform in Im s.  Reports the sample
+    count, the worst eigenvalue of H + H^* relative to ||H(s)||_2, and
+    whether that margin is >= -1e-10.
     """
     rng = np.random.default_rng(seed)
-    n_grid = n_samples // 2
-    res = np.geomspace(re_range[0], re_range[1], max(n_grid, 1))
+    res = np.geomspace(1e-3, 1e4, max(n_samples // 2, 1))
     ims = np.array([0.0, 1e2, -1e4, 1e6])
     pts = [complex(r, ims[i % ims.size]) for i, r in enumerate(res)]
     while len(pts) < n_samples:
-        r = 10 ** rng.uniform(np.log10(re_range[0]), np.log10(re_range[1]))
-        pts.append(complex(r, rng.uniform(-im_max, im_max)))
+        pts.append(complex(10 ** rng.uniform(-3.0, 4.0), rng.uniform(-1e6, 1e6)))
     margins = []
     for s in pts:
         h = np.atleast_2d(h_eval(s))

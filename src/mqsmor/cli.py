@@ -27,6 +27,14 @@ from .config import ConfigError, default_config, parse_config
 from .pipeline import STAGES, run_pipeline
 
 
+def u64(text):
+    """A seed in [0, 2^64), the u64 that ``--help`` promises."""
+    seed = int(text)
+    if not 0 <= seed < 2 ** 64:
+        raise argparse.ArgumentTypeError(f"seed {seed} is outside [0, 2^64)")
+    return seed
+
+
 def make_parser():
     p = argparse.ArgumentParser(
         prog="mqsmor",
@@ -38,7 +46,7 @@ def make_parser():
     p.add_argument("--config", default=None,
                    help="key-value config file (defaults to the built-in scenario)")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--seed", type=int, default=7,
+    p.add_argument("--seed", type=u64, default=7,
                    help="seed for sampled checks (u64)")
     return p
 

@@ -104,6 +104,8 @@ class RunConfig:
                     "mor.maxit_adi", "mor.lanczos_maxit", "analysis.passivity_samples"):
             if not self[key] >= 1:
                 raise ConfigError(f"{key} must be >= 1")
+        if not self["mor.eps_shift"] < 1:
+            raise ConfigError("mor.eps_shift must be below 1")
         if self["mor.order"] < 0 or self["mor.tol_hsv"] < 0:
             raise ConfigError("mor.order and mor.tol_hsv must be nonnegative")
 

@@ -218,15 +218,15 @@ def _dissect(idx, head, tail, pts, out):
     out.append(idx[part == 2])
 
 
-def dense_sym_eig(a, sym_rtol=1e-12):
+def dense_sym_eig(a):
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
 
     Returns (w, u) with a = u @ diag(w) @ u.T and u orthogonal.  Input more
-    asymmetric than ``sym_rtol`` in relative Frobenius norm is rejected.
+    asymmetric than 1e-12 in relative Frobenius norm is rejected.
     """
     a = np.asarray(a, dtype=float)
     nrm = np.linalg.norm(a)
-    if nrm > 0 and np.linalg.norm(a - a.T) > sym_rtol * nrm:
+    if nrm > 0 and np.linalg.norm(a - a.T) > 1e-12 * nrm:
         raise ValueError("matrix is not symmetric within tolerance")
     w, u = np.linalg.eigh(a)
     return w[::-1].copy(), u[:, ::-1].copy()

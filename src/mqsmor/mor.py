@@ -30,6 +30,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import ellipj, ellipk, ellipkm1
 
+from .config import default_value
 from .lacore import dense_sym_eig
 from .ops import OperatorContext
 
@@ -112,7 +113,8 @@ class LowRankFactor:
         return self.Z.shape[1]
 
 
-def lr_adi(ctx: OperatorContext, shifts: ShiftSet, tol=1e-12, maxit=80):
+def lr_adi(ctx: OperatorContext, shifts: ShiftSet, tol=default_value("mor.tol_adi"),
+           maxit=default_value("mor.maxit_adi")):
     """LR-ADI iteration for the controllability Gramian factor.
 
     Shifts are cycled when exhausted.  Stops at the normalized residual

@@ -6,14 +6,14 @@ every solve runs in edge coordinates: a right-hand side w2 becomes the edge
 vector with w2 on the cotree rows and zeros elsewhere (Yhat^T maps it back
 to w2), and a solution x2 maps to z2 = x2[cotree].
 
-Two matrices are factored on first use, once per context and on the
-calling thread: M11 and the Lemma-2 saddle matrix [[-K22, X2, Y_C2],
-[X2^T, 0, 0], [Y_C2^T, 0, 0]], which give the projector Pi_inf and the
-reflexive-inverse product E_r^- A_r.  A context that only serves shifted
-solves (frequency sweeps, simulation) never factors them.  Shifted
-systems (tau E_r + A_r) z = w, real or complex, are solved through the
-Lemma-3 bordered matrix of dimension n1 + n2 + m + k2, whose winding rows
-are divided by tau so that it is symmetric (``shifted_lu``).
+Shifted systems (tau E_r + A_r) z = w, real or complex, are solved through
+the Lemma-3 bordered matrix tau Mb + Kb + Rb / tau of dimension
+n1 + n2 + m + k2, whose winding rows are divided by tau so that it is
+symmetric (``shifted_lu``).  The context assembles Kb, Mb and Rb once; the
+Lemma-2 saddle matrix [[-K22, X2, Y_C2], [X2^T, 0, 0], [Y_C2^T, 0, 0]] is
+Kb's trailing block after x1.  It and M11, which give Pi_inf and E_r^- A_r,
+are factored on first use, once per context and on the calling thread; a
+context that only serves shifted solves (sweeps, simulation) factors neither.
 
 All shifted bordered matrices share one sparsity pattern, so one
 nested-dissection ordering, computed per context from the edge midpoints
@@ -53,6 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .config import default_value
 from .lacore import (
     SingularMatrixError,
     factorize,
@@ -126,44 +127,25 @@ class OperatorContext:
         # shift-independent split of the Lemma-3 bordered matrix with its
         # winding rows divided by tau: mat(tau) = tau * Mb + Kb + Rb / tau
         x1 = sp.csr_matrix(rsys.X1)
-        y_blk = rsys.Y if k2 else None
-        yt_blk = rsys.Y.T if k2 else None
-        kb = [
+        self._lemma3_K = sp.bmat([
             [-k11, -k12, x1, None],
-            [-k12.T, -k22, rsys.X2, y_blk],
+            [-k12.T, -k22, rsys.X2, rsys.Y],
             [x1.T, rsys.X2.T, None, None],
-            [None, yt_blk, None, None],
-        ]
-        mb = [
-            [rsys.M11, None, None, None],
-            [None, sp.csr_matrix((n2, n2)), None, None],
-            [None, None, sp.csr_matrix((m, m)), None],
-            [None, None, None, sp.csr_matrix((k2, k2))],
-        ]
-        lemma2 = [
-            [-k22, rsys.X2, y_blk],
-            [rsys.X2.T, None, None],
-            [yt_blk, None, None],
-        ]
-        if k2 == 0:
-            kb = [row[:3] for row in kb[:3]]
-            mb = [row[:3] for row in mb[:3]]
-            lemma2 = [row[:2] for row in lemma2[:2]]
-        self._lemma3_K = sp.bmat(kb, format="csc")
-        self._lemma3_M = sp.bmat(mb, format="csc")
-        self._lemma3_R = sp.block_diag([sp.csc_matrix((n1 + n2, n1 + n2)),
-                                        -sp.csc_matrix(rsys.R),
+            [None, rsys.Y.T, None, None],
+        ], format="csc")
+        self._lemma3_M = sp.block_diag([rsys.M11, sp.csr_matrix((n2 + m + k2,) * 2)],
+                                       format="csc")
+        self._lemma3_R = sp.block_diag([sp.csc_matrix((n1 + n2,) * 2), -sp.csc_matrix(rsys.R),
                                         sp.csc_matrix((k2, k2))], format="csc")
         self._order = None
         if rsys.edge_xyz is not None:
             self._order = nested_dissection(
                 self._lemma3_K + self._lemma3_M, self._bordered_points(),
                 last=np.arange(n1 + n2, n1 + n2 + m))
-        self._lemma2_mat = sp.bmat(lemma2, format="csc")
+        self._lemma2_mat = self._lemma3_K[n1:, n1:]
         self._lus = None
         self._lus_lock = threading.Lock()
         self.B_r = rsys.B_r()
-        self._counts = None
 
     def _bordered_points(self):
         """One point per unknown of the bordered matrix: edge midpoints,
@@ -351,7 +333,8 @@ class OperatorContext:
 
     # -- spectral bounds ---------------------------------------------------
 
-    def spectral_bounds(self, maxit=150, tol=1e-9):
+    def spectral_bounds(self, maxit=default_value("mor.lanczos_maxit"),
+                        tol=default_value("mor.lanczos_tol")):
         """Extremal nonzero eigenvalue magnitudes of (E_r, A_r) via Lanczos.
 
         Lanczos runs on v -> E_r^- A_r v in the E_r inner product, started at
@@ -394,8 +377,6 @@ class OperatorContext:
         with N interior nodes, n_0 = N - k2 and n_s = n1 - N + k2 + m.  A
         system without a node count N raises ValueError.
         """
-        if self._counts is not None:
-            return self._counts
         r = self.rsys
         if r.n_nodes is None:
             raise ValueError("dimension counts need the number N of interior "
@@ -406,8 +387,7 @@ class OperatorContext:
         n_s = n_r - n0 - n_inf
         if min(n0, n_s) < 0:
             raise ValueError(f"negative dimension count: n0 = {n0}, n_s = {n_s}")
-        self._counts = {
+        return {
             "n_r": n_r, "n1": r.n1, "n2": r.n2, "k2": r.k2, "m": r.m,
             "n_inf": n_inf, "n0": n0, "n_s": n_s,
         }
-        return self._counts

@@ -3,8 +3,9 @@
 Builds the quasi-Weierstrass transformation data (W1, E11, A11, kernels
 Y_sigma, Y_nu, spectral projector Pi, reflexive inverses) by dense nullspace
 and factorization routines, without reusing the structured solver path.
-Small systems (brute tier) find W1, Y_nu, Y_sigma and W itself from raw SVD
-nullspaces.  Desk-scale systems work in the range of I - Pi_inf,
+Hand-built systems with n_r <= BRUTE_CAP (brute tier; no configuration
+reaches that size) find W1, Y_nu, Y_sigma and W itself from raw SVD
+nullspaces.  Larger systems (desk tier) work in the range of I - Pi_inf,
 which has dimension n1 + m (the rank of E_r) and holds the whole finite
 spectrum, the zero eigenvalues included.  Y_sigma = [0; Y2], Y2 a basis of
 ker X2hat^T, enters only through the SPD trailing block G = P2^T M_nu P2 of
@@ -36,10 +37,10 @@ work through V's (n1 + m)-dimensional coordinates.  For the Gramian identity
 of Theorem 4 it keeps the coordinates of E_r V and A_r V in
 range(blockdiag(I, Q_x)), Q_x an orthonormal basis of X2hat, and the Gram
 matrix of their remainder outside it (``pipeline.theorem4_residual``).  The
-n_r-row blocks W1, Y_nu, What1, A_r W1 and the E_r^- factor are formed
-only when accessed (tests).  The brute tier's V is [W1, Y_nu].
+n_r-row blocks W1, Y_nu, What1 and the E_r^- factor are formed only when
+accessed (tests).  The brute tier's V is [W1, Y_nu].
 Theorem 2 and the Gramians share one symmetric-definite eigendecomposition
-of (A11, E11).
+of (A11, E11); ``dense_gramians`` returns the Gramians' cores in W1's.
 
 E_r = blockdiag(M11, 0) + Xhat R^{-1} Xhat^T (Xhat = [X1; X2hat]) and
 A_r = -F_nu M_nu F_nu^T (F_nu = [C1^T; P2^T]) are applied as sparse products
@@ -68,6 +69,7 @@ from .config import default_value
 from .ops import OperatorContext
 
 A_COLUMN_BLOCK = 64   # columns of V that the desk build applies A_r to at a time
+BRUTE_CAP = 800       # largest n_r of the brute tier (hand-built systems only)
 
 
 def _inv_sqrt_spd(mat):
@@ -119,8 +121,8 @@ class SparsePencil:
 class DenseOracle:
     """Dense verification data for one regularized system, kept in the
     coordinates of a basis V of range(I - Pi_inf) (n_r x (n1 + m)): the
-    n_r-row blocks W1, Y_nu, What1, A_r W1 and the E_r^- factor are formed
-    only when accessed."""
+    n_r-row blocks W1, Y_nu, What1 and the E_r^- factor are formed only
+    when accessed."""
 
     tier: str                      # "brute" | "desk"
     n_s: int
@@ -182,20 +184,19 @@ class DenseOracle:
         return np.concatenate([self.Theta[:n1], self.pencil.Xhat[n1:] @ self.Theta[n1:]])
 
     @functools.cached_property
-    def AW1(self):
-        return self.pencil.apply_A(self.W1)
-
-    @functools.cached_property
     def einv_factor(self):
         """U with E_r^- = U U^T."""
         return self.V @ self.Phi
 
     @functools.cached_property
     def _saddle_factors(self):
-        """Desk tier: the factors of the Y_sigma Gram saddle system, made on
-        first use (``pi_inf_apply``, ``ainv_apply``); the build does not keep
-        its own."""
-        return _saddle_factors(self.pencil, self._n1)
+        """Desk tier: the null-space method's Cholesky factors of G and of
+        S = X2hat^T G^{-1} X2hat, and G^{-1} X2hat, for the Y_sigma Gram
+        saddle system; made on first use, as the build keeps none."""
+        g_fac, _ = _g_cholesky(self.pencil, self._n1)
+        x2h = self.pencil.Xhat[self._n1:]
+        gx = scipy.linalg.cho_solve(g_fac, x2h, check_finite=False)
+        return g_fac, scipy.linalg.cho_factor(x2h.T @ gx), gx
 
     @functools.cached_property
     def _pencil_eigh(self):
@@ -259,16 +260,17 @@ class DenseOracle:
         return lam, float(np.linalg.norm(skew))
 
 
-def build_dense_oracle(ctx: OperatorContext, cap=default_value("oracle.dense_cap"),
-                       brute_cap=800) -> DenseOracle:
-    """Construct the oracle; fails when n_r exceeds ``cap`` (config key
+def build_dense_oracle(ctx: OperatorContext,
+                       cap=default_value("oracle.dense_cap")) -> DenseOracle:
+    """Construct the oracle: the brute tier up to n_r = BRUTE_CAP, the desk
+    tier above; fails when n_r exceeds ``cap`` (config key
     ``oracle.dense_cap``, whose default it shares)."""
     rsys = ctx.rsys
     n_r = rsys.n_r
     if n_r > cap:
         raise ValueError(f"dense oracle cap exceeded: n_r = {n_r} > {cap}")
     pencil = SparsePencil.of(rsys)
-    if n_r <= brute_cap:
+    if n_r <= BRUTE_CAP:
         return _build_brute(rsys, pencil, ctx.B_r)
     return _build_desk(rsys, pencil, ctx.B_r)
 
@@ -325,15 +327,6 @@ def _g_cholesky(pencil, n1):
                            f"definite (dpotrf info {info})")
     pivots = np.diagonal(c)
     return (c, True), float((pivots.min() / pivots.max()) ** 2)
-
-
-def _saddle_factors(pencil, n1):
-    """Cholesky factors of G and of S = X2hat^T G^{-1} X2hat, and
-    G^{-1} X2hat: the null-space method for the Y_sigma Gram saddle system."""
-    g_fac, _ = _g_cholesky(pencil, n1)
-    x2h = pencil.Xhat[n1:]
-    gx = scipy.linalg.cho_solve(g_fac, x2h, check_finite=False)
-    return g_fac, scipy.linalg.cho_factor(x2h.T @ gx), gx
 
 
 def psd_kernel(mat):
@@ -490,23 +483,11 @@ def _factored_oracle(tier, rsys, pencil, b_r, v, ev, av, e_f, a_f, c, k, **kw):
     )
 
 
-@dataclass
-class FactoredGramian:
-    """Gramian G = W1 core W1^T restricted to the Pi subspace; W1 is the
-    oracle's, formed by ``toarray`` only."""
-
-    oracle: DenseOracle
-    core: np.ndarray
-
-    def toarray(self):
-        w1 = self.oracle.W1
-        return w1 @ self.core @ w1.T
-
-
 def dense_gramians(oracle: DenseOracle):
     """Solve the projected Lyapunov equations in W1 coordinates, in closed form.
 
-    Both equations reduce to E11 G A11 + A11 G E11 = -Q on the n_s block.
+    Returns the n_s x n_s cores (g_c, g_o) of the Gramians W1 g W1^T; both
+    equations reduce to E11 G A11 + A11 G E11 = -Q on the n_s block.
     The symmetric-definite eigendecomposition of (A11, E11), shared with
     ``DenseOracle.finite_eigenvalues``, gives Z with Z^T E11 Z = I and
     Z^T A11 Z = Lambda (all lambda_i < 0), so G = Z X Z^T with
@@ -520,5 +501,5 @@ def dense_gramians(oracle: DenseOracle):
     out = []
     for b in (bt, lam[:, None] * bt):
         g = z @ (-(b @ b.T) / denom) @ z.T
-        out.append(FactoredGramian(oracle, 0.5 * (g + g.T)))
+        out.append(0.5 * (g + g.T))
     return tuple(out)

@@ -582,7 +582,7 @@ def theorem4_residual(oracle):
     """
     c, rem_gram = oracle.C, oracle.rem_gram
     n_fin = c.shape[0]
-    g_c, g_o = (g.core for g in dense_gramians(oracle))
+    g_c, g_o = dense_gramians(oracle)
     t, m_blocks = [], []
     r_gamma_r, remainder = 0.0, 0.0
     for i, (coord_v, gamma) in enumerate(((oracle.EV_coord, g_o), (oracle.AV_coord, -g_c))):

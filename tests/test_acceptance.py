@@ -134,8 +134,8 @@ def test_criterion_06_theorem4_gramian_identity(desk):
     gc, go = dense_gramians(oracle)
     ew = oracle.E_dense @ oracle.W1
     aw = oracle.A_dense @ oracle.W1
-    lhs = (ew @ go.core) @ ew.T
-    rhs = (aw @ gc.core) @ aw.T
+    lhs = (ew @ go) @ ew.T
+    rhs = (aw @ gc) @ aw.T
     rel = np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)
     ok = rel <= 1e-8
     _report(6, ok, f"|| E Go E - A Gc A || rel {rel:.1e}")

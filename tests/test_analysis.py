@@ -91,7 +91,7 @@ def test_simulate_reduced_matches_full_toy(toy):
     model = toy_model(ctx)
     u = lambda t: np.array([np.sin(3.0 * t)])
     sim = simulate_compare(ctx, model, u, 2.0, 100)
-    assert sim.max_rel_error <= 1e-9
+    assert sim.rel_error.max() <= 1e-9
 
 
 def test_simulate_validation(toy):

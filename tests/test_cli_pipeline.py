@@ -65,6 +65,15 @@ def test_cli_exit_code_config_error(tmp_path):
     assert main(["mesh", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_cli_rejects_seed_outside_u64_at_parsing(tmp_path, capsys):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", "--seed", "-1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "outside [0, 2^64)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_exit_code_numerical_failure(tmp_path, monkeypatch):
     import mqsmor.pipeline as pl
     monkeypatch.setitem(pl._STAGE_FUNCS, "mesh",
@@ -240,6 +249,8 @@ def test_config_rejects_nonpositive_passivity_samples(tmp_path, samples):
     ("mor.lanczos_maxit", -2, "must be >= 1"),
     ("mor.lanczos_tol", 0.0, "must be positive"),
     ("mor.lanczos_tol", -1e-9, "must be positive"),
+    ("mor.eps_shift", 1.0, "must be below 1"),
+    ("mor.eps_shift", 1.5, "must be below 1"),
 ])
 def test_config_rejects_bad_lanczos_settings(tmp_path, key, value, message):
     with pytest.raises(ConfigError, match=f"{key} {message}"):

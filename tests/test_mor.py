@@ -293,7 +293,7 @@ def test_gramian_factor_consistency_with_oracle(desk):
     ctx, oracle = desk.ctx, desk.oracle
     zo = ctx.apply_EinvA(desk.zc.Z)
     _, go = dense_gramians(oracle)
-    go_dense = go.toarray()
+    go_dense = oracle.W1 @ go @ oracle.W1.T
     diff = zo @ zo.T - go_dense
     assert np.linalg.norm(diff) <= 1e-6 * np.linalg.norm(go_dense)
 
@@ -308,8 +308,8 @@ def _hankel_from_oracle(ctx, oracle):
     """Hankel values of the system from the oracle's dense Gramian, the
     eigenvalues (descending) of L^T G_c L with L L^T = -W1^T A_r W1, and
     tr(R^{-1})."""
-    g_c = dense_gramians(oracle)[0].core
-    s = -oracle.W1.T @ oracle.AW1
+    g_c = dense_gramians(oracle)[0]
+    s = -oracle.W1.T @ oracle.pencil.apply_A(oracle.W1)
     low = np.linalg.cholesky(0.5 * (s + s.T))
     sigma = np.linalg.eigvalsh(low.T @ (0.5 * (g_c + g_c.T)) @ low)[::-1]
     return sigma, float(np.trace(ctx.rsys.Rinv))
