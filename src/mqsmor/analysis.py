@@ -266,7 +266,9 @@ def simulate(system, u, t_final, steps):
     full model factors one LU and starts each step from earlier states
     (``_StateBasis``, at most STATE_BASIS_CAP of them, which take
     2 STATE_BASIS_CAP n_r float64 values); every state meets the residual
-    certificate of ``OperatorContext.shifted_solve``.
+    certificate of ``OperatorContext.shifted_solve``.  Both report
+    y_0 = 0: the state starts at 0 and H(inf) = 0 (B_r^T E_r^- B_r = R^{-1},
+    Section 3.2), so the output has no feedthrough and cannot jump at t = 0.
     """
     if steps < 1 or t_final <= 0:
         raise ValueError("need steps >= 1 and t_final > 0")
@@ -325,7 +327,7 @@ def _simulate_full(ctx, u, t, h):
     x = np.zeros(r.n_r)
     rinv = r.Rinv
     y = np.empty((t.shape[0], m))
-    y[0] = rinv @ _sample_input(u, t[0], m)
+    y[0] = 0.0                          # see ``simulate``
     # (E - h A) x_new = rhs  <=>  ((-1/h) E + A) x_new = -rhs / h: one LU
     # serves every step, and each step starts from the earlier states
     lu = ctx.shifted_lu(-1.0 / h)

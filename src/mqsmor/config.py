@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import MaterialSpec, WindingSpec
-from .mesh import GeometrySpec
+from .mesh import GeometrySpec, check_grid_aligned
 
 
 class ConfigError(ValueError):
@@ -84,6 +84,10 @@ class RunConfig:
             z3=self["geometry.z3"], z4=self["geometry.z4"],
             resolution=self["geometry.resolution"],
         )
+        try:
+            check_grid_aligned(self.geometry)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         self.material = MaterialSpec(
             sigma1=self["material.sigma1"],
             nu_iron=self["material.nu_iron"],

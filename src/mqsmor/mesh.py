@@ -185,22 +185,31 @@ def _check_aligned(values, grid, axis_name):
             )
 
 
+def check_grid_aligned(spec: GeometrySpec):
+    """Raise ValueError when a shell interface of ``spec`` does not lie on
+    a plane of its grid (misaligned interfaces would make region labels
+    and the winding support inexact)."""
+    if not spec.has_shells:
+        return
+    n = spec.resolution
+    gx, gy, gz = _axis_grid(spec.c1, n), _axis_grid(spec.c2, n), _axis_grid(spec.c3, n)
+    radii = [spec.r1, spec.r2, spec.r3, spec.r4]
+    _check_aligned(radii, gx, "x")
+    _check_aligned([-r for r in radii], gx, "x")
+    _check_aligned(radii, gy, "y")
+    _check_aligned([-r for r in radii], gy, "y")
+    _check_aligned([spec.z1, spec.z2, spec.z3, spec.z4], gz, "z")
+
+
 def generate_mesh(spec: GeometrySpec) -> Mesh:
     """Kuhn-subdivided box mesh with exact region labeling.
 
     Raises ValueError when a shell interface does not lie on a grid plane
-    (misaligned interfaces would make region labels and the winding support
-    inexact).
+    (``check_grid_aligned``).
     """
+    check_grid_aligned(spec)
     n = spec.resolution
     gx, gy, gz = _axis_grid(spec.c1, n), _axis_grid(spec.c2, n), _axis_grid(spec.c3, n)
-    if spec.has_shells:
-        radii = [spec.r1, spec.r2, spec.r3, spec.r4]
-        _check_aligned(radii, gx, "x")
-        _check_aligned([-r for r in radii], gx, "x")
-        _check_aligned(radii, gy, "y")
-        _check_aligned([-r for r in radii], gy, "y")
-        _check_aligned([spec.z1, spec.z2, spec.z3, spec.z4], gz, "z")
 
     def node_id(i, j, k):
         return (k * (n + 1) + j) * (n + 1) + i

@@ -12,10 +12,13 @@ ker X2hat^T, enters only through the SPD trailing block G = P2^T M_nu P2 of
 -A_r: range(I - Pi_inf) = ker(Y_sigma^T A_r) is the set of x with
 (A_r x)[n1:] in span X2hat, which has the basis
 V0 = [[I, 0], [G^{-1} A21, -G^{-1} X2hat]] (A21 = -P2^T M_nu C1).  One
-Cholesky factorization of G, factored in place, and one solve with n1 + m
-right-hand sides give V0; its rank n1 + m follows from the identity block
-and from S = X2hat^T G^{-1} X2hat > 0 (a Cholesky factor of S), and one
-Cholesky QR, V = V0 L^{-T} with L L^T = V0^T V0, makes it orthonormal.  The
+Cholesky factorization of G and one solve with n1 + m right-hand sides give
+V0: G is assembled from row blocks of its sparse product straight into
+LAPACK's rectangular full packed (RFP) storage, n2r (n2r + 1) / 2 doubles,
+and factored there (``dpftrf``, ``dpftrs``).  V0's rank n1 + m follows from
+the identity block and from S = X2hat^T G^{-1} X2hat > 0 (a Cholesky factor
+of S), and one Cholesky QR, V = V0 L^{-T} with L L^T = V0^T V0, makes it
+orthonormal.  The
 margins are G's pivot ratio and ||V^T V - I||_F.  With E_f = V^T E_r V and
 A_f = -V^T A_r V, both of order n1 + m, the kernel Y_nu = V K comes from the
 eigenvectors K of A_f below 1e-10 lambda_max (``psd_kernel``, which refuses
@@ -23,12 +26,15 @@ an ambiguous threshold), certified against the sparse F_nu by
 ||F_nu F_nu^T Y_nu|| <= 1e-10 lambda_max(F_nu F_nu^T); W1 = V C, C an
 orthonormal basis of the E_f-orthogonal complement of K (from Householder
 reflectors, without forming the square Q), is an orthonormal basis of the
-range of the spectral projector.  No Gram matrix of size n_r is formed.  The
-build holds one n^2-sized block, G's factor (n2 - k2 square), which serves
-the one solve and is freed before the tall blocks are formed;
-``DenseOracle`` refactors it on first use of ``pi_inf_apply`` or
-``ainv_apply``, and solves the Y_sigma Gram saddle system by the null-space
-method with the factors of G and S.
+range of the spectral projector.  No Gram matrix of size n_r is formed, and
+no n2r x n2r array.  The build holds one n^2-sized block, G's packed factor,
+which serves the one solve and is freed before the tall blocks are formed.
+E_r V and A_r V are used up as soon as they exist: V^T E_r V, V^T A_r V
+and Theorem 4's parts are taken from them, and both are freed before the
+kernel, the complement, Theta and Phi are formed.  ``DenseOracle``
+refactors G on first use of ``pi_inf_apply`` or ``ainv_apply``, and solves
+the Y_sigma Gram saddle system by the null-space method with the packed
+factor of G and the factor of S.
 
 The oracle of either tier keeps V and small coefficient matrices only:
 W1 = V C, Y_nu = V K, What1 = H Theta (H = blockdiag(I, X2hat)) and
@@ -68,7 +74,9 @@ from scipy.linalg import lapack
 from .config import default_value
 from .ops import OperatorContext
 
-A_COLUMN_BLOCK = 64   # columns of V that the desk build applies A_r to at a time
+COLUMN_BLOCK = 64     # columns of V that the desk build applies A_r to, and of
+                      # the Theorem-4 remainders that it updates, at a time
+G_ROW_BLOCK = 256     # rows of G that the desk build assembles at a time
 BRUTE_CAP = 800       # largest n_r of the brute tier (hand-built systems only)
 
 
@@ -190,12 +198,13 @@ class DenseOracle:
 
     @functools.cached_property
     def _saddle_factors(self):
-        """Desk tier: the null-space method's Cholesky factors of G and of
-        S = X2hat^T G^{-1} X2hat, and G^{-1} X2hat, for the Y_sigma Gram
-        saddle system; made on first use, as the build keeps none."""
+        """Desk tier: the null-space method's Cholesky factors of G (in RFP
+        storage, ``_g_cholesky``) and of S = X2hat^T G^{-1} X2hat, and
+        G^{-1} X2hat, for the Y_sigma Gram saddle system; made on first use,
+        as the build keeps none."""
         g_fac, _ = _g_cholesky(self.pencil, self._n1)
         x2h = self.pencil.Xhat[self._n1:]
-        gx = scipy.linalg.cho_solve(g_fac, x2h, check_finite=False)
+        gx = _g_solve(g_fac, x2h)
         return g_fac, scipy.linalg.cho_factor(x2h.T @ gx), gx
 
     @functools.cached_property
@@ -229,7 +238,7 @@ class DenseOracle:
         v = np.asarray(v)
         g_fac, s_fac, gx = self._saddle_factors
         z2 = gx @ scipy.linalg.cho_solve(s_fac, gx.T @ v[n1:])
-        z2 -= scipy.linalg.cho_solve(g_fac, v[n1:], check_finite=False)
+        z2 -= _g_solve(g_fac, v[n1:])
         return np.concatenate([np.zeros((n1,) + v.shape[1:]), z2])
 
     def pi_inf_apply(self, v):
@@ -306,27 +315,78 @@ def _build_brute(rsys, pencil, b_r):
     # V = [W1, Y_nu] spans range(I - Pi_inf)
     v = np.hstack([w1, y_nu])
     ev, av = e @ v, a @ v
+    e_f, a_f = v.T @ ev, v.T @ av
     eye = np.eye(n_s + n_0)
-    return _factored_oracle("brute", rsys, pencil, b_r, v, ev, av, v.T @ ev, v.T @ av,
+    return _factored_oracle("brute", rsys, pencil, b_r, v, e_f, a_f,
                             eye[:, :n_s], eye[:, n_s:], Y_sigma=y_sigma,
-                            W=np.hstack(blocks))
+                            W=np.hstack(blocks), **_theorem4_parts(n1, rsys.X2hat, ev, av))
+
+
+def _rfp_lower(packed, n):
+    """LAPACK's rectangular full packed (RFP) storage of an n x n lower
+    triangle, transr 'N' (Gustavson, Wasniewski, Dongarra & Langou, ACM TOMS
+    37(2), 2010): the n(n + 1)/2 doubles of ``packed`` form a column-major
+    array of n + r0 rows and k0 = ceil(n / 2) columns.  The triangle's first
+    k0 columns fill that array's columns from row r0 down; its trailing
+    (n - k0)-square triangle, transposed, fills the upper triangle from
+    column c0 on; (r0, c0) is (1, 0) for n even and (0, 1) for n odd.
+    Returns that array as a view, and (k0, r0, c0)."""
+    k0, r0, c0 = (n + 1) // 2, 1 - n % 2, n % 2
+    return packed.reshape(k0, n + r0).T, k0, r0, c0
+
+
+def _rfp_diagonal(packed, n):
+    """The diagonal of the lower triangle held in RFP storage."""
+    ar, k0, r0, c0 = _rfp_lower(packed, n)
+    head, tail = np.arange(k0), np.arange(n - k0)
+    return np.concatenate([ar[head + r0, head], ar[tail, tail + c0]])
+
+
+def _g_packed(f2, mnu):
+    """G = F2 M_nu F2^T in RFP storage (``_rfp_lower``): its rows
+    (F2[rows] M_nu) F2^T are made G_ROW_BLOCK at a time from the sparse
+    product and written straight into the packed array, so no n x n array
+    is formed.  Row j of the product, from column j on, is column j of the
+    lower triangle that is stored."""
+    f2_mnu, f2_t = f2 @ mnu, f2.T.tocsr()
+    n = f2.shape[0]
+    packed = np.empty(n * (n + 1) // 2)
+    ar, k0, r0, c0 = _rfp_lower(packed, n)
+    for lo in range(0, n, G_ROW_BLOCK):
+        rows = (f2_mnu[lo:lo + G_ROW_BLOCK] @ f2_t).toarray()
+        for j, row in enumerate(rows, start=lo):
+            if j < k0:
+                ar[j + r0:n + r0, j] = row[j:]
+            else:
+                ar[j - k0, j - k0 + c0:] = row[j:]
+    return packed
 
 
 def _g_cholesky(pencil, n1):
-    """Cholesky factor (c, lower) of G = P2^T M_nu P2, the trailing block of
-    -A_r, and its pivot ratio min / max of diag(L)^2: assembled sparse, made
-    dense once and factored in place.  RuntimeError when G is not positive
-    definite."""
+    """Cholesky factor of G = P2^T M_nu P2, the trailing block of -A_r, in
+    RFP storage (uplo 'L': n(n + 1)/2 doubles for G of order n), factored in
+    place, and its pivot ratio min / max of diag(L)^2.  RuntimeError when G
+    is not positive definite."""
     f2 = pencil.F_nu[n1:]
-    g = (f2 @ pencil.Mnu @ f2.T).toarray()
-    # symmetric (to rounding): its transpose is the Fortran-ordered matrix,
-    # whose lower triangle is factored in place
-    c, info = lapack.dpotrf(g.T, lower=1, clean=0, overwrite_a=1)
+    n = f2.shape[0]
+    fac, info = lapack.dpftrf(n, _g_packed(f2, pencil.Mnu), transr="N", uplo="L",
+                              overwrite_a=1)
     if info != 0:
         raise RuntimeError(f"desk oracle: G = P2^T M_nu P2 is not positive "
-                           f"definite (dpotrf info {info})")
-    pivots = np.diagonal(c)
-    return (c, True), float((pivots.min() / pivots.max()) ** 2)
+                           f"definite (dpftrf info {info})")
+    pivots = _rfp_diagonal(fac, n)
+    return fac, float((pivots.min() / pivots.max()) ** 2)
+
+
+def _g_solve(fac, b, overwrite_b=False):
+    """G^{-1} b from G's packed Cholesky factor (``_g_cholesky``), for b of
+    one or two dimensions; b is overwritten when ``overwrite_b`` is set and
+    it is a Fortran-ordered matrix."""
+    x, info = lapack.dpftrs(b.shape[0], fac, b.reshape(b.shape[0], -1), transr="N",
+                            uplo="L", overwrite_b=overwrite_b)
+    if info != 0:
+        raise ValueError(f"dpftrs: illegal argument {-info}")
+    return x.reshape(b.shape)
 
 
 def psd_kernel(mat):
@@ -357,7 +417,7 @@ def _build_desk(rsys, pencil, b_r):
     low = np.empty((n2r, n_fin), order="F")
     (f[n1:] @ (pencil.Mnu @ f[:n1].T)).toarray(out=low[:, :n1])
     low[:, n1:] = x2h
-    low = scipy.linalg.cho_solve(g_fac, low, overwrite_b=True, check_finite=False)
+    low = _g_solve(g_fac, low, overwrite_b=True)
     del g_fac
     np.negative(low, out=low)
     try:
@@ -378,15 +438,20 @@ def _build_desk(rsys, pencil, b_r):
     vtv = v.T @ v
     vtv[np.diag_indices(n_fin)] -= 1.0
     orthogonality = float(np.linalg.norm(vtv))
-    # A_r goes A_COLUMN_BLOCK columns at a time, so that its temporaries of
-    # n_f rows stay small
-    ev, av = pencil.apply_E(v), np.empty_like(v)
-    for j in range(0, n_fin, A_COLUMN_BLOCK):
-        av[:, j:j + A_COLUMN_BLOCK] = pencil.apply_A(v[:, j:j + A_COLUMN_BLOCK])
+    # E_r V and A_r V are used up at once: their coordinates E_f = V^T E_r V
+    # and V^T A_r V and Theorem 4's parts; A_r goes COLUMN_BLOCK columns at
+    # a time, so that its temporaries of n_f rows stay small
+    ev = pencil.apply_E(v)
+    e_f = v.T @ ev
+    av = np.empty_like(v)
+    for j in range(0, n_fin, COLUMN_BLOCK):
+        av[:, j:j + COLUMN_BLOCK] = pencil.apply_A(v[:, j:j + COLUMN_BLOCK])
+    vav = v.T @ av
+    theorem4 = _theorem4_parts(n1, x2h, ev, av)
+    del ev, av
 
     # ker A_r lies in range(I - Pi_inf) and A_r is NSD, so the kernel of
     # A_f = -V^T A_r V is ker A_r in V's coordinates
-    vav = v.T @ av
     n_0, lam, vecs = psd_kernel(-vav)
     n_s = n_fin - n_0
     if n_s <= 0:
@@ -405,7 +470,6 @@ def _build_desk(rsys, pencil, b_r):
 
     # W1 = V C, C an orthonormal basis of the E_f-orthogonal complement of K:
     # range(Pi) is the part of range(I - Pi_inf) that Y_nu^T E_r annihilates
-    e_f = v.T @ ev
     c = _complement(e_f @ k)
     margins = {
         "g_pivot_ratio": pivot_ratio,
@@ -413,8 +477,8 @@ def _build_desk(rsys, pencil, b_r):
         "kernel_gap": float(lam[n_0] / lam[-1]),
         "ynu_residual": residual,
     }
-    return _factored_oracle("desk", rsys, pencil, b_r, v, ev, av, e_f, vav, c, k,
-                            margins=margins)
+    return _factored_oracle("desk", rsys, pencil, b_r, v, e_f, vav, c, k,
+                            margins=margins, **theorem4)
 
 
 def _complement(u):
@@ -445,10 +509,33 @@ def _times_inv_chol_t(x, mat):
     return scipy.linalg.solve_triangular(low, x.T, lower=True).T
 
 
-def _factored_oracle(tier, rsys, pencil, b_r, v, ev, av, e_f, a_f, c, k, **kw):
+def _theorem4_parts(n1, x2h, ev, av):
+    """Theorem 4's parts of E_r V and A_r V (``ev``, ``av``, overwritten),
+    as the DenseOracle fields they fill: with Q_x an orthonormal basis of
+    X2hat and Q_H = blockdiag(I, Q_x), the coordinates Q_H^T E_r V and
+    Q_H^T A_r V, and the Gram matrix r^T r of the remainder
+    r = (I - Q_H Q_H^T) [E_r V, A_r V], whose rank-m update runs
+    COLUMN_BLOCK columns at a time."""
+    q_x = np.linalg.qr(x2h)[0]
+    coords, rems = [], []
+    for block in (ev, av):
+        coords.append(np.vstack([block[:n1], q_x.T @ block[n1:]]))
+        rem = block[n1:]
+        for j in range(0, rem.shape[1], COLUMN_BLOCK):
+            rem[:, j:j + COLUMN_BLOCK] -= q_x @ coords[-1][n1:, j:j + COLUMN_BLOCK]
+        rems.append(rem)
+    n_fin = ev.shape[1]
+    gram = np.empty((2 * n_fin, 2 * n_fin))
+    for i, j in ((0, 0), (0, 1), (1, 1)):
+        gram[i * n_fin:(i + 1) * n_fin, j * n_fin:(j + 1) * n_fin] = rems[i].T @ rems[j]
+    gram[n_fin:, :n_fin] = gram[:n_fin, n_fin:].T
+    return {"EV_coord": coords[0], "AV_coord": coords[1], "rem_gram": gram}
+
+
+def _factored_oracle(tier, rsys, pencil, b_r, v, e_f, a_f, c, k, **kw):
     """The DenseOracle on a basis V of range(I - Pi_inf) with W1 = V C and
-    Y_nu = V K, from E_r V and A_r V (``ev``, ``av``, overwritten) and their
-    coordinates E_f = V^T E_r V and A_f = V^T A_r V."""
+    Y_nu = V K, from the coordinates E_f = V^T E_r V and A_f = V^T A_r V;
+    ``kw`` holds the remaining fields (Theorem 4's parts among them)."""
     n1, x2h = rsys.n1, rsys.X2hat
     n_s, n_0 = c.shape[1], k.shape[1]
     e11 = c.T @ e_f @ c
@@ -462,24 +549,10 @@ def _factored_oracle(tier, rsys, pencil, b_r, v, ev, av, e_f, a_f, c, k, **kw):
 
     # E_r^- = W1 E11^{-1} W1^T + Y_nu g0^{-1} Y_nu^T, g0 = Y_nu^T E_r Y_nu
     phi = np.hstack([_times_inv_chol_t(c, e11), _times_inv_chol_t(k, k.T @ e_f @ k)])
-
-    # Theorem 4's coordinates and remainders of E_r V and A_r V
-    q_x = np.linalg.qr(x2h)[0]
-    coords, rems = [], []
-    for block in (ev, av):
-        coords.append(np.vstack([block[:n1], q_x.T @ block[n1:]]))
-        rem = block[n1:]
-        rem -= q_x @ coords[-1][n1:]
-        rems.append(rem)
-    n_fin = v.shape[1]
-    gram = np.empty((2 * n_fin, 2 * n_fin))
-    for i, j in ((0, 0), (0, 1), (1, 1)):
-        gram[i * n_fin:(i + 1) * n_fin, j * n_fin:(j + 1) * n_fin] = rems[i].T @ rems[j]
-    gram[n_fin:, :n_fin] = gram[:n_fin, n_fin:].T
     return DenseOracle(
         tier=tier, n_s=n_s, n_0=n_0, n_inf=rsys.n_r - n_s - n_0, pencil=pencil,
         V=v, C=c, K=k, Theta=theta, Phi=phi, E11=e11, A11=a11, B1=c.T @ (v.T @ b_r),
-        EV_coord=coords[0], AV_coord=coords[1], rem_gram=gram, _n1=n1, **kw,
+        _n1=n1, **kw,
     )
 
 

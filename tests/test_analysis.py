@@ -94,6 +94,23 @@ def test_simulate_reduced_matches_full_toy(toy):
     assert sim.rel_error.max() <= 1e-9
 
 
+def test_simulate_output_starts_at_zero_under_a_jump(toy):
+    """A drive with u(0) = 2: both models report y_0 = 0 (x(0) = 0 and
+    H(inf) = 0), and no later output depends on u(0): a drive that agrees
+    for t > 0 but starts at 0 gives the same bits."""
+    _, _, _, ctx = toy
+    model = toy_model(ctx)
+    jump = lambda t: np.array([2.0 + np.sin(3.0 * t)])
+    smooth = lambda t: jump(t) if t > 0 else np.zeros(1)
+    for system in (ctx, model):
+        _, y = simulate(system, jump, 2.0, 50)
+        _, y_smooth = simulate(system, smooth, 2.0, 50)
+        assert np.all(y[0] == 0.0)
+        assert np.array_equal(y, y_smooth)
+    sim = simulate_compare(ctx, model, jump, 2.0, 50)
+    assert sim.u[0, 0] == 2.0 and sim.rel_error[0] == 0.0
+
+
 def test_simulate_validation(toy):
     _, _, _, ctx = toy
     with pytest.raises(ValueError):
@@ -135,12 +152,12 @@ def test_output_form_equivalence_along_trajectory(synthetic):
 
 def plain_simulate(ctx, u, t_final, steps):
     """Outputs of the full-model implicit Euler with one plain
-    ``shifted_solve`` per step, no start, on one LU."""
+    ``shifted_solve`` per step, no start, on one LU; y_0 = 0."""
     rsys = ctx.rsys
     h = t_final / steps
     x = np.zeros(rsys.n_r)
     lu = ctx.shifted_lu(-1.0 / h)
-    y = [rsys.Rinv @ u(0.0)]
+    y = [np.zeros(rsys.m)]
     for k in range(1, steps + 1):
         uk = u(k * h)
         rhs = rsys.apply_Er(x) + h * (ctx.B_r @ uk)

@@ -65,6 +65,21 @@ def test_cli_exit_code_config_error(tmp_path):
     assert main(["mesh", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("resolution", [7, 8])
+def test_cli_rejects_geometry_off_the_grid_at_config_time(tmp_path, capsys, resolution):
+    """At resolution 7 or 8 the default shell radii miss the grid planes:
+    a configuration error (exit 2) before any stage runs, not a numerical
+    failure of the mesh stage."""
+    cfg = tmp_path / "coarse.cfg"
+    cfg.write_text(f"geometry.resolution = {resolution}\n")
+    out = tmp_path / "o"
+    assert main(["mesh", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "does not lie on a grid plane" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="grid plane"):
+        RunConfig({"geometry.resolution": resolution})
+
+
 def test_cli_rejects_seed_outside_u64_at_parsing(tmp_path, capsys):
     out = tmp_path / "o"
     with pytest.raises(SystemExit) as exc:

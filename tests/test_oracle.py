@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
+from scipy.linalg import lapack
 
 from mqsmor import oracle as oracle_mod
 from mqsmor import pipeline
@@ -229,29 +230,49 @@ def test_desk_oracle_holds_no_n_r_square_array(traced_desk_oracle):
     n2r = n_r - oracle._n1                       # G = P2^T M_nu P2
     n_saddle = n2r + oracle.pencil.Xhat.shape[1]     # the Y_sigma saddle matrix
     held = list(_arrays(list(vars(oracle).values()) + list(vars(oracle.pencil).values())))
+    packed = (n2r * (n2r + 1) // 2,)                 # G's factor in RFP storage
     assert not [v for v in held
-                if v.shape in ((n_r, n_r), (n2r, n2r), (n_saddle, n_saddle))]
+                if v.shape in ((n_r, n_r), (n2r, n2r), (n_saddle, n_saddle), packed)]
     # of n2r rows or more only V, n_r x (n1 + m), and the pencil's n_r x m Xhat
     assert {id(v) for v in held if v.shape[0] >= n2r} == {id(oracle.V), id(oracle.pencil.Xhat)}
     assert oracle.V.shape == (n_r, oracle.n_s + oracle.n_0)
     lazy = {"E_dense", "A_dense", "_saddle_factors", "W1", "Y_nu", "What1", "einv_factor"}
     assert not lazy & set(vars(oracle))
-    # the checks see a held block: the lazy ones, once made
+    # the checks see a held block: the lazy ones, once made; G's factor is
+    # the packed vector, and no square array
     probe = dataclasses.replace(oracle)
     probe.pi_inf_apply(np.ones(n_r))
-    assert [v for v in _arrays(vars(probe).values()) if v.shape == (n2r, n2r)]
+    made = list(_arrays(vars(probe).values()))
+    assert [v for v in made if v.shape == packed]
+    assert not [v for v in made if v.shape == (n2r, n2r)]
     probe.W1
     assert [v for v in _arrays(vars(probe).values()) if v.shape == (n_r, oracle.n_s)]
 
 
 def test_desk_oracle_traced_peak(traced_desk_oracle):
-    # measured 0.88 n_r^2 doubles, set by G's Cholesky phase (G is
-    # (n_r - n1)^2); the bound leaves 8 % of margin.  Keeping the n_r x n_s
-    # blocks and the E_r^- factor set it at 1.00, the saddle LU with its
-    # probe block at 1.21, the F_nu F_nu^T Gram of an earlier build at
-    # 1.32, and keeping the saddle LU through the build at 1.82
+    # measured 0.69 n_r^2 doubles; the bound leaves 9 % of margin.  G's
+    # dense Cholesky factor ((n_r - n1)^2, against half of that packed) set
+    # it at 0.88, keeping the n_r x n_s blocks and the E_r^- factor at
+    # 1.00, the saddle LU with its probe block at 1.21, the F_nu F_nu^T Gram
+    # of an earlier build at 1.32, and keeping the saddle LU through the
+    # build at 1.82
     oracle, peak = traced_desk_oracle
-    assert peak <= 0.95 * oracle.n_r ** 2 * 8
+    assert peak <= 0.75 * oracle.n_r ** 2 * 8
+
+
+def test_desk_theorem4_traced_peak(desk):
+    """theorem4_residual's temporaries: measured 9.0 (n1 + m)^2 doubles
+    (24.3 MiB on the desk); forming M = [M_E, M_A] and M r_V^T r_V whole,
+    (n1 + m) x 2 (n1 + m) each, took 12.0."""
+    oracle = dataclasses.replace(desk.oracle)      # no cached eigendecomposition
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        theorem4_residual(oracle)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10.0 * oracle.V.shape[1] ** 2 * 8
 
 
 def _sin_angle(a, b):
@@ -513,3 +534,67 @@ def test_factored_applies_match_explicit_forms(request, name):
                      (oracle.pi_dense(), w1 @ what1.T),
                      (oracle.einv_dense(), u @ u.T)):
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def _small_g_factors(n, sign=1.0):
+    """A sparse F2 (n x (n + 3)) and diagonal M_nu, of sign ``sign``, whose
+    G = F2 M_nu F2^T is definite."""
+    rng = np.random.default_rng(n)
+    f2 = sp.random(n, n + 3, density=0.5, random_state=n) + sp.eye(n, n + 3)
+    return f2.tocsr(), sp.diags(sign * rng.uniform(1.0, 2.0, n + 3)).tocsr()
+
+
+def _g_factors(request, name):
+    """(F2, M_nu) of G for a size 1..8 or the toy, synthetic or desk system."""
+    if isinstance(name, int):
+        return _small_g_factors(name)
+    fixture = request.getfixturevalue(name)
+    rsys = fixture.rsys if name == "desk" else fixture[2]
+    pencil = SparsePencil.of(rsys)
+    return pencil.F_nu[rsys.n1:], pencil.Mnu
+
+
+@pytest.mark.parametrize("name", [1, 2, 3, 4, 5, 6, 7, 8, "toy", "synthetic", "desk"])
+def test_g_packed_equals_lapack_rfp_of_dense_g(request, monkeypatch, name):
+    """G assembled in RFP storage, row block by row block (3 rows at a time
+    for the small sizes, so that blocks straddle the storage's two parts),
+    equals LAPACK's dtrttf of the dense product, bit for bit: its lower
+    triangle holds row j of (F2 M_nu) F2^T from column j on, the triangle
+    that the dense Cholesky factor of G was taken from."""
+    f2, mnu = _g_factors(request, name)
+    if isinstance(name, int):
+        monkeypatch.setattr(oracle_mod, "G_ROW_BLOCK", 3)
+    g = (f2 @ mnu @ f2.T).toarray()
+    ref, info = lapack.dtrttf(g.T, transr="N", uplo="L")
+    assert info == 0
+    assert np.array_equal(oracle_mod._g_packed(f2, mnu), ref)
+
+
+@pytest.mark.parametrize("name", [1, 2, 5, 8, "synthetic", "desk"])
+def test_g_packed_solve_matches_dense_cholesky(request, name):
+    """dpftrs on the packed factor agrees with cho_solve on the dense one
+    to 1e-12, for one and for several right-hand sides, and the pivot
+    ratio is that of the dense factor."""
+    f2, mnu = _g_factors(request, name)
+    pencil = SparsePencil(M11=None, Xhat=None, Rinv=None, F_nu=f2, Mnu=mnu)
+    fac, ratio = oracle_mod._g_cholesky(pencil, 0)
+    g = (f2 @ mnu @ f2.T).toarray()
+    dense = scipy.linalg.cho_factor(g.T, lower=True)
+    rng = np.random.default_rng(4)
+    for b in (rng.standard_normal(g.shape[0]), rng.standard_normal((g.shape[0], 3))):
+        ref = scipy.linalg.cho_solve(dense, b)
+        assert np.linalg.norm(oracle_mod._g_solve(fac, b) - ref) <= 1e-12 * np.linalg.norm(ref)
+    pivots = np.diagonal(dense[0])
+    assert ratio == pytest.approx((pivots.min() / pivots.max()) ** 2, rel=1e-12)
+
+
+def test_desk_g_pivot_ratio_is_unchanged(desk):
+    assert f"{desk.oracle.margins['g_pivot_ratio']:.3e}" == "1.300e-01"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_g_cholesky_refuses_g_not_positive_definite(n):
+    f2, mnu = _small_g_factors(n, sign=-1.0)
+    pencil = SparsePencil(M11=None, Xhat=None, Rinv=None, F_nu=f2, Mnu=mnu)
+    with pytest.raises(RuntimeError, match="not positive definite"):
+        oracle_mod._g_cholesky(pencil, 0)
